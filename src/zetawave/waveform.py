@@ -5,12 +5,11 @@ overlaps, the Mehler kernel in closed and series form, the full
 position-space wave function, the boundary integral with its large-squeeze
 limit, and the confined one-dimensional profile.
 
-The boundary integral is an honest iterated quadrature: the outer integral
-carries an oscillatory algebraic endpoint and goes through the log
-substitution of the quad module; the inner one is an exact Gaussian bump in
-sqrt-coordinates and gets panelwise Gauss-Legendre laid out around the
-bump.  Because the inner integral does not involve the spectral parameter,
-batches of spectral points share a single inner pass.
+The boundary integral is a quadrature over the Mehler parameter u with an
+oscillatory algebraic endpoint, through the log substitution of the quad
+module; the inner transverse integral is exact, an exponential times a
+Laguerre polynomial (see _inner_profile).  It does not involve the spectral
+parameter, so batches of spectral points share its values.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .quad import (
     integrate_singular_log,
     tail_cutoff_for,
 )
-from .specfun import TruncationPolicy, bessel_i0_scaled, chi, eta, gamma_complex
+from .specfun import TruncationPolicy, bessel_i0_scaled, chi, eta, gamma_complex, laguerre
 
 __all__ = [
     "SqueezeParameter",
@@ -233,11 +232,13 @@ def _bare_overlaps(n: int, m_max: int, lam: float) -> np.ndarray:
     ln_rho = math.log1p(-eps) - math.log1p(eps)
     m = np.arange(m_count, dtype=float)
     logs = np.empty((n + 1, m_count))
-    for k in range(n + 1):
-        j = n - k
-        log_cmj = np.zeros(m_count)
-        for i in range(1, j + 1):
-            log_cmj += np.log(m + i) - math.log(i)
+    # log C(m+j, j) = sum_{i <= j} log((m+i)/i), accumulated as j = n - k
+    # steps up.
+    log_cmj = np.zeros(m_count)
+    for j in range(n + 1):
+        if j > 0:
+            log_cmj += np.log(m + j) - math.log(j)
+        k = n - j
         log_cnk = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(j + 1)
         logs[k] = log_cnk + k * ln_beta + j * ln_gam + (k - n - 1) * ln_a0 + log_cmj
     signs = np.array([(-1.0) ** (n - k) for k in range(n + 1)])[:, None]
@@ -554,52 +555,36 @@ def psi_full(
 # Boundary integral
 # ---------------------------------------------------------------------------
 
-_BUMP_HALF_WIDTH = 14.0  # Gaussian remainder e^{-98} beyond the panelled bump
 _MAX_BOUNDARY_ROUNDS = 5
+# 40_000_000 // (24 * 12): the outer-node count at which the earlier budget
+# on outer times inner quadrature nodes first stopped a request.
+_MAX_OUTER_NODES = 138_888
 
 
-def _inner_profile(
-    v: np.ndarray, Y: float, eps: float, n: int, inner_panels: int, order: int
-) -> np.ndarray:
+def _inner_profile(u: np.ndarray, Y: float, lam: float, n: int) -> np.ndarray:
     """Inner transverse integral, without the 1/(1-t) factor, per outer node.
 
-    In r = sqrt(y') the integrand is exp[-(c/2)(r - r*)^2] times smooth
-    factors, with t = e^{-u}, c = (1+t)/(1-t), r* = 2 sqrt(Y t)/(1+t).
-    Panels cover 14 bump widths, so the discarded remainder is ~e^{-98} of
-    the local scale.  The offset r - r* is built directly from the panel
-    coordinate, never by subtraction of close floats.
+    The integral of chi_n(eps y') e^{-(c/2)(Y+y')} I0(2 sqrt(Y y' t)/(1-t))
+    over y' > 0, with t = e^{-u}, c = (1+t)/(1-t), eps = e^{-lam}, is
+    exp(-Y((1-t) + eps(1+t))/(2 d1)) (2(1-t)/d1) (d2/d1)^n L_n(4 eps Y t/(d1 d2)),
+    d1 = (1+eps) + t(1-eps), d2 = (1-eps) + t(1+eps).  Derivation: the
+    integral of e^{-q x} I0(2 b sqrt(x)) over x > 0 is e^{b^2/q}/q (termwise
+    from the I0 series); under sum_n L_n(a x) z^n = e^{-a x z/(1-z)}/(1-z)
+    it sums to e^{b^2/q}/(q(1-z)), q = p + a z/(1-z), whose z^n coefficient
+    is (e^{b^2/p}/p) ((p-a)/p)^n L_n(a b^2/(p(p-a))); here a = eps,
+    b^2 = Y t/(1-t)^2, p = (eps + c)/2 = d1/(2(1-t)), p - a = d2/(2(1-t)).
+    1-t and 1-eps come from expm1, so every factor is a sum of positive
+    terms and nothing cancels as u -> 0 or eps -> 1.
     """
-    u = np.exp(v)
     t = np.exp(-u)
     one_minus_t = -np.expm1(-u)
-    c = (1.0 + t) / one_minus_t
-    sigma = 1.0 / np.sqrt(c)
-    r_star = 2.0 * math.sqrt(Y) * np.sqrt(t) / (1.0 + t) if Y > 0.0 else np.zeros_like(t)
-    peak_log = -Y * one_minus_t / (2.0 * (1.0 + t))
-    out = np.zeros_like(v)
-    # Nodes whose bump peak already underflows contribute exact zeros.
-    idx = np.nonzero(peak_log > -740.0)[0]
-    if idx.size == 0:
-        return out
-    x01, w01 = _gauss_rule(order)
-    starts = np.arange(inner_panels) / inner_panels
-    pattern = (starts[:, None] + (x01[None, :] + 1.0) / (2.0 * inner_panels)).ravel()
-    pweights = np.tile(w01 / (2.0 * inner_panels), inner_panels)
-    for lo in range(0, idx.size, 1024):
-        sel = idx[lo : lo + 1024]
-        sig = sigma[sel][:, None]
-        rs = r_star[sel][:, None]
-        cc = c[sel][:, None]
-        xi_lo = np.maximum(-_BUMP_HALF_WIDTH, -rs / sig)
-        span = _BUMP_HALF_WIDTH - xi_lo
-        xi = xi_lo + span * pattern[None, :]
-        d = sig * xi
-        r = rs + d
-        g = -0.5 * cc * d * d + peak_log[sel][:, None]
-        b = cc * rs * r
-        f = 2.0 * r * chi(n, eps * r * r) * bessel_i0_scaled(b) * np.exp(g)
-        out[sel] = (f * pweights[None, :]).sum(axis=1) * (span[:, 0] * sigma[sel])
-    return out
+    eps = math.exp(-lam)
+    one_minus_eps = -math.expm1(-lam)
+    d1 = (1.0 + eps) + t * one_minus_eps
+    d2 = one_minus_eps + t * (1.0 + eps)
+    x = 4.0 * eps * Y * t / (d1 * d2)
+    decay = np.exp(-Y * (one_minus_t + eps * (1.0 + t)) / (2.0 * d1))
+    return decay * (2.0 * one_minus_t / d1) * (d2 / d1) ** n * laguerre(n, x)
 
 
 def _outer_grid(v_lo: float, v_hi: float, panels: int, order: int):
@@ -627,13 +612,18 @@ def _boundary_eta_scale(
 ) -> tuple[np.ndarray, float]:
     """Boundary integral divided by Gamma(s), batched over spectral points.
 
-    The inner integral does not involve s, so one inner pass per
-    refinement round serves the whole batch; the outer integral is then
-    one weighted phase sum per point.  Convergence is controlled on this
-    eta-normalized scale, which is O(1) uniformly in t; per-point
+    The integrand, u^{s-1} e^{-u}/(1-e^{-u}) times the exact _inner_profile,
+    is summed on a Gauss-Legendre grid in v = log u that doubles each round;
+    the inner values do not involve s, so each point costs one phase sum.
+    Convergence is controlled on
+    this eta-normalized scale, which is O(1) uniformly in t; per-point
     tolerances are clamped to the double-precision floor, which grows like
     e^{pi t/2} because the raw integral is O(|Gamma(s)|).
     """
+    if not np.all(np.isfinite(s_values)):
+        raise DomainError("boundary integral requires finite s")
+    if target_tol is not None and not math.isfinite(target_tol):
+        raise DomainError("boundary tolerance must be finite")
     eps = math.exp(-lam)
     Y = (math.exp(lam) if variant == ORIGINAL else eps) * y
     sig_min = float(min(z.real for z in s_values))
@@ -659,14 +649,13 @@ def _boundary_eta_scale(
     head_amp = float(chi(n, eps * Y))
     head = head_amp * np.exp(s_values * v_lo) / s_values
     panels = max(24, int(math.ceil((1.0 + t_max) * (v_hi - v_lo) / 6.0)))
-    inner_panels = 12
     order = 12
     prev = None
     err = math.inf
     for _ in range(_MAX_BOUNDARY_ROUNDS + 1):
         v, w = _outer_grid(v_lo, v_hi, panels, order)
         u = np.exp(v)
-        kernel = w * _inner_profile(v, Y, eps, n, inner_panels, order) / np.expm1(u)
+        kernel = w * _inner_profile(u, Y, lam, n) / np.expm1(u)
         vals = np.empty(s_values.size, dtype=complex)
         for lo in range(0, s_values.size, 128):
             chunk = s_values[lo : lo + 128]
@@ -679,8 +668,7 @@ def _boundary_eta_scale(
                 return vals, err
         prev = vals
         panels *= 2
-        inner_panels = min(2 * inner_panels, 48)
-        if panels * order * inner_panels * order > 40_000_000:
+        if panels * order > _MAX_OUTER_NODES:
             break
     raise NonConvergenceError(
         f"boundary quadrature stalled at eta-scale discrepancy {err:.3g}"
@@ -690,8 +678,8 @@ def _boundary_eta_scale(
 def _check_boundary_args(y: float, n: int, lam: float, variant: str) -> None:
     if variant not in (ORIGINAL, TILDE):
         raise DomainError("variant must be 'original' or 'tilde'")
-    if y < 0.0:
-        raise DomainError("y must be >= 0")
+    if not (math.isfinite(y) and y >= 0.0):
+        raise DomainError("y must be finite and >= 0")
     QuantumNumber(int(n))
     p = SqueezeParameter(float(lam))
     if variant == ORIGINAL and y > 0.0 and p.lam > MAX_LAMBDA:
@@ -708,12 +696,15 @@ def psi_boundary(
     variant: str = ORIGINAL,
     target_tol: Optional[float] = None,
 ) -> WaveSample:
-    """Boundary wave function by honest iterated quadrature.
+    """Boundary wave function as a quadrature over the Mehler parameter.
 
-    Outer integral over u with the u^{s-1} e^{-u}/(1-e^{-u}) weight via
-    the log substitution; inner integral over y' of the squeezed level
-    against the Mehler-type exponential kernel.  The tilde variant scales
-    the transverse coordinate by e^{-lam} instead of e^{lam}.
+    psi / varphi_zero = (1/Gamma(s)) int_0^inf u^{s-1} e^{-u} K(u) du, K
+    the integral over y' of chi_n(e^{-lam} y') against the Mehler kernel at
+    (Y, y', e^{-u}); Y = e^{lam} y, or e^{-lam} y for the tilde variant.  By
+    the Laguerre generating function and the Laplace transform of I0 (see
+    _inner_profile), K = exp(-Y((1-t) + eps(1+t))/(2 d1)) (2/d1) (d2/d1)^n
+    L_n(4 eps Y t/(d1 d2)) with t = e^{-u}, eps = e^{-lam},
+    d1 = (1+eps) + t(1-eps), d2 = (1-eps) + t(1+eps).
 
     target_tol is an absolute tolerance on the eta-normalized value
     psi / varphi_zero; None picks a tolerance 30x above the rounding
@@ -751,9 +742,9 @@ def psi_boundary_batch(
 ) -> tuple[np.ndarray, float]:
     """Boundary values for many spectral points on one shared grid.
 
-    Returns (values, worst eta-normalized error).  One inner-integral
-    pass serves every point, so a scan grid costs little more than a
-    single evaluation.
+    Returns (values, worst eta-normalized error).  The integral is that of
+    psi_boundary; its exact inner integral K does not involve s, so a scan
+    grid costs one phase sum per point on top of a single evaluation.
     """
     _check_boundary_args(y, n, lam, variant)
     arr = np.asarray(list(s_values), dtype=complex)

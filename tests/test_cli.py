@@ -257,6 +257,21 @@ def test_overflow_regime_exits_3(capsys):
     assert "lam <= 25" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("boundary", "--t", "nan"),
+    ("boundary", "--t", "inf"),
+    ("boundary", "--t", "5", "--y", "nan"),
+    ("boundary", "--t", "5", "--y", "inf"),
+    ("boundary", "--t", "5", "--tol", "nan"),
+    ("converge", "--t", "nan"),
+])
+def test_non_finite_input_exits_2(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_scan_requires_window(capsys):
     rc, _, err = run_cli(capsys, "scan")
     assert rc == 2

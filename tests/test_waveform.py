@@ -44,7 +44,7 @@ from zetawave import (
     varphi_zero,
     zeta,
 )
-from zetawave.waveform import _bare_overlaps, _euler_accelerated
+from zetawave.waveform import _bare_overlaps, _euler_accelerated, _inner_profile
 
 mp.mp.dps = 40
 
@@ -397,6 +397,83 @@ def _boundary_ground_closed(y, s, lam):
         return complex(2 / ((1 + eps) * mp.gamma(z)) * integral)
 
 
+INNER_U = (1e-4, 0.1, 1.0, 10.0)
+INNER_LEVELS = (0, 1, 2, 7)
+
+
+def _inner_reference(u, big_y, lam):
+    """mpmath quadrature of the inner transverse integral, per level n.
+
+    The definition: the integral over y' > 0 of chi_n(eps y')
+    e^{-(c/2)(Y+y')} I0(2 sqrt(Y y' t)/(1-t)), t = e^{-u}, c = (1+t)/(1-t),
+    eps = e^{-lam}, with chi_n from mpmath.laguerre and I0 from
+    mpmath.besseli.  In r = sqrt(y') the Mehler factor is a Gaussian bump
+    of width sigma = c^{-1/2} about r* = 2 sqrt(Y t)/(1+t), so the
+    quadrature runs over xi = (r - r*)/sigma in [-8, 8] (the rest is below
+    e^{-32}) with a 48-node Gauss-Legendre rule.  The integrand is divided
+    by the Mehler factor at r*, because mpmath.quad judges its error in
+    absolute terms; that factor does not involve n, so its values are
+    shared across levels.  Returns the values and the envelope
+    exp(-Y((1-t) + eps(1+t))/(2 d1)) 2(1-t)/d1 that scales the tolerance,
+    both as mpf.
+    """
+    with mp.workdps(30):
+        t = mp.exp(-u)
+        eps = mp.exp(-lam)
+        c = (1 + t) / (1 - t)
+        r_star = 2 * mp.sqrt(big_y * t) / (1 + t)
+        sigma = 1 / mp.sqrt(c)
+
+        def mehler(r):
+            bessel = mp.besseli(0, 2 * r * mp.sqrt(big_y * t) / (1 - t))
+            return mp.exp(-(c / 2) * (big_y + r * r)) * bessel
+
+        scale = mehler(r_star)
+        d1 = (1 + eps) + t * (1 - eps)
+        envelope = mp.exp(-big_y * ((1 - t) + eps * (1 + t)) / (2 * d1)) * 2 * (1 - t) / d1
+    cache = {}
+
+    def integrand(n, xi):
+        # Nodes come at 15 digits; the integrand is evaluated at 30, because
+        # its exponents reach ~1e10 and cancel to O(1).
+        with mp.workdps(30):
+            r = r_star + sigma * xi
+            if xi not in cache:
+                cache[xi] = 2 * r * sigma * mehler(r) / scale
+            y_eps = eps * r * r
+            return cache[xi] * mp.exp(-y_eps / 2) * mp.laguerre(n, 0, y_eps)
+
+    with mp.workdps(15):
+        lo = max(-r_star / sigma, -8)
+        values = [
+            mp.quad(lambda xi: integrand(n, xi), [lo, 8], method="gauss-legendre", maxdegree=5)
+            * scale
+            for n in INNER_LEVELS
+        ]
+    return values, envelope
+
+
+@pytest.mark.parametrize(
+    "variant,lam",
+    [("original", 0.0), ("original", 1.0), ("original", 8.0), ("original", 14.0),
+     ("tilde", 1.0), ("tilde", 8.0), ("tilde", 14.0)],
+)
+def test_inner_profile_matches_quadrature_of_definition(variant, lam):
+    # Independent of the closed form in _inner_profile and of the package's
+    # chi and I0.  The tolerance is relative to the envelope, because near a
+    # root of L_n the value itself is only as good as the rounding; below
+    # 1e-300 doubles go subnormal and both sides are zero to that scale.
+    # The tilde variant at lam = 0 or y = 0 has the same Y as the original.
+    for y in (0.0, 0.5, 2.0) if variant == "original" else (0.5, 2.0):
+        big_y = (math.exp(lam) if variant == "original" else math.exp(-lam)) * y
+        for u in INNER_U:
+            wants, envelope = _inner_reference(u, big_y, lam)
+            for n, want in zip(INNER_LEVELS, wants):
+                got = _inner_profile(np.array([u]), big_y, lam, n)[0]
+                err = abs(got - float(want))
+                assert err <= 1e-12 * float(envelope) + 1e-300, (n, y, u, got, want)
+
+
 def test_boundary_offpoint_suppression_scale():
     s = 0.5 + 10j
     for lam in (8.0, 14.0, 25.0):
@@ -423,10 +500,11 @@ def test_boundary_plumbing_point():
     assert abs(sample.value - level) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
 @pytest.mark.parametrize("sv,lam", [(0.5 + 5j, 10.0), (0.5 + 12j, 12.0)])
-def test_boundary_two_routes_agree(sv, lam):
-    quad_route = psi_boundary(0.0, sv, 0, lam).value
-    level_route = boundary_levels([sv], 0, lam)[0]
+def test_boundary_two_routes_agree(sv, lam, n):
+    quad_route = psi_boundary(0.0, sv, n, lam).value
+    level_route = boundary_levels([sv], n, lam)[0]
     assert abs(quad_route - level_route) <= 1e-7 * abs(level_route)
 
 
