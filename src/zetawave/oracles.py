@@ -1,7 +1,8 @@
 """Brute-force reference implementations for the verification suites.
 
 Deliberately different algorithms from the production modules: raw
-alternating partial sums instead of binomial acceleration, composite
+alternating partial sums instead of binomial acceleration, iterated
+averaging level by level instead of binomial weights, composite
 Simpson instead of adaptive Gauss panels, finite differences instead of
 closed-form eigen-identities.  Agreement between the two families is
 evidence rather than tautology; none of this is fast enough for
@@ -20,6 +21,7 @@ from .waveform import phi_s
 
 __all__ = [
     "eta_naive",
+    "euler_naive",
     "apply_number_operator",
     "apply_bk_operator",
     "quad_naive",
@@ -44,6 +46,27 @@ def eta_naive(s: complex, terms: int = 200_000) -> complex:
     a[1::2] *= -1.0
     total = complex(np.sum(a))
     return total - complex(a[-1]) / 2.0
+
+
+def euler_naive(terms) -> tuple[complex, float]:
+    """Euler transformation by literal iterated averaging of partial sums.
+
+    Averages neighbouring partial sums level by level, O(N^2), until one
+    value is left.  Returns it with the magnitude of the last correction
+    (the final value minus the last entry of the level before; 0 for a
+    single term).  The reference for the weighted transforms of the
+    production modules.
+    """
+    row = np.cumsum(np.asarray(terms, dtype=complex))
+    if row.size == 0:
+        raise DomainError("need at least one term")
+    value = complex(row[-1])
+    change = 0.0
+    while row.size > 1:
+        row = 0.5 * (row[:-1] + row[1:])
+        change = abs(complex(row[-1]) - value)
+        value = complex(row[-1])
+    return value, change
 
 
 def apply_number_operator(n: int, y: float, h: float = 1e-4) -> float:

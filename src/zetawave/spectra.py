@@ -18,20 +18,24 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .specfun import eta, eta_grid
+from .specfun import _eta_depth, _eta_sums, eta_grid
 from .waveform import (
     ORIGINAL,
     TILDE,
     QuantumNumber,
     SqueezeParameter,
     _bare_overlaps,
-    _euler_accelerated,
-    _euler_accelerated_rows,
+    _euler_weights,
     psi_boundary,
     psi_boundary_limit,
     tilde_expansion_check,
     varphi_zero,
 )
+
+# Unused here, but the benchmark tracer (perfbench/tracer.py) wraps these
+# names in this module, so they must stay importable from it.
+from .specfun import eta  # noqa: F401
+from .waveform import _euler_accelerated, _euler_accelerated_rows  # noqa: F401
 
 __all__ = [
     "ZeroRecord",
@@ -103,78 +107,101 @@ def boundary_objective(t: float, mode: str = "limit", lam: float = 12.0, n: int 
     return psi_boundary(0.0, z, int(n), float(lam)).value
 
 
+def _finite_depth(t_max: float) -> int:
+    return 80 + int(math.ceil(2.3 * t_max))
+
+
 def _finite_series_tools(
     n: int, lam: float, t_max: float
-) -> tuple[Callable[[float], complex], Callable[[np.ndarray], np.ndarray]]:
-    """Point and grid evaluators of the normalized finite-squeeze objective.
+) -> tuple[Callable[[np.ndarray], tuple], Callable[[np.ndarray], np.ndarray]]:
+    """Newton and grid evaluators of the normalized finite-squeeze objective.
 
     The y = 0 boundary value factorizes as varphi_zero(s) times
     sum_m A_m (m+1)^{-s} with squeeze-only overlaps A_m, so one overlap
     pass serves the whole scan; the alternating sum is rendered by the
     iterated-averaging transform, which keeps relative accuracy at any
-    height.  Values are divided by 2 to land on the eta scale.
+    height.  Values are divided by 2 to land on the eta scale.  The
+    transform is the weighted sum sum_m u_m A_m (m+1)^{-s} of
+    _euler_weights, so the Newton evaluator takes (f, df/dt) on an array of
+    heights from one product, with
+    df/dt = -i sum_m u_m A_m log(m+1) (m+1)^{-s}; the grid evaluator keeps f.
     """
-    depth = 80 + int(math.ceil(2.3 * t_max))
+    depth = _finite_depth(t_max)
     overlaps = _bare_overlaps(n, depth - 1, lam)
     logk = np.log(np.arange(1.0, depth + 1.0))
+    averaged = 0.5 * _euler_weights(depth)[:, 0] * overlaps
+    weights = np.column_stack([averaged, -1j * logk * averaged])
 
-    def value(t: float) -> complex:
-        z = complex(0.5, t)
-        terms = overlaps * np.exp(-z * logk)
-        val, _ = _euler_accelerated(terms)
-        return 0.5 * val
+    def newton(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sums = np.exp(np.multiply.outer(-(0.5 + 1j * ts), logk)) @ weights
+        return sums[:, 0], sums[:, 1]
 
     def grid(ts: np.ndarray) -> np.ndarray:
-        zs = 0.5 + 1j * ts
-        terms = np.exp(np.multiply.outer(-zs, logk)) * overlaps[None, :]
-        vals, _ = _euler_accelerated_rows(terms)
-        return 0.5 * vals
+        return newton(ts)[0]
 
-    return value, grid
+    return newton, grid
 
 
-def _refine(
-    f: Callable[[float], complex],
-    t0: float,
+def _limit_newton(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eta and d eta / dt = i eta'(s) at s = 1/2 + i t."""
+    values, deriv = _eta_sums(0.5 + 1j * ts, derivative=True)
+    return values, 1j * deriv
+
+
+def _refine_all(
+    newton: Callable[[np.ndarray], tuple],
+    t0: np.ndarray,
     step: float,
     tol: float,
     n: int,
-) -> ZeroRecord:
-    """Newton refinement of one candidate, clipped to its bracket.
+) -> List[ZeroRecord]:
+    """Newton refinement of every candidate of a window in one pass.
 
-    The complex Newton correction f/f' is projected to its real part,
-    which walks t toward the on-line modulus minimum; for a zero on the
-    line this converges quadratically to it.
+    newton(ts) returns the objective f and its derivative df/dt at the
+    heights ts.  The complex Newton correction f/f' is projected to its
+    real part, which walks t toward the on-line modulus minimum; for a zero
+    on the line this converges quadratically to it.  Each candidate is
+    clipped to its bracket t0 -/+ step and keeps its best residual; it
+    stops when its derivative vanishes, its best residual meets tol, its
+    step falls below 1e-13 max(1, |t|), or after _MAX_NEWTON steps.  Each
+    round evaluates only the candidates still running.
     """
     lo, hi = t0 - step, t0 + step
-    t = float(t0)
-    fval = f(t)
-    best_t, best_r = t, abs(fval)
-    iterations = 0
+    t = t0.copy()
+    fval, deriv = newton(t)
+    best_t, best_r = t.copy(), np.abs(fval)
+    iterations = np.zeros(t.size, dtype=int)
+    active = np.arange(t.size)
     for _ in range(_MAX_NEWTON):
-        iterations += 1
-        h = 1e-6 * max(1.0, abs(t))
-        deriv = (f(t + h) - f(t - h)) / (2.0 * h)
-        if deriv == 0:
+        iterations[active] += 1
+        active = active[deriv[active] != 0]
+        if active.size == 0:
             break
-        delta = (fval / deriv).real
-        t = min(max(t - delta, lo), hi)
-        fval = f(t)
-        if abs(fval) < best_r:
-            best_t, best_r = t, abs(fval)
-        if best_r <= tol:
-            break
-        if abs(delta) < 1e-13 * max(1.0, abs(t)):
-            break
-    return ZeroRecord(
-        t=best_t,
-        residual=best_r,
-        bracket_lo=lo,
-        bracket_hi=hi,
-        iterations=iterations,
-        energy=float(n) - best_t,
-        converged=bool(best_r <= tol),
-    )
+        delta = (fval[active] / deriv[active]).real
+        t[active] = np.clip(t[active] - delta, lo[active], hi[active])
+        fval[active], deriv[active] = newton(t[active])
+        better = active[np.abs(fval[active]) < best_r[active]]
+        best_t[better], best_r[better] = t[better], np.abs(fval[better])
+        stalled = np.abs(delta) < 1e-13 * np.maximum(1.0, np.abs(t[active]))
+        active = active[(best_r[active] > tol) & ~stalled]
+    return [
+        ZeroRecord(
+            t=float(best_t[i]),
+            residual=float(best_r[i]),
+            bracket_lo=float(lo[i]),
+            bracket_hi=float(hi[i]),
+            iterations=int(iterations[i]),
+            energy=float(n) - float(best_t[i]),
+            converged=bool(best_r[i] <= tol),
+        )
+        for i in range(t.size)
+    ]
+
+
+# Work preflight: grid points times terms per point, in complex elements
+# (2^24 of them take 256 MB, and building them up to twice that at the
+# peak), checked before any array is built.
+_MAX_SCAN_ELEMENTS = 2**24
 
 
 def scan_zeros(
@@ -190,9 +217,11 @@ def scan_zeros(
 
     Grid minima of the normalized modulus qualify as candidates when they
     fall below 0.1 times the window median (robust against shallow dips
-    between zeros); each candidate is Newton-refined inside its bracket.
+    between zeros); all candidates are Newton-refined together, each inside
+    its bracket, with the analytic derivative of the objective.
     Unconverged candidates are flagged, never dropped.  Records come back
-    sorted by t.
+    sorted by t.  A grid whose points times terms per point exceeds
+    _MAX_SCAN_ELEMENTS is refused with DomainError before any work.
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
         raise DomainError("scan range must be finite")
@@ -200,8 +229,12 @@ def scan_zeros(
         raise DomainError("need 0 < t_lo < t_hi")
     if t_hi > _SCAN_T_MAX:
         raise DomainError(f"scans are calibrated for t <= {_SCAN_T_MAX:g}")
+    if not math.isfinite(step):
+        raise DomainError("step must be finite")
     if step <= 0.0 or step > (t_hi - t_lo):
         raise DomainError("step must be positive and smaller than the window")
+    if not math.isfinite(refine_tol):
+        raise DomainError("refine_tol must be finite")
     if refine_tol <= 0.0:
         raise DomainError("refine_tol must be positive")
     if mode not in SCAN_MODES:
@@ -210,18 +243,24 @@ def scan_zeros(
     SqueezeParameter(float(lam))
 
     count = int(math.floor((t_hi - t_lo) / step + 1e-9)) + 1
+    if mode == "limit":
+        terms = _eta_depth(np.array([complex(0.5, t_hi)])) + 1
+    else:
+        terms = _finite_depth(float(t_hi))
+    if (count + 1) * terms > _MAX_SCAN_ELEMENTS:
+        raise DomainError(
+            f"scan grid of {count} points x {terms} terms exceeds the work limit of "
+            f"{_MAX_SCAN_ELEMENTS} elements; use a larger step or a shorter window"
+        )
     ts = t_lo + step * np.arange(count)
     if ts[-1] < t_hi - 1e-12 * max(1.0, t_hi):
         ts = np.append(ts, t_hi)
 
     if mode == "limit":
         fgrid_vals = eta_grid(0.5 + 1j * ts)
-
-        def feval(t: float) -> complex:
-            return eta(complex(0.5, t))
-
+        newton = _limit_newton
     else:
-        feval, fgrid = _finite_series_tools(int(n), float(lam), float(t_hi))
+        newton, fgrid = _finite_series_tools(int(n), float(lam), float(t_hi))
         fgrid_vals = fgrid(ts)
 
     mags = np.abs(fgrid_vals)
@@ -232,7 +271,7 @@ def scan_zeros(
         if mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1] and mags[i] < threshold
     ]
 
-    records = [_refine(feval, float(ts[i]), step, refine_tol, int(n)) for i in candidates]
+    records = _refine_all(newton, ts[candidates], step, refine_tol, int(n)) if candidates else []
     records.sort(key=lambda r: r.t)
     merged: List[ZeroRecord] = []
     for rec in records:

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import DomainError
-from .oracles import apply_bk_operator, apply_number_operator, eta_naive
+from .oracles import apply_bk_operator, apply_number_operator, eta_naive, euler_naive
 from .quad import (
     SMOOTH_DECAYING,
     QuadratureSpec,
@@ -113,9 +113,10 @@ def _check_eta_alternating_agreement() -> tuple[float, str]:
     signs = np.where(m % 2 == 0, 1.0, -1.0)
     for s in points:
         terms = signs * np.exp(-s * np.log1p(m))
+        reference, _ = euler_naive(terms)
         accelerated, _ = _euler_accelerated(terms)
-        worst = max(worst, abs(accelerated - eta(s)))
-    return worst, "binomial-sum eta vs Euler-transformed raw series"
+        worst = max(worst, abs(eta(s) - reference), abs(accelerated - reference))
+    return worst, "binomial-sum eta and weighted Euler transform vs iterated-averaging oracle"
 
 
 def _check_gamma_functional() -> tuple[float, str]:

@@ -29,7 +29,7 @@ from .quad import (
     integrate_singular_log,
     tail_cutoff_for,
 )
-from .specfun import TruncationPolicy, bessel_i0_scaled, chi, eta, gamma_complex, laguerre
+from .specfun import TruncationPolicy, _binomial_weights, bessel_i0_scaled, chi, eta, gamma_complex, laguerre
 
 __all__ = [
     "SqueezeParameter",
@@ -449,35 +449,36 @@ DEFAULT_PROFILE = StandInProfile()
 # ---------------------------------------------------------------------------
 
 
+def _euler_weights(count: int) -> np.ndarray:
+    """Full iterated averaging of count = N terms as two weight columns.
+
+    N-1 averagings of the partial sums S_j leave sum_j C(N-1, j) S_j / 2^{N-1}
+    = sum_k u_k a_k, u_k = P(Bin(N-1, 1/2) >= k).  The last correction (the
+    value minus the last entry of the level before; the value at N = 1) has
+    its own bump b_k = -C(N-2, k-1) / 2^{N-1}, which keeps it at the rounding
+    level of the terms, where a difference of two sums would not.
+    """
+    weights = np.ones((count, 2))
+    weights[:, 0] = _binomial_weights(count - 1)[1]
+    if count > 1:
+        weights[:, 1] = np.append(0.0, -0.5 * _binomial_weights(count - 2)[0])
+    return weights
+
+
 def _euler_accelerated(terms: np.ndarray) -> tuple[complex, float]:
     """Iterated averaging of partial sums (Euler transformation).
 
-    Each averaging level halves an alternating geometric tail.  Returns the
-    stabilized value and the magnitude of the last correction.
+    One weighted sum (_euler_weights); returns the value and the magnitude
+    of the last correction, 0 for a single term.
     """
-    # Corrections of a slowly rotating alternating series dip far below
-    # their eventual plateau, so no early stop: reduce all the way down
-    # and report the final correction.
-    row = np.cumsum(np.asarray(terms, dtype=complex))
-    value = complex(row[-1])
-    change = abs(value - complex(row[-2])) if row.size > 1 else 0.0
-    while row.size > 1:
-        row = 0.5 * (row[:-1] + row[1:])
-        change = abs(complex(row[-1]) - value)
-        value = complex(row[-1])
-    return value, change
+    value, change = np.asarray(terms, dtype=complex) @ _euler_weights(len(terms))
+    return complex(value), abs(change) if len(terms) > 1 else 0.0
 
 
 def _euler_accelerated_rows(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full iterated averaging along axis 1 for a batch of term rows."""
-    row = np.cumsum(np.asarray(terms, dtype=complex), axis=1)
-    prev = row[:, -1].copy()
-    change = np.abs(prev)
-    while row.shape[1] > 1:
-        row = 0.5 * (row[:, :-1] + row[:, 1:])
-        change = np.abs(row[:, -1] - prev)
-        prev = row[:, -1].copy()
-    return prev, change
+    sums = np.asarray(terms, dtype=complex) @ _euler_weights(np.shape(terms)[1])
+    return sums[:, 0], np.abs(sums[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +510,10 @@ def psi_full(
     p = SqueezeParameter(float(lam))
     if p.lam > MAX_LAMBDA:
         raise DomainError(f"psi_full supports lam <= {MAX_LAMBDA:g}")
-    if x <= 0.0:
-        raise DomainError("psi_full needs x > 0; the boundary value is psi_boundary")
-    if y < 0.0:
-        raise DomainError("y must be >= 0")
+    if not 0.0 < x < math.inf:
+        raise DomainError("psi_full needs finite x > 0; the boundary value is psi_boundary")
+    if not 0.0 <= y < math.inf:
+        raise DomainError("y must be finite and >= 0")
     QuantumNumber(int(n))
     y_scaled = math.exp(p.lam) * y
     # Two honest estimators, because the sign pattern changes regime.  At
@@ -846,8 +847,6 @@ def phi_confined(
     else:
         prof = np.array([profile.value(x / (m + 1.0), z) for m in m_idx])
     terms = 2.0 * signs * weights * prof
-    if policy.max_terms == 1:
-        return complex(terms[0]), 0.0
     value, tail = _euler_accelerated(terms)
     if not policy.converged(tail, abs(value)):
         raise NonConvergenceError(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -264,12 +265,28 @@ def test_overflow_regime_exits_3(capsys):
     ("boundary", "--t", "5", "--y", "inf"),
     ("boundary", "--t", "5", "--tol", "nan"),
     ("converge", "--t", "nan"),
+    ("boundary", "--t", "5", "--x", "nan"),
+    ("boundary", "--t", "5", "--x", "inf"),
+    ("scan", "--t", "1:20", "--step", "nan"),
+    ("scan", "--t", "1:20", "--tol", "nan"),
+    ("scan", "--t", "1:20", "--tol", "inf"),
 ])
 def test_non_finite_input_exits_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("mode", ["limit", "finite"])
+def test_runaway_scan_grid_exits_2_before_work(capsys, mode):
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "scan", "--t", "0.1:120", "--step", "1e-9", "--mode", mode)
+    elapsed = time.perf_counter() - start
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "work limit" in err
+    assert elapsed < 0.5
 
 
 def test_scan_requires_window(capsys):

@@ -28,6 +28,7 @@ from zetawave import (
     xi_aux,
     zeta,
 )
+from zetawave.specfun import _binomial_weights, _eta_sums
 
 mp.mp.dps = 40
 
@@ -181,6 +182,38 @@ def test_eta_grid_matches_scalar():
     grid = eta_grid(zs)
     for z, g in zip(zs, grid):
         assert abs(g - eta(z)) <= 5e-12 * max(1.0, abs(eta(z)))
+
+
+def test_eta_is_first_point_of_its_grid():
+    for s in (-2.0 + 0.0j, -1.5 + 7.0j, 0.5 + 14.134725j, 0.5 + 50.0j, 3.0 + 60.0j):
+        assert eta(s) == eta_grid([s])[0]
+
+
+@pytest.mark.parametrize("sigma", [-2.0, 0.5, 3.0])
+@pytest.mark.parametrize("t", [0.1, 14.13, 60.0])
+def test_eta_derivative_against_mpmath(sigma, t):
+    s = complex(sigma, t)
+    values, derivs = _eta_sums([s], derivative=True)
+    want = complex(mp.diff(mp.altzeta, mp.mpc(sigma, t)))
+    assert values[0] == eta(s)
+    assert abs(derivs[0] - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 81, 421, 1100])
+def test_binomial_weights_against_exact_integers(n):
+    # 2^n C(n, j) and its upper tails are exact integers; int / int rounds
+    # correctly, and past n = 1074 the smallest probabilities underflow
+    counts = [math.comb(n, j) for j in range(n + 1)]
+    tails = np.cumsum(np.array(counts[::-1], dtype=object))[::-1]
+    p, tail = _binomial_weights(n)
+    assert p.shape == tail.shape == (n + 1,)
+    assert not p.flags.writeable and not tail.flags.writeable
+    for got, exact in ((p, counts), (tail, tails)):
+        want = np.array([int(v) / 2**n for v in exact])
+        err = np.abs(got - want)
+        assert np.all(err <= 1e-15)
+        bulk = want >= 1e-3
+        assert np.all(err[bulk] <= 2e-15 * want[bulk])
 
 
 def test_zeta_at_two():

@@ -7,6 +7,8 @@ mpmath's zeta directly so the scan cannot certify itself.
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from zetawave import (
     scan_zeros,
     varphi_zero,
 )
+from zetawave.spectra import _MAX_NEWTON, SCAN_MODES
 
 mp.mp.dps = 40
 
@@ -129,6 +132,17 @@ def test_scan_finite_mode_flags_floor_limited_candidates():
     assert records[0].residual > 1e-10
 
 
+def test_scan_to_calibration_limit_matches_mpmath_zetazero():
+    records = scan_zeros(0.1, 120.0)
+    with mp.workdps(20):
+        want = [float(mp.zetazero(k).imag) for k in range(1, len(records) + 2)]
+    assert want[len(records)] > 120.0  # no zero below 120 was missed
+    for rec, t in zip(records, want):
+        assert abs(rec.t - t) <= 1e-10
+        assert rec.converged
+        assert 1 <= rec.iterations <= _MAX_NEWTON
+
+
 def test_scan_guards():
     with pytest.raises(DomainError):
         scan_zeros(-1.0, 10.0)
@@ -146,6 +160,15 @@ def test_scan_guards():
         scan_zeros(13.0, 16.0, mode="bisect")
     with pytest.raises(DomainError):
         scan_zeros(13.0, 16.0, mode="finite", n=-1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            scan_zeros(13.0, 16.0, step=bad)
+        with pytest.raises(DomainError, match="finite"):
+            scan_zeros(13.0, 16.0, refine_tol=bad)
+    for mode in SCAN_MODES:
+        # 119,901 points x 341 or 357 terms: past the 2^24-element limit
+        with pytest.raises(DomainError, match="work limit"):
+            scan_zeros(0.1, 120.0, step=1e-3, mode=mode)
 
 
 # ---------------------------------------------------------------------------

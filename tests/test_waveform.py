@@ -44,7 +44,13 @@ from zetawave import (
     varphi_zero,
     zeta,
 )
-from zetawave.waveform import _bare_overlaps, _euler_accelerated, _inner_profile
+from zetawave.oracles import euler_naive
+from zetawave.waveform import (
+    _bare_overlaps,
+    _euler_accelerated,
+    _euler_accelerated_rows,
+    _inner_profile,
+)
 
 mp.mp.dps = 40
 
@@ -322,6 +328,34 @@ def test_psi_full_product_identity(lam, y):
     sample = psi_full(1.3, y, s, 2, lam)
     want = phi_s(1.3, s) * chi(2, y)
     assert abs(sample.value - want) <= 1e-12
+
+
+def _euler_rows(kind: str, count: int) -> np.ndarray:
+    if kind == "seeded":
+        rng = np.random.default_rng(20261018 + count)
+        return rng.normal(size=(4, count)) + 1j * rng.normal(size=(4, count))
+    k = np.arange(count)
+    signs = np.where(k % 2 == 0, 1.0, -1.0)
+    points = np.array([0.5 + 14.134725j, 0.5 + 60.0j, 2.5 + 22.0j, -1.5 + 3.0j])
+    return signs * np.exp(np.multiply.outer(-points, np.log1p(k)))
+
+
+@pytest.mark.parametrize("kind", ["seeded", "eta"])
+@pytest.mark.parametrize("count", [1, 2, 3, 64, 200, 1024])
+def test_euler_transforms_match_iterated_averaging(kind, count):
+    rows = _euler_rows(kind, count)
+    values, changes = _euler_accelerated_rows(rows)
+    for row, value, change in zip(rows, values, changes):
+        want, want_change = euler_naive(row)
+        scale = float(np.sum(np.abs(row)))
+        got, got_change = _euler_accelerated(row)
+        assert abs(got - want) <= 1e-13 * scale
+        assert abs(got_change - want_change) <= 1e-15 + 1e-13 * scale
+        assert abs(value - want) <= 1e-13 * scale
+        # a single term is its own value, and the row form reports the
+        # whole value as its correction
+        row_change = abs(want) if count == 1 else want_change
+        assert abs(change - row_change) <= 1e-15 + 1e-13 * scale
 
 
 def test_psi_full_two_route_agreement():
