@@ -48,12 +48,10 @@ from .spectra import (
 )
 from .verify import CheckResult, check_names, run_checks
 from .waveform import (
-    AbelLaguerreProfile,
     EigenvalueRecord,
     MehlerSeriesResult,
     QuantumNumber,
     SqueezeParameter,
-    StandInProfile,
     TildeExpansion,
     WaveSample,
     boundary_levels,

@@ -149,9 +149,12 @@ def _eval(f: Callable, u: np.ndarray) -> np.ndarray:
     return np.array([complex(f(float(v))) for v in u], dtype=complex)
 
 
-def _panel_sum(
-    f: Callable, a: float, b: float, panels: int, order: int, extended: bool = False
-) -> complex:
+def _gauss_panels(
+    a: float, b: float, panels: int, order: int, extended: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, order points on each of panels
+    equal panels of [a, b]; extended=True builds them in longdouble from the
+    80-bit rule of _gauss_rule_extended."""
     if extended:
         x, w = _gauss_rule_extended(order)
         edges = np.linspace(np.longdouble(a), np.longdouble(b), panels + 1)
@@ -161,10 +164,17 @@ def _panel_sum(
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     nodes = (mid[:, None] + half * x[None, :]).ravel()
+    return nodes, np.tile(half * w, panels)
+
+
+def _panel_sum(
+    f: Callable, a: float, b: float, panels: int, order: int, extended: bool = False
+) -> complex:
+    nodes, weights = _gauss_panels(a, b, panels, order, extended)
     vals = _eval(f, nodes)
     if vals.dtype == np.clongdouble:
-        return complex(np.sum(vals * (half * np.tile(w, panels))))
-    vals = vals * (half * np.tile(w, panels))
+        return complex(np.sum(vals * weights))
+    vals = vals * weights
     # Compensated final reduction: the oscillatory integrands cancel to
     # near the rounding floor and pairwise summation noise would show up
     # in the tightest downstream tolerances.

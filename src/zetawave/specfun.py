@@ -1,11 +1,11 @@
 """Special functions for the critical strip, in plain double precision.
 
 Everything is hand-rolled on top of numpy so each piece has a known,
-separately testable error budget: a Lanczos gamma, Laguerre recurrences and
-their exponentially weighted cousins, the modified Bessel function I0, and
-the Dirichlet eta / zeta pair evaluated through a globally convergent
-binomial double sum.  No arbitrary-precision arithmetic anywhere; the
-contract region is sigma in [-2, 3], |t| <= 60.
+separately testable error budget: a Lanczos gamma, one Laguerre recurrence
+for L_n and its exponentially weighted cousin chi_n, the modified Bessel
+function I0, and the Dirichlet eta / zeta pair evaluated through a globally
+convergent binomial double sum.  No arbitrary-precision arithmetic
+anywhere; the contract region is sigma in [-2, 3], |t| <= 60.
 
 Every alternating sum runs on one kernel, the Bin(n, 1/2) weights of
 _binomial_weights: Euler's transform of sum_k (-1)^k a_k regroups exactly
@@ -123,11 +123,13 @@ def gamma_complex(s: complex) -> complex:
     """Gamma function of a complex argument.
 
     Relative error is below 1e-12 for |Im s| <= 60 and -2 <= Re s <= 3
-    (validated against an independent Euler-product oracle).  Nonpositive
-    integers raise DomainError; results outside double range raise
-    OverflowRangeError.
+    (validated against an independent Euler-product oracle).  Non-finite s
+    and nonpositive integers raise DomainError; results outside double
+    range raise OverflowRangeError.
     """
     z = complex(s)
+    if not cmath.isfinite(z):
+        raise DomainError("gamma requires finite s")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise DomainError(f"gamma pole at s = {z.real:g}")
     if z.real < 0.5:
@@ -152,25 +154,34 @@ def gamma_complex(s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def laguerre(n: int, y):
-    """Laguerre polynomial L_n(y) by the ascending three-term recurrence.
+def _laguerre_recurrence(
+    n: int, y: np.ndarray, seed: np.ndarray, all_orders: bool = False
+) -> np.ndarray:
+    """seed * L_m(y) by the ascending three-term recurrence, in seed's dtype.
 
-    Accepts a scalar or an ndarray for y.  The recurrence
-    (m+1) L_{m+1} = (2m+1-y) L_m - m L_{m-1} is forward stable for the
-    half-line arguments used here.
+    (m+1) L_{m+1} = (2m+1-y) L_m - m L_{m-1} from L_0 = 1, L_1 = 1 - y is
+    forward stable for the half-line arguments used here.  Returns order n,
+    keeping only two orders alive, or with all_orders=True every order
+    m = 0..n stacked along a new first axis.
     """
+    prev, cur = seed, (1.0 - y) * seed
+    rows = [prev, cur]
+    for m in range(1, n):
+        prev, cur = cur, ((2.0 * m + 1.0 - y) * cur - m * prev) / (m + 1.0)
+        if all_orders:
+            rows.append(cur)
+    if all_orders:
+        return np.stack(rows[: n + 1])
+    return cur if n > 0 else seed
+
+
+def laguerre(n: int, y):
+    """Laguerre polynomial L_n(y), scalar or ndarray y, by the ascending recurrence."""
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
-    arr = np.asarray(y, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    prev = np.ones_like(arr)
-    if n == 0:
-        return float(prev[0]) if scalar else prev
-    cur = 1.0 - arr
-    for m in range(1, n):
-        prev, cur = cur, ((2.0 * m + 1.0 - arr) * cur - m * prev) / (m + 1.0)
-    return float(cur[0]) if scalar else cur
+    arr = np.atleast_1d(np.asarray(y, dtype=float))
+    out = _laguerre_recurrence(n, arr, np.ones_like(arr))
+    return float(out[0]) if np.ndim(y) == 0 else out
 
 
 def chi(n: int, y):
@@ -182,18 +193,11 @@ def chi(n: int, y):
     """
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
-    arr = np.asarray(y, dtype=float)
+    arr = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(arr < 0.0):
         raise DomainError("chi is defined on the half-line y >= 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    prev = np.exp(-0.5 * arr)
-    if n == 0:
-        return float(prev[0]) if scalar else prev
-    cur = (1.0 - arr) * prev
-    for m in range(1, n):
-        prev, cur = cur, ((2.0 * m + 1.0 - arr) * cur - m * prev) / (m + 1.0)
-    return float(cur[0]) if scalar else cur
+    out = _laguerre_recurrence(n, arr, np.exp(-0.5 * arr))
+    return float(out[0]) if np.ndim(y) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .oracles import apply_bk_operator, apply_number_operator, eta_naive, euler_
 from .quad import (
     SMOOTH_DECAYING,
     QuadratureSpec,
-    _gauss_rule,
+    _gauss_panels,
     default_spec,
     integrate_halfline,
     tail_cutoff_for,
@@ -151,15 +151,6 @@ def _check_quad_linearity() -> tuple[float, str]:
     return abs(complex(combined.value) - complex(parts)), "combined vs split integral, tol 1e-10"
 
 
-def _fixed_panel_value(f: Callable, cutoff: float, panels: int) -> float:
-    x, w = _gauss_rule(12)
-    edges = np.linspace(0.0, cutoff, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * x[None, :]).ravel()
-    return float(np.sum(np.tile(half * w, panels) * f(nodes)))
-
-
 def _check_quad_doubling() -> tuple[float, str]:
     tests = [
         lambda u: np.exp(-u),
@@ -168,7 +159,8 @@ def _check_quad_doubling() -> tuple[float, str]:
     ]
     worst = 0.0
     for f in tests:
-        vals = [_fixed_panel_value(f, 40.0, p) for p in (16, 32, 64, 128, 256)]
+        grids = [_gauss_panels(0.0, 40.0, p, 12) for p in (16, 32, 64, 128, 256)]
+        vals = [float(np.sum(w * f(x))) for x, w in grids]
         diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
         for a, b in zip(diffs, diffs[1:]):
             worst = max(worst, b - a - 1e-15)

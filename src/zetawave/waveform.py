@@ -17,19 +17,22 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Protocol, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, OverflowRangeError
-from .quad import (
-    ENDPOINT_SINGULAR,
-    QuadratureSpec,
-    _gauss_rule,
-    integrate_singular_log,
-    tail_cutoff_for,
+from .quad import _gauss_panels, tail_cutoff_for
+from .specfun import (
+    TruncationPolicy,
+    _binomial_weights,
+    _laguerre_recurrence,
+    bessel_i0_scaled,
+    chi,
+    eta,
+    gamma_complex,
+    laguerre,
 )
-from .specfun import TruncationPolicy, _binomial_weights, bessel_i0_scaled, chi, eta, gamma_complex, laguerre
 
 __all__ = [
     "SqueezeParameter",
@@ -38,9 +41,6 @@ __all__ = [
     "EigenvalueRecord",
     "TildeExpansion",
     "MehlerSeriesResult",
-    "RotatedProfile",
-    "StandInProfile",
-    "AbelLaguerreProfile",
     "ORIGINAL",
     "TILDE",
     "LIMIT",
@@ -184,32 +184,6 @@ def squeeze_apply(psi: Callable, lam: float) -> Callable:
     return squeezed
 
 
-def _chi_rows(m_max: int, y: np.ndarray) -> np.ndarray:
-    """Rows chi_m(y) for m = 0..m_max in one recurrence pass."""
-    rows = np.empty((m_max + 1, y.size))
-    rows[0] = np.exp(-0.5 * y)
-    if m_max >= 1:
-        rows[1] = (1.0 - y) * rows[0]
-    for m in range(1, m_max):
-        rows[m + 1] = ((2.0 * m + 1.0 - y) * rows[m] - m * rows[m - 1]) / (m + 1.0)
-    return rows
-
-
-def _overlap_grid(m_max: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    # chi_m oscillates out to roughly 4m + 2 and only then starts its
-    # exponential tail, so the cutoff must scale with the largest order.
-    edge = 4.0 * m_max + 2.0 + 6.0 * (m_max + 1.0) ** (1.0 / 3.0)
-    cutoff = edge + tail_cutoff_for(0.3, tol)
-    panels = max(32, int(cutoff))
-    x, w = _gauss_rule(12)
-    edges = np.linspace(0.0, cutoff, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * x[None, :]).ravel()
-    weights = np.tile(half * w, panels)
-    return nodes, weights
-
-
 def _bare_overlaps(n: int, m_max: int, lam: float) -> np.ndarray:
     """Half-line integrals of chi_n(e^{-lam} y) chi_m(y) for m = 0..m_max.
 
@@ -217,7 +191,12 @@ def _bare_overlaps(n: int, m_max: int, lam: float) -> np.ndarray:
     with A = (1+eps) + t(1-eps), B = (1-eps) + t(1+eps), eps = e^{-lam}.
     Writing B = (A - 4 eps/(1+eps)) (1+eps)/(1-eps) expands the coefficient
     as a short sum over powers of 1/A, which keeps every summand on the
-    scale of the answer instead of cancelling across binomials.
+    scale of the answer instead of cancelling across binomials.  That sum
+    still alternates in k, and for large n at a small squeeze (n = 20 at
+    lam = 0.3, n = 40 at lam = 2) its rounding, up to (n+1) 2^-52 times the
+    summed magnitudes, swamps the answer, which Cauchy-Schwarz bounds by
+    |A_m| <= e^{lam/2}; NonConvergenceError is raised once that rounding
+    could exceed 1e-10 e^{lam/2}.
     """
     m_count = m_max + 1
     if lam == 0.0:
@@ -243,9 +222,17 @@ def _bare_overlaps(n: int, m_max: int, lam: float) -> np.ndarray:
         logs[k] = log_cnk + k * ln_beta + j * ln_gam + (k - n - 1) * ln_a0 + log_cmj
     signs = np.array([(-1.0) ** (n - k) for k in range(n + 1)])[:, None]
     peak = np.max(logs, axis=0)
-    reduced = np.sum(signs * np.exp(logs - peak[None, :]), axis=0)
+    summands = np.exp(logs - peak[None, :])
+    reduced = np.sum(signs * summands, axis=0)
+    envelope = 2.0 * np.exp(peak + m * ln_rho)
+    lost = (n + 1) * 2.0**-52 * float(np.max(envelope * np.sum(summands, axis=0)))
+    if not lost <= 1e-10 * math.exp(0.5 * lam):
+        raise NonConvergenceError(
+            f"bare overlaps of level {n} at lambda {lam:g}: rounding bound {lost:.3g} "
+            f"exceeds 1e-10 of their Cauchy-Schwarz bound e^(lambda/2)"
+        )
     parity = np.where(np.arange(m_count) % 2 == 0, 1.0, -1.0)
-    return 2.0 * parity * np.exp(peak + m * ln_rho) * reduced
+    return parity * envelope * reduced
 
 
 def overlap_s1(m: int, n: int, lam: float, *, bare: bool = False) -> float:
@@ -258,7 +245,10 @@ def overlap_s1(m: int, n: int, lam: float, *, bare: bool = False) -> float:
     if m < 0 or n < 0:
         raise DomainError("m and n must be nonnegative")
     p = SqueezeParameter(float(lam))
-    nodes, weights = _overlap_grid(m, 1e-13)
+    # chi_m oscillates out to roughly 4m + 2 and only then starts its
+    # exponential tail, so the cutoff must scale with the order.
+    cutoff = 4.0 * m + 2.0 + 6.0 * (m + 1.0) ** (1.0 / 3.0) + tail_cutoff_for(0.3, 1e-13)
+    nodes, weights = _gauss_panels(0.0, cutoff, max(32, int(cutoff)), 12)
     value = float(np.dot(weights * chi(n, math.exp(-p.lam) * nodes), chi(m, nodes)))
     if bare:
         return value
@@ -312,12 +302,7 @@ def mehler_series(y: float, yp: float, t: float, policy: Optional[TruncationPoli
     # eight digits below its largest term, which double-precision terms
     # cannot support at the contracted relative accuracy.
     args = np.array([float(y), float(yp)], dtype=np.longdouble)
-    rows = np.empty((m_max + 1, 2), dtype=np.longdouble)
-    rows[0] = np.exp(-0.5 * args)
-    if m_max >= 1:
-        rows[1] = (1.0 - args) * rows[0]
-    for m in range(1, m_max):
-        rows[m + 1] = ((2.0 * m + 1.0 - args) * rows[m] - m * rows[m - 1]) / (m + 1.0)
+    rows = _laguerre_recurrence(m_max, args, np.exp(-0.5 * args), all_orders=True)
     powers = np.longdouble(t) ** np.arange(m_max + 1)
     terms = rows[:, 0] * rows[:, 1] * powers
     value = float(np.sum(terms))
@@ -331,7 +316,7 @@ def mehler_series(y: float, yp: float, t: float, policy: Optional[TruncationPoli
 
 
 # ---------------------------------------------------------------------------
-# Rotated-profile boundary value and pluggable profiles
+# Rotated-profile boundary value
 # ---------------------------------------------------------------------------
 
 
@@ -345,103 +330,6 @@ def varphi_zero(s: complex) -> complex:
     z = complex(s)
     branch = (0.5 - z) * complex(math.log(2.0), -0.5 * math.pi)
     return gamma_complex(1.0 - z) * cmath.exp(branch) / SQRT_2PI
-
-
-class RotatedProfile(Protocol):
-    """Pluggable model of the rotated eigenfunction profile."""
-
-    def value(self, x: float, s: complex) -> complex: ...
-
-    def at_zero(self, s: complex) -> complex: ...
-
-
-class StandInProfile:
-    """The unrotated eigenfunction as the default stand-in profile.
-
-    Every boundary formula downstream depends on the profile only through
-    its x = 0 value, which is varphi_zero; away from zero the stand-in is
-    phi_s.  Intended for structure tests.
-    """
-
-    def value(self, x: float, s: complex) -> complex:
-        if x == 0.0:
-            return varphi_zero(s)
-        return phi_s(x, s)
-
-    def at_zero(self, s: complex) -> complex:
-        return varphi_zero(s)
-
-
-class AbelLaguerreProfile:
-    """Abel-regularized Laguerre expansion of the rotated profile.
-
-    Sums i^m r^m c_m(s) chi_m(x), with c_m(s) the x^{-s} moments of chi_m
-    computed by singular-endpoint quadrature, then extrapolates r -> 1
-    through a fixed radius ladder (polynomial extrapolation in 1 - r).
-    Exploratory: pointwise convergence for x > 0 on the critical line is
-    an open question and nothing downstream depends on it.
-    """
-
-    def __init__(
-        self,
-        max_terms: int = 48,
-        radii: Sequence[float] = (0.84, 0.88, 0.92, 0.96, 0.98),
-        target_tol: float = 1e-9,
-    ) -> None:
-        if max_terms < 4:
-            raise DomainError("profile needs at least 4 terms")
-        if len(radii) < 2 or not all(0.0 < r < 1.0 for r in radii):
-            raise DomainError("radii must be a ladder inside (0, 1)")
-        self.max_terms = int(max_terms)
-        self.radii = tuple(float(r) for r in radii)
-        self.target_tol = float(target_tol)
-        self._coef_cache: dict[tuple[int, complex], complex] = {}
-
-    def coefficient(self, m: int, s: complex) -> complex:
-        """c_m(s): the x^{-s} moment of chi_m over (0, inf), unit-normalized."""
-        z = complex(s)
-        key = (m, z)
-        got = self._coef_cache.get(key)
-        if got is not None:
-            return got
-        spec = QuadratureSpec(
-            scheme=ENDPOINT_SINGULAR,
-            panels=max(24, int(8 * (1.0 + abs(z.imag)))),
-            nodes_per_panel=12,
-            tail_cutoff=tail_cutoff_for(0.4, self.target_tol),
-            target_tol=self.target_tol,
-        )
-        result = integrate_singular_log(lambda u: chi(m, u), 1.0 - z, spec)
-        value = result.value / SQRT_2PI
-        self._coef_cache[key] = value
-        return value
-
-    def _abel_sum(self, chi_values: np.ndarray, s: complex) -> complex:
-        m_idx = np.arange(self.max_terms)
-        coefs = np.array([self.coefficient(int(m), s) for m in m_idx])
-        base = (1j ** m_idx) * coefs * chi_values
-        deltas = [1.0 - r for r in self.radii]
-        table = [complex(np.sum(base * (r ** m_idx))) for r in self.radii]
-        # Neville extrapolation of the radius ladder to delta = 0.
-        for level in range(1, len(deltas)):
-            nxt = []
-            for i in range(len(table) - 1):
-                num = deltas[i + level] * table[i] - deltas[i] * table[i + 1]
-                nxt.append(num / (deltas[i + level] - deltas[i]))
-            table = nxt
-        return table[0]
-
-    def value(self, x: float, s: complex) -> complex:
-        if x < 0.0:
-            raise DomainError("x must be >= 0")
-        rows = _chi_rows(self.max_terms - 1, np.array([float(x)]))[:, 0]
-        return self._abel_sum(rows, complex(s))
-
-    def at_zero(self, s: complex) -> complex:
-        return self._abel_sum(np.ones(self.max_terms), complex(s))
-
-
-DEFAULT_PROFILE = StandInProfile()
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +381,16 @@ def psi_full(
     n: int,
     lam: float,
     policy: Optional[TruncationPolicy] = None,
-    profile: Optional[RotatedProfile] = None,
 ) -> WaveSample:
     """Position-space wave function by the direct level sum.
 
     Sum over m of [bare overlap of level m with the squeezed level n]
-    times chi_m(e^lam y) (m+1)^{-s} profile(x/(m+1)), Euler-accelerated.
+    times chi_m(e^lam y) (m+1)^{-s} phi_s(x/(m+1)), Euler-accelerated.
     Requires lam <= 25 so e^lam y stays inside the usable range of the
     weighted recurrences.
     """
     if policy is None:
         policy = TruncationPolicy(max_terms=1024, abs_tol=1e-12)
-    if profile is None:
-        profile = DEFAULT_PROFILE
     z = complex(s)
     p = SqueezeParameter(float(lam))
     if p.lam > MAX_LAMBDA:
@@ -527,9 +412,11 @@ def psi_full(
     while True:
         overlaps = _bare_overlaps(int(n), m_count - 1, p.lam)
         m_idx = np.arange(m_count)
-        chi_vals = _chi_rows(m_count - 1, np.array([y_scaled]))[:, 0]
+        y_arr = np.array([y_scaled])
+        chi_rows = _laguerre_recurrence(m_count - 1, y_arr, np.exp(-0.5 * y_arr), all_orders=True)
+        chi_vals = chi_rows[:, 0]
         weights = np.exp(-z * np.log(m_idx + 1.0))
-        prof_vals = np.array([profile.value(x / (m + 1.0), z) for m in m_idx])
+        prof_vals = np.array([phi_s(x / (m + 1.0), z) for m in m_idx])
         terms = overlaps * chi_vals * weights * prof_vals
         value, tail = _euler_accelerated(terms)
         plain = complex(np.sum(terms))
@@ -588,16 +475,6 @@ def _inner_profile(u: np.ndarray, Y: float, lam: float, n: int) -> np.ndarray:
     return decay * (2.0 * one_minus_t / d1) * (d2 / d1) ** n * laguerre(n, x)
 
 
-def _outer_grid(v_lo: float, v_hi: float, panels: int, order: int):
-    x01, w01 = _gauss_rule(order)
-    edges = np.linspace(v_lo, v_hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * x01[None, :]).ravel()
-    weights = np.tile(half * w01, panels)
-    return nodes, weights
-
-
 def _eta_scale_floor(s: complex) -> float:
     """Achievable accuracy of the boundary quadrature on the eta scale."""
     return _ABS_NOISE * (1.0 + abs(complex(s).imag) / 10.0) / abs(gamma_complex(s))
@@ -654,7 +531,7 @@ def _boundary_eta_scale(
     prev = None
     err = math.inf
     for _ in range(_MAX_BOUNDARY_ROUNDS + 1):
-        v, w = _outer_grid(v_lo, v_hi, panels, order)
+        v, w = _gauss_panels(v_lo, v_hi, panels, order)
         u = np.exp(v)
         kernel = w * _inner_profile(u, Y, lam, n) / np.expm1(u)
         vals = np.empty(s_values.size, dtype=complex)
@@ -810,8 +687,8 @@ def psi_boundary_limit(s: complex, y: float = 0.0) -> complex:
     z = complex(s)
     if z.real <= 0.0:
         raise DomainError("limit formula requires Re s > 0")
-    if y < 0.0:
-        raise DomainError("y must be >= 0")
+    if not (math.isfinite(y) and y >= 0.0):
+        raise DomainError("y must be finite and >= 0")
     if y > 0.0:
         return 0.0 + 0.0j
     return 2.0 * varphi_zero(z) * eta(z)
@@ -821,14 +698,13 @@ def phi_confined(
     x: float,
     s: complex,
     policy: Optional[TruncationPolicy] = None,
-    profile: Optional[RotatedProfile] = None,
 ) -> tuple[complex, float]:
-    """Confined profile 2 sum_m (-1)^m (m+1)^{-s} profile(x/(m+1)).
+    """Confined profile 2 sum_m (-1)^m (m+1)^{-s} phi_s(x/(m+1)).
 
     Euler-accelerated; returns (value, tail_estimate).  At x = 0 every
-    term carries the profile boundary value, and the accelerated sum
-    reproduces 2 profile(0) eta(s) numerically rather than by shortcut.
-    With max_terms = 1 the value is the single m = 0 term.
+    term carries the boundary value varphi_zero(s), and the accelerated
+    sum reproduces 2 varphi_zero(s) eta(s) numerically rather than by
+    shortcut.  With max_terms = 1 the value is the single m = 0 term.
     """
     z = complex(s)
     if z.real <= 0.0:
@@ -837,15 +713,13 @@ def phi_confined(
         raise DomainError("x must be >= 0")
     if policy is None:
         policy = TruncationPolicy(max_terms=64, abs_tol=1e-12)
-    if profile is None:
-        profile = DEFAULT_PROFILE
     m_idx = np.arange(policy.max_terms)
     signs = np.where(m_idx % 2 == 0, 1.0, -1.0)
     weights = np.exp(-z * np.log(m_idx + 1.0))
     if x == 0.0:
-        prof = np.full(policy.max_terms, profile.at_zero(z))
+        prof = np.full(policy.max_terms, varphi_zero(z))
     else:
-        prof = np.array([profile.value(x / (m + 1.0), z) for m in m_idx])
+        prof = np.array([phi_s(x / (m + 1.0), z) for m in m_idx])
     terms = 2.0 * signs * weights * prof
     value, tail = _euler_accelerated(terms)
     if not policy.converged(tail, abs(value)):

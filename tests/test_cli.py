@@ -270,12 +270,24 @@ def test_overflow_regime_exits_3(capsys):
     ("scan", "--t", "1:20", "--step", "nan"),
     ("scan", "--t", "1:20", "--tol", "nan"),
     ("scan", "--t", "1:20", "--tol", "inf"),
+    ("boundary", "--t", "5", "--y", "nan", "--variant", "limit"),
+    ("boundary", "--t", "5", "--y", "inf", "--variant", "limit"),
 ])
 def test_non_finite_input_exits_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "finite" in err
+
+
+def test_cancelled_level_sum_exits_3(capsys):
+    # the bare overlaps of level 30 at lambda 0.3 lose every digit to
+    # rounding; the level sum used to print |psi| = 1.05e19 with exit 0
+    rc, out, err = run_cli(capsys, "boundary", "--t", "5", "--x", "1",
+                           "--n", "30", "--lambda", "0.3")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ") and "rounding" in err
 
 
 @pytest.mark.parametrize("mode", ["limit", "finite"])

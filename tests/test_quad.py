@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -18,7 +19,7 @@ from zetawave import (
     integrate_singular_log,
     tail_cutoff_for,
 )
-from zetawave.quad import NODE_BUDGET
+from zetawave.quad import NODE_BUDGET, _gauss_panels
 
 
 def smooth_spec(**kw):
@@ -135,3 +136,33 @@ def test_nonconvergence_when_budget_too_small():
 def test_result_exposes_complex_protocol():
     res = integrate_halfline(lambda u: np.exp(-u), smooth_spec())
     assert complex(res) == res.value
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="longdouble is plain double on this platform",
+)
+def test_extended_gauss_nodes_against_mpmath_roots():
+    # the double nodes sit ~1e-16 off the roots; two longdouble Newton steps
+    # should leave only 80-bit rounding
+    nodes, _ = _gauss_panels(-1.0, 1.0, 1, 12, extended=True)
+    assert nodes.dtype == np.longdouble
+    worst = 0.0
+    with mp.workdps(40):
+        for x in nodes:
+            hi = float(x)
+            value = mp.mpf(hi) + mp.mpf(float(x - np.longdouble(hi)))
+            root = mp.findroot(lambda u: mp.legendre(12, u), mp.mpf(hi))
+            worst = max(worst, float(abs(value - root)))
+    assert worst <= 1e-18
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_gauss_panels_integrate_polynomials(extended):
+    # 12 points per panel are exact through degree 23
+    nodes, weights = _gauss_panels(0.0, 3.0, 5, 12, extended)
+    assert nodes.shape == weights.shape == (60,)
+    for k in range(24):
+        want = 3.0 ** (k + 1) / (k + 1)
+        got = float(np.sum(weights * nodes**k))
+        assert abs(got - want) <= 1e-14 * want, k

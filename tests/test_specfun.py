@@ -296,6 +296,15 @@ def test_gamma_pole_guard():
         gamma_complex(-3.0)
 
 
+@pytest.mark.parametrize("z", [
+    complex(0.5, math.inf), complex(0.5, -math.inf), complex(math.inf, 0.0),
+    complex(-math.inf, 2.0), complex(math.nan, 0.0), complex(0.5, math.nan),
+])
+def test_gamma_non_finite_guard(z):
+    with pytest.raises(DomainError):
+        gamma_complex(z)
+
+
 def test_gamma_overflow_guard():
     with pytest.raises(OverflowRangeError):
         gamma_complex(200.0)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from zetawave import (
-    AbelLaguerreProfile,
     DomainError,
     NonConvergenceError,
     OverflowRangeError,
@@ -29,7 +28,6 @@ from zetawave import (
     default_spec,
     eigenvalue_of,
     eta,
-    gamma_complex,
     integrate_halfline,
     mehler_closed,
     mehler_series,
@@ -213,6 +211,15 @@ def test_overlap_guards():
         overlap_s1(0, 0, -0.5)
 
 
+@pytest.mark.parametrize("n,lam", [(20, 0.3), (12, 0.3), (20, 2.0), (40, 2.0)])
+def test_bare_overlaps_refuse_cancelled_sum(n, lam):
+    # the sum over k cancels beyond double precision here: at (20, 0.3) it
+    # returned -3.4e6 for A_0, where the quadrature gives -1.5e-16 and
+    # |A_m| <= e^{lam/2}
+    with pytest.raises(NonConvergenceError):
+        _bare_overlaps(n, 40, lam)
+
+
 # ---------------------------------------------------------------------------
 # Mehler kernel
 # ---------------------------------------------------------------------------
@@ -322,8 +329,8 @@ def test_psi_full_collapses_at_zero_squeeze():
 
 @pytest.mark.parametrize("lam,y", [(0.0, 0.9), (2.0, 0.6), (5.0, 0.25), (8.0, 0.0)])
 def test_psi_full_product_identity(lam, y):
-    # with the stand-in profile the level sum reconstructs
-    # phi_s(x) chi_n(y) exactly, at every squeeze strength
+    # the level sum over phi_s(x/(m+1)) reconstructs phi_s(x) chi_n(y)
+    # exactly, at every squeeze strength
     s = 0.5 + 5j
     sample = psi_full(1.3, y, s, 2, lam)
     want = phi_s(1.3, s) * chi(2, y)
@@ -580,6 +587,12 @@ def test_boundary_limit_off_point_is_zero():
     assert psi_boundary_limit(0.5 + 3j, y=0.7) == 0.0
 
 
+@pytest.mark.parametrize("y", [-0.5, math.nan, math.inf])
+def test_boundary_limit_rejects_bad_y(y):
+    with pytest.raises(DomainError):
+        psi_boundary_limit(0.5 + 3j, y=y)
+
+
 def test_boundary_levels_guards():
     assert boundary_levels([], 0, 1.0).size == 0
     with pytest.raises(DomainError):
@@ -650,33 +663,6 @@ def test_tilde_slope_linear_in_level():
 def test_tilde_needs_expansion_regime():
     with pytest.raises(DomainError):
         tilde_expansion_check(0.0, 0.5 + 5j, 0, 3.0)
-
-
-# ---------------------------------------------------------------------------
-# rotated-profile expansion (exploratory surface)
-# ---------------------------------------------------------------------------
-
-
-def test_abel_profile_moment_closed_form():
-    # m = 0 moment: integral of e^{-x/2} x^{-s} is Gamma(1-s) 2^{1-s}
-    prof = AbelLaguerreProfile()
-    s = 0.5 + 3j
-    want = gamma_complex(1.0 - s) * cmath.exp((1.0 - s) * math.log(2.0)) / SQRT_2PI
-    got = prof.coefficient(0, s)
-    assert abs(got - want) <= 1e-8 * abs(want)
-    assert prof.coefficient(0, s) == got
-
-
-def test_abel_profile_structural():
-    prof = AbelLaguerreProfile(max_terms=16)
-    val = prof.value(0.4, 0.5 + 2j)
-    assert np.isfinite(val.real) and np.isfinite(val.imag)
-    with pytest.raises(DomainError):
-        AbelLaguerreProfile(max_terms=2)
-    with pytest.raises(DomainError):
-        AbelLaguerreProfile(radii=(0.5, 1.2))
-    with pytest.raises(DomainError):
-        prof.value(-1.0, 0.5 + 2j)
 
 
 # ---------------------------------------------------------------------------
