@@ -7,6 +7,9 @@ Simpson instead of adaptive Gauss panels, finite differences instead of
 closed-form eigen-identities.  Agreement between the two families is
 evidence rather than tautology; none of this is fast enough for
 production use and none of it is imported by the production modules.
+
+psi_level_sum sums waveform.psi_full's level series term by term; it refuses
+past e^lam y = 800, as its levels lose digits to underflow from e^lam y = 1416.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, StepSizeError
-from .specfun import chi
-from .waveform import phi_s
+from .errors import DomainError, NonConvergenceError, StepSizeError
+from .specfun import _laguerre_recurrence, chi
+from .waveform import _bare_overlaps, phi_s
 
 __all__ = [
     "eta_naive",
@@ -25,7 +28,10 @@ __all__ = [
     "apply_number_operator",
     "apply_bk_operator",
     "quad_naive",
+    "psi_level_sum",
 ]
+
+LEVEL_SUM_REACH = 800.0  # largest e^lam y psi_level_sum sums
 
 
 def eta_naive(s: complex, terms: int = 200_000) -> complex:
@@ -150,3 +156,35 @@ def quad_naive(f, a: float, b: float, panels: int = 4096):
     h = (b - a) / (2.0 * panels)
     total = (w * vals).sum() * (h / 3.0)
     return complex(total) if np.iscomplexobj(vals) else float(total)
+
+
+def psi_level_sum(
+    x: float, y: float, s: complex, n: int, lam: float, max_terms: int = 1024
+) -> complex:
+    """Off-boundary wave function by the direct level sum.
+
+    Sums A_m chi_m(Y) (m+1)^{-s} phi_s(x/(m+1)) over m, Y = e^lam y, A_m the
+    bare overlap of level m with the squeezed level n.  At Y = 0 the terms
+    alternate and euler_naive converges; once chi_m(Y) oscillates, the terms
+    decay like ((1-e^{-lam})/(1+e^{-lam}))^m and the plain sum settles.
+    chi_m(Y) is negligible for 4m + 2 < Y, so the depth starts at the power
+    of two at or above max(64, Y/2 + 64) and doubles until an estimate moves
+    by at most 1e-12 of the largest term, within max_terms.
+    """
+    Y = np.array([math.exp(lam) * y])
+    if not 0.0 <= Y[0] <= LEVEL_SUM_REACH:
+        raise NonConvergenceError(f"level sum: e^lambda y = {Y[0]:.6g} is past {LEVEL_SUM_REACH:g}")
+    depth = 1 << math.ceil(math.log2(max(64.0, 0.5 * Y[0] + 64.0)))
+    prev_plain = math.inf
+    while depth <= max_terms:
+        m = np.arange(depth)
+        levels = _laguerre_recurrence(depth - 1, Y, np.exp(-0.5 * Y), all_orders=True)[:, 0]
+        profile = np.exp(-s * np.log1p(m)) * phi_s(x / (m + 1.0), s)
+        terms = _bare_overlaps(int(n), depth - 1, lam) * levels * profile
+        tol = 1e-12 * float(np.max(np.abs(terms)))
+        value, change = euler_naive(terms)
+        plain = complex(np.sum(terms))
+        if change <= tol or abs(plain - prev_plain) <= tol:
+            return value if change <= tol else plain
+        prev_plain, depth = plain, 2 * depth
+    raise NonConvergenceError(f"level sum not converged within {max_terms} terms")

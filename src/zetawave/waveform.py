@@ -71,6 +71,9 @@ _VARIANTS = (ORIGINAL, TILDE, LIMIT)
 # Mehler exponent range is exhausted and the quadrature loses error control.
 MAX_LAMBDA = 25.0
 
+# Largest level index; work grows with n, and here a t = 10 boundary value takes ~2 s.
+MAX_LEVEL = 10_000
+
 # Absolute rounding floor of the outer oscillatory integral.  The integral
 # itself is O(|Gamma(s)|), so the achievable accuracy on the eta-normalized
 # scale degrades like e^{pi t / 2}; tolerances are clamped accordingly.
@@ -92,22 +95,22 @@ class SqueezeParameter:
 
 @dataclass(frozen=True)
 class QuantumNumber:
-    """Level index n of the transverse number operator."""
+    """Level index n of the transverse number operator, 0 <= n <= MAX_LEVEL."""
 
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 0 or self.n != int(self.n):
-            raise DomainError("quantum number must be a nonnegative integer")
+        if not 0 <= self.n <= MAX_LEVEL or self.n != int(self.n):
+            raise DomainError(f"quantum number must be an integer in [0, {MAX_LEVEL}]")
 
 
 @dataclass(frozen=True)
 class WaveSample:
     """One complex wave-function value with the parameters that made it.
 
-    error is a diagnostic: the a posteriori quadrature or truncation
-    estimate attached by the producing operation, on the same normalized
-    scale that operation controlled.
+    error is a diagnostic from the producing operation: psi_boundary's
+    quadrature estimate on the eta-normalized scale it controlled, or
+    psi_full's rounding bound on the value.
     """
 
     x: float
@@ -170,6 +173,34 @@ def phi_s(x, s: complex):
     if arr.ndim == 0:
         return cmath.exp(-z * math.log(float(arr))) / SQRT_2PI
     return np.exp(-z * np.log(arr)) / SQRT_2PI
+
+
+def psi_full(x: float, y: float, s: complex, n: int, lam: float) -> WaveSample:
+    """Position-space wave function off the boundary, phi_s(x) chi_n(y).
+
+    In the level sum of A_m chi_m(e^lam y) (m+1)^{-s} phi_s(x/(m+1)) over m
+    (oracles.psi_level_sum), each (m+1)^{-s} phi_s(x/(m+1)) is phi_s(x), and
+    completeness sums the rest to chi_n(y).  lam does not enter, but lam <= 25
+    is kept so x = 0 and x > 0 rows of one grid share the original variant's
+    domain.  error is the rounding bound (|s ln x| + n + 2) 2^-52 |phi_s(x)|:
+    phi_s carries the rounding of s ln x, and the chi_n recurrence, bounded
+    by 1, adds about one unit per step (under 0.32 (n+1) for n <= 300).
+    """
+    z = complex(s)
+    p = SqueezeParameter(float(lam))
+    if p.lam > MAX_LAMBDA:
+        raise DomainError(f"psi_full supports lam <= {MAX_LAMBDA:g}")
+    if not 0.0 < x < math.inf:
+        raise DomainError("psi_full needs finite x > 0; the boundary value is psi_boundary")
+    if not 0.0 <= y < math.inf:
+        raise DomainError("y must be finite and >= 0")
+    QuantumNumber(int(n))
+    profile = phi_s(x, z)
+    error = (abs(z * math.log(x)) + n + 2.0) * 2.0**-52 * abs(profile)
+    return WaveSample(
+        x=float(x), y=float(y), s=z, n=int(n), lam=p.lam,
+        value=profile * chi(int(n), y), variant=ORIGINAL, error=error,
+    )
 
 
 def squeeze_apply(psi: Callable, lam: float) -> Callable:
@@ -367,76 +398,6 @@ def _euler_accelerated_rows(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full iterated averaging along axis 1 for a batch of term rows."""
     sums = np.asarray(terms, dtype=complex) @ _euler_weights(np.shape(terms)[1])
     return sums[:, 0], np.abs(sums[:, 1])
-
-
-# ---------------------------------------------------------------------------
-# Full wave function (direct level-sum route)
-# ---------------------------------------------------------------------------
-
-
-def psi_full(
-    x: float,
-    y: float,
-    s: complex,
-    n: int,
-    lam: float,
-    policy: Optional[TruncationPolicy] = None,
-) -> WaveSample:
-    """Position-space wave function by the direct level sum.
-
-    Sum over m of [bare overlap of level m with the squeezed level n]
-    times chi_m(e^lam y) (m+1)^{-s} phi_s(x/(m+1)), Euler-accelerated.
-    Requires lam <= 25 so e^lam y stays inside the usable range of the
-    weighted recurrences.
-    """
-    if policy is None:
-        policy = TruncationPolicy(max_terms=1024, abs_tol=1e-12)
-    z = complex(s)
-    p = SqueezeParameter(float(lam))
-    if p.lam > MAX_LAMBDA:
-        raise DomainError(f"psi_full supports lam <= {MAX_LAMBDA:g}")
-    if not 0.0 < x < math.inf:
-        raise DomainError("psi_full needs finite x > 0; the boundary value is psi_boundary")
-    if not 0.0 <= y < math.inf:
-        raise DomainError("y must be finite and >= 0")
-    QuantumNumber(int(n))
-    y_scaled = math.exp(p.lam) * y
-    # Two honest estimators, because the sign pattern changes regime.  At
-    # y = 0 the terms alternate regularly and iterated averaging converges
-    # even though the raw envelope ratio approaches 1.  Once chi_m(e^lam y)
-    # oscillates, averaging plateaus but the raw envelope decays like
-    # ((1-e^{-lam})/(1+e^{-lam}))^m, so the plain partial sum wins.  Grow the
-    # depth until either estimator settles within the budget.
-    m_count = min(64, policy.max_terms)
-    prev_plain: Optional[complex] = None
-    while True:
-        overlaps = _bare_overlaps(int(n), m_count - 1, p.lam)
-        m_idx = np.arange(m_count)
-        y_arr = np.array([y_scaled])
-        chi_rows = _laguerre_recurrence(m_count - 1, y_arr, np.exp(-0.5 * y_arr), all_orders=True)
-        chi_vals = chi_rows[:, 0]
-        weights = np.exp(-z * np.log(m_idx + 1.0))
-        prof_vals = np.array([phi_s(x / (m + 1.0), z) for m in m_idx])
-        terms = overlaps * chi_vals * weights * prof_vals
-        value, tail = _euler_accelerated(terms)
-        plain = complex(np.sum(terms))
-        plain_err = math.inf if prev_plain is None else abs(plain - prev_plain)
-        if not np.any(terms):
-            plain_err = 0.0
-        if plain_err < abs(tail):
-            value, tail = plain, plain_err
-        if policy.converged(tail, abs(value)):
-            break
-        if m_count >= policy.max_terms:
-            raise NonConvergenceError(
-                f"level sum not converged: best error estimate {abs(tail):.3g}"
-            )
-        prev_plain = plain
-        m_count = min(2 * m_count, policy.max_terms)
-    return WaveSample(
-        x=float(x), y=float(y), s=z, n=int(n), lam=p.lam,
-        value=value, variant=ORIGINAL, error=tail,
-    )
 
 
 # ---------------------------------------------------------------------------

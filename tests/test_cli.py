@@ -282,12 +282,51 @@ def test_non_finite_input_exits_2(capsys, argv):
 
 def test_cancelled_level_sum_exits_3(capsys):
     # the bare overlaps of level 30 at lambda 0.3 lose every digit to
-    # rounding; the level sum used to print |psi| = 1.05e19 with exit 0
-    rc, out, err = run_cli(capsys, "boundary", "--t", "5", "--x", "1",
-                           "--n", "30", "--lambda", "0.3")
+    # rounding; boundary at x > 0 used to sum them and print
+    # |psi| = 1.05e19, and now prints phi_s(1) chi_30(0) = 1/sqrt(2 pi)
+    rc, out, _ = run_cli(capsys, "boundary", "--t", "5", "--x", "1",
+                         "--n", "30", "--lambda", "0.3")
+    assert rc == 0
+    assert csv_rows(out, BOUNDARY_HEADER)[0][8] == "0.398942280401433"
+    # the finite scan still sums them, and refuses
+    rc, out, err = run_cli(capsys, "scan", "--t", "1:30", "--mode", "finite",
+                           "--lambda", "2", "--n", "40")
     assert rc == 3
     assert out == ""
     assert err.startswith("error: ") and "rounding" in err
+
+
+def test_off_axis_value_past_the_oscillation_edge(capsys):
+    # e^lambda y = 291: the level sum's first 64 levels all sat past their
+    # oscillation edge, and it printed |psi| = 7.6e-15 with exit 0
+    rc, out, _ = run_cli(capsys, "boundary", "--t", "20", "--x", "1", "--y", "0.002",
+                         "--lambda", "11.886", "--n", "1")
+    assert rc == 0
+    assert csv_rows(out, BOUNDARY_HEADER)[0][8] == "0.397746450450646"
+
+
+def test_subnormal_x_is_finite(capsys):
+    # phi_s(1e-322) = 1e-322^(-1/2) / sqrt(2 pi) is finite; the level sum
+    # divided x by m + 1, underflowed to 0 and exited 2
+    rc, out, _ = run_cli(capsys, "boundary", "--t", "5", "--x", "1e-322", "--lambda", "10")
+    assert rc == 0
+    assert csv_rows(out, BOUNDARY_HEADER)[0][8] == "4.01331029866849e+160"
+
+
+@pytest.mark.parametrize("argv", [
+    ("boundary", "--t", "5"),
+    ("boundary", "--t", "5", "--x", "1"),
+    ("scan", "--t", "1:30", "--mode", "finite"),
+    ("converge",),
+])
+def test_huge_level_index_exits_2_before_work(capsys, argv):
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, *argv, "--n", "1000000000")
+    elapsed = time.perf_counter() - start
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "quantum number" in err
+    assert elapsed < 0.5
 
 
 @pytest.mark.parametrize("mode", ["limit", "finite"])

@@ -13,6 +13,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zetawave import (
     DomainError,
@@ -42,7 +44,7 @@ from zetawave import (
     varphi_zero,
     zeta,
 )
-from zetawave.oracles import euler_naive
+from zetawave.oracles import euler_naive, psi_level_sum
 from zetawave.waveform import (
     _bare_overlaps,
     _euler_accelerated,
@@ -329,12 +331,34 @@ def test_psi_full_collapses_at_zero_squeeze():
 
 @pytest.mark.parametrize("lam,y", [(0.0, 0.9), (2.0, 0.6), (5.0, 0.25), (8.0, 0.0)])
 def test_psi_full_product_identity(lam, y):
-    # the level sum over phi_s(x/(m+1)) reconstructs phi_s(x) chi_n(y)
-    # exactly, at every squeeze strength
+    # psi_full is phi_s(x) chi_n(y) at every squeeze strength
     s = 0.5 + 5j
     sample = psi_full(1.3, y, s, 2, lam)
     want = phi_s(1.3, s) * chi(2, y)
     assert abs(sample.value - want) <= 1e-12
+
+
+@given(
+    x=st.floats(1e-3, 10.0),
+    n=st.integers(0, 10),
+    lam=st.floats(2.0, 25.0),
+    y_scaled=st.floats(0.0, 250.0),
+    sigma=st.floats(0.1, 2.0),
+    t=st.floats(-100.0, 100.0),
+)
+@example(x=1.3, n=2, lam=0.0, y_scaled=0.9, sigma=0.5, t=5.0)
+@example(x=1.3, n=2, lam=2.0, y_scaled=0.6 * math.exp(2.0), sigma=0.5, t=5.0)
+@example(x=1.3, n=2, lam=5.0, y_scaled=0.25 * math.exp(5.0), sigma=0.5, t=5.0)
+@example(x=1.3, n=2, lam=8.0, y_scaled=0.0, sigma=0.5, t=5.0)
+@settings(derandomize=True, database=None, deadline=None)
+def test_level_sum_oracle_matches_psi_full(x, n, lam, y_scaled, sigma, t):
+    # the level sum over phi_s(x/(m+1)) reconstructs phi_s(x) chi_n(y),
+    # the closed form psi_full returns, at every squeeze strength
+    s = complex(sigma, t)
+    y = y_scaled * math.exp(-lam)
+    sample = psi_full(x, y, s, n, lam)
+    summed = psi_level_sum(x, y, s, n, lam)
+    assert abs(summed - sample.value) <= 1e-9 * abs(phi_s(x, s))
 
 
 def _euler_rows(kind: str, count: int) -> np.ndarray:
@@ -366,8 +390,8 @@ def test_euler_transforms_match_iterated_averaging(kind, count):
 
 
 def test_psi_full_two_route_agreement():
-    # level sum with independently quadrature-computed overlaps vs the
-    # generating-function route inside psi_full
+    # level sum with independently quadrature-computed overlaps, averaged
+    # level by level, against the closed form and the oracle's level sum
     s = 0.5 + 5j
     lam = 8.0
     ms = np.arange(64)
@@ -375,11 +399,9 @@ def test_psi_full_two_route_agreement():
     terms = ov * np.exp(-s * np.log(ms + 1.0)) * np.array(
         [phi_s(1.0 / (m + 1.0), s) for m in ms]
     )
-    manual, _ = _euler_accelerated(terms)
-    direct = psi_full(1.0, 0.0, s, 0, lam).value
-    ident = phi_s(1.0, s) * chi(0, 0.0)
-    assert abs(manual - direct) <= 1e-6
-    assert abs(direct - ident) <= 1e-6
+    manual, _ = euler_naive(terms)
+    assert abs(manual - psi_full(1.0, 0.0, s, 0, lam).value) <= 1e-6
+    assert abs(manual - psi_level_sum(1.0, 0.0, s, 0, lam)) <= 1e-6
 
 
 def test_psi_full_transverse_suppression():
@@ -387,10 +409,26 @@ def test_psi_full_transverse_suppression():
     assert abs(sample.value) <= 1e-8
 
 
+def test_psi_full_error_is_a_rounding_bound():
+    s = 0.5 + 5j
+    sample = psi_full(1.3, 0.6, s, 2, 3.0)
+    want = complex(mp.power(mp.mpf("1.3"), -mp.mpc(s)) * mp.exp(-mp.mpf("0.3"))
+                   * mp.laguerre(2, 0, mp.mpf("0.6")) / mp.sqrt(2 * mp.pi))
+    assert 0.0 < sample.error <= 1e-14 * abs(phi_s(1.3, s))
+    assert abs(sample.value - want) <= sample.error
+
+
 def test_psi_full_refuses_tiny_budget():
+    # the level-sum oracle refuses a budget below its starting depth
     with pytest.raises(NonConvergenceError):
-        psi_full(1.0, 1.0, 0.5 + 5j, 0, 2.0,
-                 policy=TruncationPolicy(max_terms=16, abs_tol=1e-12))
+        psi_level_sum(1.0, 1.0, 0.5 + 5j, 0, 2.0, max_terms=16)
+
+
+def test_level_sum_refuses_past_its_reach():
+    # e^lambda y = 1490: every level it sums underflows, and the old level
+    # sum reported the resulting 0 as converged
+    with pytest.raises(NonConvergenceError):
+        psi_level_sum(1.0, 0.5, 0.5 + 5j, 0, 8.0)
 
 
 def test_psi_full_guards():
