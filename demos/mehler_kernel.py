@@ -4,12 +4,11 @@ import numpy as np
 
 from zetawave import mehler_closed, mehler_series
 
-worst = 0.0
-for t in np.arange(0.1, 0.95, 0.1):
-    series = mehler_series(1.0, 2.0, float(t))
-    closed = mehler_closed(1.0, 2.0, float(t))
-    rel = abs(series.value - closed) / abs(closed)
-    worst = max(worst, rel)
-    print(f"t = {t:.1f}: series = {series.value:.12f} closed = {closed:.12f} "
-          f"rel = {rel:.2e} (terms used: {series.terms_used})")
-print(f"worst relative gap: {worst:.2e}")
+ts = np.arange(0.1, 0.95, 0.1)
+series = mehler_series(1.0, 2.0, ts)
+closed = mehler_closed(1.0, 2.0, ts)
+rel = np.abs(series.value - closed) / np.abs(closed)
+for t, s_val, c_val, r in zip(ts, series.value, closed, rel):
+    print(f"t = {t:.1f}: series = {s_val:.12f} closed = {c_val:.12f} "
+          f"rel = {r:.2e} (terms used: {series.terms_used})")
+print(f"worst relative gap: {rel.max():.2e}")

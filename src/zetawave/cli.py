@@ -39,6 +39,10 @@ __all__ = ["main", "RunConfig"]
 
 _FORMATS = ("csv", "records")
 _BOUNDARY_VARIANTS = (ORIGINAL, TILDE, LIMIT)
+# Most rows one boundary command may ask for: the product of its t, lambda,
+# y and x list lengths.  Each x = 0 row runs its own boundary quadrature, so
+# the work grows with that product and is refused (exit 2) before it starts.
+MAX_BOUNDARY_ROWS = 4096
 
 _DEFAULTS: Dict[str, Dict[str, Optional[str]]] = {
     "verify": {
@@ -292,6 +296,12 @@ def _run_boundary(merged: Dict[str, str]) -> Tuple[RunConfig, List[str], bool]:
     xs = _parse_list(merged["x"], "x")
     ys = _parse_list(merged["y"], "y")
     lams = _parse_list(merged["lambda"], "lambda")
+    rows_asked = len(ts) * len(xs) * len(ys) * len(lams)
+    if rows_asked > MAX_BOUNDARY_ROWS:
+        raise DomainError(
+            f"boundary grid of {rows_asked} rows exceeds the work limit of "
+            f"{MAX_BOUNDARY_ROWS} rows; shorten the t, lambda, y or x lists"
+        )
     n = _as_int(merged["n"], "n")
     variant = merged["variant"]
     if variant not in _BOUNDARY_VARIANTS:

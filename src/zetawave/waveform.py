@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,6 +62,7 @@ __all__ = [
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 ORIGINAL = "original"
 TILDE = "tilde"
@@ -145,8 +147,8 @@ class TildeExpansion(NamedTuple):
 
 
 class MehlerSeriesResult(NamedTuple):
-    value: float
-    tail_bound: float
+    value: Union[float, np.ndarray]
+    tail_bound: Union[float, np.ndarray]
     terms_used: int
 
 
@@ -165,14 +167,24 @@ def eigenvalue_of(s: complex, n: int) -> EigenvalueRecord:
 
 
 def phi_s(x, s: complex):
-    """Generalized dilation eigenfunction x^{-s} / sqrt(2 pi), x > 0."""
+    """Generalized dilation eigenfunction x^{-s} / sqrt(2 pi), x > 0.
+
+    Raises OverflowRangeError where |x^{-s}| = e^{Re(-s ln x)} passes the
+    double range, for scalar and array x alike.
+    """
     z = complex(s)
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise DomainError("phi_s is singular at x = 0; use varphi_zero for the boundary value")
     if arr.ndim == 0:
-        return cmath.exp(-z * math.log(float(arr))) / SQRT_2PI
-    return np.exp(-z * np.log(arr)) / SQRT_2PI
+        exponent = -z * math.log(float(arr))
+    else:
+        exponent = -z * np.log(arr)
+    if np.any(np.real(exponent) > _LOG_DOUBLE_MAX):
+        raise OverflowRangeError(f"|x^-s| exceeds double-precision range at s = {z}")
+    if arr.ndim == 0:
+        return cmath.exp(exponent) / SQRT_2PI
+    return np.exp(exponent) / SQRT_2PI
 
 
 def psi_full(x: float, y: float, s: complex, n: int, lam: float) -> WaveSample:
@@ -314,36 +326,67 @@ def mehler_closed(y, yp, t):
     return float(out) if scalar else out
 
 
-def mehler_series(y: float, yp: float, t: float, policy: Optional[TruncationPolicy] = None) -> MehlerSeriesResult:
+_MAX_MEHLER_TERMS = 2**22
+
+
+def mehler_series(y, yp, t, policy: Optional[TruncationPolicy] = None) -> MehlerSeriesResult:
     """Direct Laguerre-basis sum of the Mehler kernel with a tail bound.
 
+    y, yp and t are scalars or arrays that broadcast together.  Scalar
+    input gives float value and tail_bound; any array input gives arrays of
+    the broadcast shape for both, each element bitwise equal to the scalar
+    call with that element's arguments.  terms_used is the int
+    policy.max_terms either way.  One all-orders Laguerre recurrence runs
+    over the distinct y and y' values and powers are built once per distinct
+    t, so a grid costs one table, not one recurrence per point.
+
     The tail bound uses the half-line envelope |chi_m| <= 1, giving
-    tail <= t^{M+1}/(1-t) after terms up to m = M.  Raises
-    NonConvergenceError when the last included term still exceeds the
-    policy tolerance.
+    tail <= t^{M+1}/(1-t) after terms up to m = M.  Raises DomainError
+    when any y or y' is negative or not finite or any t lies outside
+    [0, 1), and before any work when points times max_terms exceed
+    _MAX_MEHLER_TERMS (the longdouble terms would pass 64 MB).  Raises
+    NonConvergenceError when the last included term of any element still
+    exceeds the policy tolerance.
     """
-    if y < 0.0 or yp < 0.0:
-        raise DomainError("need y, y' >= 0")
-    if not (0.0 <= t < 1.0):
+    ya, yb, ta = np.broadcast_arrays(
+        np.asarray(y, dtype=float), np.asarray(yp, dtype=float), np.asarray(t, dtype=float)
+    )
+    if not np.all(np.isfinite(ya) & np.isfinite(yb) & (ya >= 0.0) & (yb >= 0.0)):
+        raise DomainError("need finite y, y' >= 0")
+    if not np.all((ta >= 0.0) & (ta < 1.0)):
         raise DomainError("need 0 <= t < 1")
     if policy is None:
         policy = TruncationPolicy(max_terms=400, abs_tol=1e-12)
     m_max = policy.max_terms - 1
+    if ya.size * (m_max + 1) > _MAX_MEHLER_TERMS:
+        raise DomainError(
+            f"Mehler series of {ya.size} points x {m_max + 1} terms exceeds the work "
+            f"limit of {_MAX_MEHLER_TERMS} terms"
+        )
     # Extended precision: at widely separated y, y' the sum cancels about
     # eight digits below its largest term, which double-precision terms
     # cannot support at the contracted relative accuracy.
-    args = np.array([float(y), float(yp)], dtype=np.longdouble)
-    rows = _laguerre_recurrence(m_max, args, np.exp(-0.5 * args), all_orders=True)
-    powers = np.longdouble(t) ** np.arange(m_max + 1)
-    terms = rows[:, 0] * rows[:, 1] * powers
-    value = float(np.sum(terms))
-    last = abs(float(terms[-1]))
-    if not policy.converged(last, value):
+    args, arg_index = np.unique(np.concatenate([ya.ravel(), yb.ravel()]), return_inverse=True)
+    args = args.astype(np.longdouble)
+    # orders along the contiguous axis: each element's terms are summed in
+    # the same pairwise order as a single row
+    table = _laguerre_recurrence(m_max, args, np.exp(-0.5 * args), all_orders=True).T.copy()
+    t_values, t_index = np.unique(ta.ravel(), return_inverse=True)
+    powers = t_values.astype(np.longdouble)[:, None] ** np.arange(m_max + 1)
+    size = ya.size
+    terms = table[arg_index[:size]] * table[arg_index[size:]] * powers[t_index]
+    values = np.sum(terms, axis=1).astype(float)
+    lasts = np.abs(terms[:, -1].astype(float))
+    converged = policy.converged(lasts, values)
+    if not np.all(converged):
+        last = float(lasts[np.argmin(converged)])
         raise NonConvergenceError(
             f"Mehler series term still {last:.3g} after {m_max + 1} terms"
         )
-    tail = float(powers[-1] * t / (1.0 - t))
-    return MehlerSeriesResult(value=value, tail_bound=tail, terms_used=m_max + 1)
+    tails = (powers[:, -1] * t_values / (1.0 - t_values)).astype(float)[t_index]
+    if ya.ndim == 0:
+        return MehlerSeriesResult(float(values[0]), float(tails[0]), m_max + 1)
+    return MehlerSeriesResult(values.reshape(ya.shape), tails.reshape(ya.shape), m_max + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,19 @@ def test_huge_level_index_exits_2_before_work(capsys, argv):
     assert elapsed < 0.5
 
 
+def test_boundary_grid_over_the_row_cap_exits_2_before_work(capsys):
+    # 17 t x 16 x x 16 y = 4352 rows, past the 4096-row cap
+    ts = ",".join(str(5.0 + 0.5 * i) for i in range(17))
+    grid = ",".join(str(0.25 * i) for i in range(16))
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "boundary", "--t", ts, "--x", grid, "--y", grid)
+    elapsed = time.perf_counter() - start
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "4352 rows" in err and "work limit" in err
+    assert elapsed < 0.5
+
+
 @pytest.mark.parametrize("mode", ["limit", "finite"])
 def test_runaway_scan_grid_exits_2_before_work(capsys, mode):
     start = time.perf_counter()

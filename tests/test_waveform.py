@@ -83,6 +83,16 @@ def test_phi_s_singular_origin():
         phi_s(0.0, 0.5 + 2j)
 
 
+def test_phi_s_refuses_overflow():
+    # |x^-s| = 1e600 at x = 1e-200, s = 3: the scalar path raised a bare
+    # OverflowError from cmath.exp and the array path returned inf
+    with pytest.raises(OverflowRangeError):
+        psi_full(1e-200, 0.0, 3.0 + 0j, 0, 1.0)
+    with pytest.raises(OverflowRangeError):
+        phi_s(np.array([1e-200, 1.0]), 3.0)
+    assert abs(phi_s(np.array([1e-200]), 1.5)[0]) == pytest.approx(1e300 / SQRT_2PI, rel=1e-12)
+
+
 def test_eigenvalue_at_first_ordinate():
     rec = eigenvalue_of(complex(0.5, 14.134725), 0)
     assert rec.real_energy
@@ -257,6 +267,12 @@ def test_mehler_domain_guards():
         mehler_closed(-1.0, 1.0, 0.5)
     with pytest.raises(DomainError):
         mehler_series(1.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        mehler_series(np.array([0.5, 1.0]), 1.0, np.array([0.5, 1.0]))
+    # non-finite y ran the recurrence on NaN and raised NonConvergenceError
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            mehler_series(np.array([0.5, bad]), 1.0, 0.5)
 
 
 def test_mehler_series_geometric_on_axis():
@@ -277,6 +293,48 @@ def test_mehler_series_tail_honest():
 def test_mehler_series_refuses_tiny_budget():
     with pytest.raises(NonConvergenceError):
         mehler_series(1.0, 1.0, 0.9, TruncationPolicy(max_terms=10, abs_tol=1e-12))
+
+
+# y, y' in [0, 10], t in [0, 0.9] on a broadcast (y, y', t) grid; each
+# scalar call costs a 400-term longdouble recurrence, so the grid stays small
+_mehler_axis = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3)
+
+
+@given(_mehler_axis, _mehler_axis, st.lists(st.floats(0.0, 0.9), min_size=1, max_size=3))
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+def test_mehler_series_array_is_the_scalar_call(ys, yps, ts):
+    res = mehler_series(np.array(ys)[:, None, None], np.array(yps)[:, None], np.array(ts))
+    assert res.value.shape == res.tail_bound.shape == (len(ys), len(yps), len(ts))
+    assert isinstance(res.terms_used, int) and res.terms_used == 400
+    for i, y in enumerate(ys):
+        for j, yp in enumerate(yps):
+            for k, t in enumerate(ts):
+                one = mehler_series(y, yp, t)
+                assert type(one.value) is float and type(one.tail_bound) is float
+                assert res.value[i, j, k] == one.value
+                assert res.tail_bound[i, j, k] == one.tail_bound
+
+
+@given(
+    st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 0.01)),
+             min_size=1, max_size=6),
+    st.integers(0, 6),
+)
+@settings(derandomize=True, database=None, deadline=None)
+def test_mehler_series_array_refuses_one_stalled_element(points, where):
+    # t <= 0.01 converges within 10 terms; (1, 1, 0.9) does not
+    policy = TruncationPolicy(max_terms=10, abs_tol=1e-12)
+    y, yp, t = (np.array(axis) for axis in zip(*points))
+    mehler_series(y, yp, t, policy)
+    where = min(where, len(points))
+    y, yp, t = (np.insert(axis, where, bad) for axis, bad in zip((y, yp, t), (1.0, 1.0, 0.9)))
+    with pytest.raises(NonConvergenceError):
+        mehler_series(y, yp, t, policy)
+
+
+def test_mehler_series_array_work_limit():
+    with pytest.raises(DomainError, match="work limit"):
+        mehler_series(np.zeros(20_000), 0.0, 0.5)
 
 
 def test_mehler_equivalence_grid():
