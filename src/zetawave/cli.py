@@ -4,7 +4,8 @@ Output is deterministic by construction: fixed evaluation order, no
 timestamps, 15-significant-digit formatting with '.' decimal separator,
 manual CSV assembly.  The effective configuration (defaults, overridden
 by an optional flat key=value config file, overridden by flags) is echoed
-as a '#' comment line at the top of every report.
+as a '#' comment line at the top of every report; fed back as a config
+file, that line reproduces the report.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 3 numerical non-convergence.
@@ -17,13 +18,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (
-    DomainError,
-    NonConvergenceError,
-    OverflowRangeError,
-    StepSizeError,
-    ZetawaveError,
-)
+from .errors import DomainError, ZetawaveError
 from .spectra import SCAN_MODES, STUDY_VARIANTS, convergence_study, scan_zeros
 from .verify import run_checks
 from .waveform import (
@@ -79,9 +74,9 @@ class RunConfig:
             if value is None or key == "out":
                 continue
             if isinstance(value, float):
-                parts.append(f"{key}={_fmt(value)}")
+                parts.append(f"{key}={_echo(value)}")
             elif isinstance(value, (list, tuple)):
-                parts.append(f"{key}={','.join(_fmt(v) for v in value)}")
+                parts.append(f"{key}={','.join(_echo(v) for v in value)}")
             else:
                 parts.append(f"{key}={value}")
         return "# config " + " ".join(parts)
@@ -89,6 +84,12 @@ class RunConfig:
 
 def _fmt(v: float) -> str:
     return format(float(v), ".15g")
+
+
+def _echo(v: float) -> str:
+    # .15g where that reads back as v, else every digit repr needs
+    text = _fmt(v)
+    return text if float(text) == v else repr(float(v))
 
 
 def _fmt_bool(v: bool) -> str:
@@ -400,9 +401,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, StepSizeError, OverflowRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ZetawaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -10,7 +10,10 @@ anywhere; the contract region is sigma in [-2, 3], |t| <= 60.
 Every alternating sum runs on one kernel, the Bin(n, 1/2) weights of
 _binomial_weights: Euler's transform of sum_k (-1)^k a_k regroups exactly
 into the weighted sum derived in eta_grid, and the iterated averaging of
-waveform._euler_accelerated is the same identity on partial sums.
+waveform._euler_accelerated is the same identity on partial sums.  Every
+alternating Dirichlet series sum_k (-1)^k c_k (k+1)^{-s} is one _eta_sums
+batch at the one depth rule _eta_depth: eta (c_k = 1) and the y = 0 level
+sums of the squeezed boundary value (see waveform.boundary_levels).
 """
 
 from __future__ import annotations
@@ -300,7 +303,10 @@ def _binomial_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _eta_depth(s: np.ndarray) -> int:
     # Depth calibrated against extended-precision references over
     # sigma in [-2, 3], |t| <= 60; worst observed error ~5e-13.  A batch
-    # takes its deepest point.
+    # takes its deepest point.  The level sums of the squeezed boundary
+    # value run at the same depth: against 176 more levels they differ by
+    # <= 1.6e-14 (1 + |f|) over lam in {5, 8, 12, 14, 16}, n <= 300,
+    # t <= 120, but 7.6e-13 at lam = 5, n = 10, the overlaps' own rounding.
     depth = 64 + np.ceil(2.3 * np.abs(s.imag)) + np.where(s.real < 0.5, 16, 0)
     return int(min(np.max(depth), 420))
 
@@ -311,10 +317,33 @@ def _eta_depth(s: np.ndarray) -> int:
 _HEAD_LEVELS = 3
 
 
-def _eta_sums(s_values, derivative: bool = False) -> tuple:
-    """eta on a batch, and d eta / ds if asked (else None).
+@functools.lru_cache(maxsize=64)
+def _eta_weights(depth: int, head: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only rows of _eta_sums per (depth, head): log(k+1), the derivative
+    weights -(-1)^k w_k log(k+1), and the value and level m = D-5 .. D columns
+    applied after head levels (rows (nabla^m a)_0 for m < head, then b).
+    """
+    log_base = np.log(np.arange(1.0, depth + 2.0))
+    signs = np.where(np.arange(depth + 1) % 2 == 0, 1.0, -1.0)
+    deriv = -log_base * signs * _binomial_weights(depth + 1)[1][1:]
+    weights = np.zeros((depth + 1, 7))
+    weights[:head, 0] = 0.5 ** np.arange(1, head + 1)
+    weights[head:, 0] = 0.5**head * _binomial_weights(depth + 1 - head)[1][1:]
+    for col, m in enumerate(range(depth - 5, depth + 1), start=1):
+        weights[head : m + 1, col] = 0.5 ** (head + 1) * _binomial_weights(m - head)[0]
+    weights[head:] *= signs[: depth + 1 - head, None]
+    for row in (log_base, deriv, weights):
+        row.setflags(write=False)
+    return log_base, deriv, weights
 
-    With a_k = (k+1)^{-s} and (nabla a)_k = a_k - a_{k+1} the truncated
+
+def _eta_sums(s_values, derivative: bool = False, coeffs=None) -> tuple:
+    """sum_k (-1)^k c_k (k+1)^{-s} on a batch, and d/ds of it if asked (else None).
+
+    coeffs None is c_k = 1, eta at depth D = _eta_depth; a real row
+    c_0 .. c_D sets D by its length (the weight form holds for any
+    alternating series: Cohen, Rodriguez Villegas and Zagier).  With
+    a_k = c_k (k+1)^{-s} and (nabla a)_k = a_k - a_{k+1} the truncated
     double sum is sum_{m<=D} 2^{-(m+1)} (nabla^m a)_0.  If a point has
     sigma < 1/2, the first h = _HEAD_LEVELS levels are summed as they stand
     and the rest is the same sum at depth D - h on b = nabla^h a; h = 0
@@ -323,43 +352,35 @@ def _eta_sums(s_values, derivative: bool = False) -> tuple:
     -sum_k (-1)^k w_k log(k+1) a_k is taken before the differencing.
     """
     arr = np.asarray(list(s_values), dtype=complex)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("eta requires finite s")
     if arr.size == 0:
         return arr, (arr if derivative else None)
-    depth = _eta_depth(arr)
+    depth = _eta_depth(arr) if coeffs is None else len(coeffs) - 1
+    sigma_lo, sigma_hi = arr.real.min(), arr.real.max()
+    head = _HEAD_LEVELS if sigma_lo < 0.5 else 0
+    log_base, deriv_weights, weights = _eta_weights(depth, head)
     base = np.arange(1.0, depth + 2.0)
-    signs = np.where(np.arange(depth + 1) % 2 == 0, 1.0, -1.0)
     # (k+1)^{-s} built in place, the modulus by a real power (exact
     # integers at integer s); a batch on one vertical line, such as a scan
     # grid, needs only one row of moduli
     terms = np.empty((arr.size, depth + 1), dtype=complex)
     phase = terms.imag
-    np.multiply.outer(-arr.imag, np.log(base), out=phase)
+    np.multiply.outer(-arr.imag, log_base, out=phase)
     np.cos(phase, out=terms.real)
     np.sin(phase, out=phase)
-    one_line = np.all(arr.real == arr.real[0])
-    terms *= np.power(base, -(arr.real[0] if one_line else arr.real[:, None]))
-    deriv = None
-    if derivative:
-        deriv = terms @ (-np.log(base) * signs * _binomial_weights(depth + 1)[1][1:])
-    head = _HEAD_LEVELS if np.any(arr.real < 0.5) else 0
+    terms *= np.power(base, -(sigma_lo if sigma_lo == sigma_hi else arr.real[:, None]))
+    if coeffs is not None:
+        terms *= np.asarray(coeffs, dtype=float)
+    deriv = terms @ deriv_weights if derivative else None
     for level in range(head):
         terms[:, level + 1 :] = terms[:, level:-1] - terms[:, level + 1 :]
-    # rows now (nabla^m a)_0 for m < h, then b_0 .. b_{D-h}; weight columns:
-    # the value, then the levels m = D-5 .. D
-    weights = np.zeros((depth + 1, 7))
-    weights[:head, 0] = 0.5 ** np.arange(1, head + 1)
-    weights[head:, 0] = 0.5**head * _binomial_weights(depth + 1 - head)[1][1:]
-    for col, m in enumerate(range(depth - 5, depth + 1), start=1):
-        weights[head : m + 1, col] = 0.5 ** (head + 1) * _binomial_weights(m - head)[0]
-    weights[head:] *= signs[: depth + 1 - head, None]
     sums = terms @ weights
     # The levels decay geometrically until they hit the rounding floor of
     # the binomial inner products; by the calibrated depth the remaining
     # tail is negligible unless something is badly off.
-    if not np.all(np.min(np.abs(sums[:, 1:]), axis=1) <= 1e-10 * (1.0 + np.abs(sums[:, 0]))):
-        raise NonConvergenceError("eta double sum did not settle at calibrated depth")
+    if not (np.abs(sums[:, 1:]).min(axis=1) <= 1e-10 * (1.0 + np.abs(sums[:, 0]))).all():
+        raise NonConvergenceError(f"alternating double sum did not settle at depth {depth}")
     return sums[:, 0], deriv
 
 

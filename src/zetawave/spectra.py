@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -25,11 +25,10 @@ from .waveform import (
     QuantumNumber,
     SqueezeParameter,
     _bare_overlaps,
-    _euler_weights,
+    boundary_levels,
     psi_boundary,
     psi_boundary_limit,
     tilde_expansion_check,
-    varphi_zero,
 )
 
 # Unused here, but the benchmark tracer (perfbench/tracer.py) wraps these
@@ -97,18 +96,16 @@ def boundary_objective(t: float, mode: str = "limit", lam: float = 12.0, n: int 
     """Boundary value whose zeros the scans chase, at s = 1/2 + it.
 
     Limit mode returns 2 varphi_zero(s) eta(s); finite mode returns the
-    y = 0 boundary value at the given squeeze, by quadrature.
+    y = 0 boundary value at the given squeeze by its level route,
+    boundary_levels, which is 2 varphi_zero(s) times the objective the
+    finite scan chases.
     """
     if mode not in SCAN_MODES:
         raise DomainError(f"mode must be one of {SCAN_MODES}")
     z = complex(0.5, float(t))
     if mode == "limit":
         return psi_boundary_limit(z)
-    return psi_boundary(0.0, z, int(n), float(lam)).value
-
-
-def _finite_depth(t_max: float) -> int:
-    return 80 + int(math.ceil(2.3 * t_max))
+    return complex(boundary_levels([z], int(n), float(lam))[0])
 
 
 def _finite_series_tools(
@@ -118,34 +115,29 @@ def _finite_series_tools(
 
     The y = 0 boundary value factorizes as varphi_zero(s) times
     sum_m A_m (m+1)^{-s} with squeeze-only overlaps A_m, so one overlap
-    pass serves the whole scan; the alternating sum is rendered by the
-    iterated-averaging transform, which keeps relative accuracy at any
-    height.  Values are divided by 2 to land on the eta scale.  The
-    transform is the weighted sum sum_m u_m A_m (m+1)^{-s} of
-    _euler_weights, so the Newton evaluator takes (f, df/dt) on an array of
-    heights from one product, with
-    df/dt = -i sum_m u_m A_m log(m+1) (m+1)^{-s}; the grid evaluator keeps f.
+    pass serves the whole scan.  Divided by 2 varphi_zero it lands on the
+    eta scale: sum_m (-1)^m c_m (m+1)^{-s} with c_m = (-1)^m A_m / 2, which
+    eta's kernel _eta_sums renders at the depth of the window top, with its
+    settle check (NonConvergenceError).  The Newton evaluator takes
+    (f, df/dt) on an array of heights, df/dt = i f'(s); the grid evaluator
+    keeps f.
     """
-    depth = _finite_depth(t_max)
-    overlaps = _bare_overlaps(n, depth - 1, lam)
-    logk = np.log(np.arange(1.0, depth + 1.0))
-    averaged = 0.5 * _euler_weights(depth)[:, 0] * overlaps
-    weights = np.column_stack([averaged, -1j * logk * averaged])
-
-    def newton(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sums = np.exp(np.multiply.outer(-(0.5 + 1j * ts), logk)) @ weights
-        return sums[:, 0], sums[:, 1]
+    coeffs = 0.5 * _bare_overlaps(n, _eta_depth(np.array([0.5 + 1j * t_max])), lam)
+    coeffs[1::2] *= -1.0
 
     def grid(ts: np.ndarray) -> np.ndarray:
-        return newton(ts)[0]
+        return _eta_sums(0.5 + 1j * ts, coeffs=coeffs)[0]
 
-    return newton, grid
+    return _line_newton(coeffs), grid
 
 
-def _limit_newton(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eta and d eta / dt = i eta'(s) at s = 1/2 + i t."""
-    values, deriv = _eta_sums(0.5 + 1j * ts, derivative=True)
-    return values, 1j * deriv
+def _line_newton(coeffs=None) -> Callable[[np.ndarray], tuple]:
+    """(f, df/dt = i f'(s)) at s = 1/2 + i t of the _eta_sums series, eta for None."""
+    def newton(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values, deriv = _eta_sums(0.5 + 1j * ts, derivative=True, coeffs=coeffs)
+        return values, 1j * deriv
+
+    return newton
 
 
 def _refine_all(
@@ -243,10 +235,7 @@ def scan_zeros(
     SqueezeParameter(float(lam))
 
     count = int(math.floor((t_hi - t_lo) / step + 1e-9)) + 1
-    if mode == "limit":
-        terms = _eta_depth(np.array([complex(0.5, t_hi)])) + 1
-    else:
-        terms = _finite_depth(float(t_hi))
+    terms = _eta_depth(np.array([0.5 + 1j * t_hi])) + 1
     if (count + 1) * terms > _MAX_SCAN_ELEMENTS:
         raise DomainError(
             f"scan grid of {count} points x {terms} terms exceeds the work limit of "
@@ -258,7 +247,7 @@ def scan_zeros(
 
     if mode == "limit":
         fgrid_vals = eta_grid(0.5 + 1j * ts)
-        newton = _limit_newton
+        newton = _line_newton()
     else:
         newton, fgrid = _finite_series_tools(int(n), float(lam), float(t_hi))
         fgrid_vals = fgrid(ts)

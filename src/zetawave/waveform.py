@@ -27,6 +27,8 @@ from .quad import _gauss_panels, tail_cutoff_for
 from .specfun import (
     TruncationPolicy,
     _binomial_weights,
+    _eta_depth,
+    _eta_sums,
     _laguerre_recurrence,
     bessel_i0_scaled,
     chi,
@@ -169,11 +171,14 @@ def eigenvalue_of(s: complex, n: int) -> EigenvalueRecord:
 def phi_s(x, s: complex):
     """Generalized dilation eigenfunction x^{-s} / sqrt(2 pi), x > 0.
 
-    Raises OverflowRangeError where |x^{-s}| = e^{Re(-s ln x)} passes the
-    double range, for scalar and array x alike.
+    Raises DomainError for non-finite x or s, and OverflowRangeError where
+    |x^{-s}| = e^{Re(-s ln x)} passes the double range, for scalar and
+    array x alike.
     """
     z = complex(s)
     arr = np.asarray(x, dtype=float)
+    if not (cmath.isfinite(z) and np.all(np.isfinite(arr))):
+        raise DomainError("phi_s needs finite x and s")
     if np.any(arr <= 0.0):
         raise DomainError("phi_s is singular at x = 0; use varphi_zero for the boundary value")
     if arr.ndim == 0:
@@ -309,14 +314,15 @@ def mehler_closed(y, yp, t):
     Computed as exp(b - a) * [e^{-b} I0(b)] / (1 - t) with
     a = ((y + y')/2)(1+t)/(1-t) and b = 2 sqrt(y y' t)/(1-t), so the only
     exponential ever taken has a nonpositive argument:
-    a - b >= sqrt(y y') (1 - sqrt(t))^2 / (1 - t) >= 0.
+    a - b >= sqrt(y y') (1 - sqrt(t))^2 / (1 - t) >= 0.  Non-finite
+    arguments raise DomainError.
     """
     ya = np.asarray(y, dtype=float)
     yb = np.asarray(yp, dtype=float)
     ta = np.asarray(t, dtype=float)
-    if np.any(ya < 0.0) or np.any(yb < 0.0):
-        raise DomainError("Mehler kernel needs y, y' >= 0")
-    if np.any(ta < 0.0) or np.any(ta >= 1.0):
+    if not np.all(np.isfinite(ya) & np.isfinite(yb) & (ya >= 0.0) & (yb >= 0.0)):
+        raise DomainError("Mehler kernel needs finite y, y' >= 0")
+    if not np.all((ta >= 0.0) & (ta < 1.0)):
         raise DomainError("Mehler kernel parameter must satisfy 0 <= t < 1")
     scalar = ya.ndim == 0 and yb.ndim == 0 and ta.ndim == 0
     one_minus = 1.0 - ta
@@ -580,6 +586,8 @@ def psi_boundary(
 ) -> WaveSample:
     """Boundary wave function as a quadrature over the Mehler parameter.
 
+    The one-point psi_boundary_batch, bitwise, wrapped in a WaveSample.
+
     psi / varphi_zero = (1/Gamma(s)) int_0^inf u^{s-1} e^{-u} K(u) du, K
     the integral over y' of chi_n(e^{-lam} y') against the Mehler kernel at
     (Y, y', e^{-u}); Y = e^{lam} y, or e^{-lam} y for the tilde variant.  By
@@ -603,14 +611,10 @@ def psi_boundary(
     to 2.5e-4 at lam = 12 and to 5e-6 at lam = 16.
     """
     z = complex(s)
-    _check_boundary_args(y, n, lam, variant)
-    vals, err = _boundary_eta_scale(
-        np.array([z]), float(y), int(n), float(lam), variant, target_tol
-    )
-    value = varphi_zero(z) * complex(vals[0])
+    values, err = psi_boundary_batch([z], y, n, lam, variant, target_tol)
     return WaveSample(
         x=0.0, y=float(y), s=z, n=int(n), lam=float(lam),
-        value=value, variant=variant, error=err,
+        value=complex(values[0]), variant=variant, error=err,
     )
 
 
@@ -625,35 +629,32 @@ def psi_boundary_batch(
     """Boundary values for many spectral points on one shared grid.
 
     Returns (values, worst eta-normalized error).  The integral is that of
-    psi_boundary; its exact inner integral K does not involve s, so a scan
-    grid costs one phase sum per point on top of a single evaluation.
+    psi_boundary (this batch at one point); its exact inner integral K does
+    not involve s, so a scan grid costs one phase sum per point on top of a
+    single evaluation.  varphi_zero is applied by Python complex products.
     """
     _check_boundary_args(y, n, lam, variant)
     arr = np.asarray(list(s_values), dtype=complex)
     if arr.size == 0:
         return np.empty(0, dtype=complex), 0.0
     vals, err = _boundary_eta_scale(arr, float(y), int(n), float(lam), variant, target_tol)
-    pref = np.array([varphi_zero(z) for z in arr])
-    return pref * vals, err
+    values = [varphi_zero(z) * complex(v) for z, v in zip(arr, vals)]
+    return np.array(values, dtype=complex), err
 
 
-def boundary_levels(
-    s_values: Sequence[complex],
-    n: int,
-    lam: float,
-    depth: Optional[int] = None,
-) -> np.ndarray:
+def boundary_levels(s_values: Sequence[complex], n: int, lam: float) -> np.ndarray:
     """Boundary values at y = 0 through the level-sum route.
 
     The y = 0 boundary value equals varphi_zero(s) times
     sum_m A_m (m+1)^{-s}, where A_m is the bare overlap of level m with
-    the squeezed level n; the overlaps do not involve s, so one
-    quadrature pass serves any number of spectral points.  The
-    alternating sum is evaluated by the full iterated-averaging
-    transform, which keeps *relative* accuracy at any height t, unlike
-    the real-axis quadrature whose absolute floor ~4e-16 swamps the
-    O(|Gamma(s)|) integral beyond t ~ 17.  Cross-checked against
-    psi_boundary in the test suite on their common turf.
+    the squeezed level n; the overlaps do not involve s, so one overlap
+    pass serves any number of spectral points.  The alternating sum runs
+    on eta's kernel, specfun._eta_sums, with the coefficients (-1)^m A_m at
+    eta's depth and its settle check (NonConvergenceError); it keeps
+    *relative* accuracy at any height t, unlike the real-axis quadrature
+    whose absolute floor ~4e-16 swamps the O(|Gamma(s)|) integral beyond
+    t ~ 17.  Cross-checked against psi_boundary in the test suite on their
+    common turf.
     """
     arr = np.asarray(list(s_values), dtype=complex)
     if arr.size == 0:
@@ -662,21 +663,9 @@ def boundary_levels(
         raise DomainError("level route requires Re s > 0")
     QuantumNumber(int(n))
     SqueezeParameter(float(lam))
-    if depth is None:
-        t_max = float(max(abs(z.imag) for z in arr))
-        depth = 72 + int(math.ceil(2.3 * t_max))
-    overlaps = _bare_overlaps(int(n), depth - 1, float(lam))
-    m_idx = np.arange(depth)
-    powers = np.exp(np.multiply.outer(-arr, np.log(m_idx + 1.0)))
-    terms = powers * overlaps[None, :]
-    values, change = _euler_accelerated_rows(terms)
-    worst = float(np.max(change))
-    if worst > 1e-8 * float(np.max(np.abs(values) + 1.0)):
-        raise NonConvergenceError(
-            f"level sum transform left correction {worst:.3g}"
-        )
-    pref = np.array([varphi_zero(z) for z in arr])
-    return pref * values
+    coeffs = _bare_overlaps(int(n), _eta_depth(arr), float(lam))
+    coeffs[1::2] *= -1.0  # (-1)^m A_m, which tend to 2 as the squeeze grows
+    return np.array([varphi_zero(z) for z in arr]) * _eta_sums(arr, coeffs=coeffs)[0]
 
 
 def psi_boundary_limit(s: complex, y: float = 0.0) -> complex:

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zetawave.cli import main
 
@@ -196,6 +200,55 @@ def test_config_echo_line(capsys):
         "# config command=scan format=csv lambda=12 mode=limit n=0 "
         "step=0.05 t=2:5 tol=1e-10"
     )
+
+
+def test_config_echo_keeps_every_digit(capsys):
+    # to 15 significant digits both heights read 14.1347251417347, although
+    # their |psi| differ from the 4th digit on
+    _, out, _ = run_cli(capsys, "boundary", "--t", "14.134725141734694", "--lambda", "12")
+    assert "t=14.134725141734695 " in out.splitlines()[0]
+    _, out, _ = run_cli(capsys, "boundary", "--t", "14.1347251417347", "--lambda", "12")
+    assert "t=14.1347251417347 " in out.splitlines()[0]
+
+
+def _digits17(exponent: int):
+    """Floats read from 17-significant-digit decimals in [10^e, 10^(e+1))."""
+    return st.integers(10**16, 10**17 - 1).map(lambda m: float(f"{m}e{exponent - 16}"))
+
+
+def _replayed(argv: list) -> tuple[str, str]:
+    """A report, and the report of its own '# config' header fed back as --config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, conf, second = (Path(tmp) / name for name in ("a.csv", "run.conf", "b.csv"))
+        assert main(argv + ["--out", str(first)]) == 0
+        report = first.read_text()
+        command, *pairs = report.splitlines()[0].removeprefix("# config ").split(" ")
+        assert command == f"command={argv[0]}"
+        conf.write_text("\n".join(pairs) + "\n")
+        assert main([argv[0], "--config", str(conf), "--out", str(second)]) == 0
+        return report, second.read_text()
+
+
+@given(
+    t=_digits17(1), x=_digits17(-1), y=_digits17(-1), lam=_digits17(0),
+    variant=st.sampled_from(["original", "limit"]),
+)
+@example(t=14.134725141734694, x=0.5, y=0.0, lam=12.0, variant="limit")
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+def test_boundary_header_replays_its_report(t, x, y, lam, variant):
+    # x > 0 rows and the limit variant are closed forms, so each draw is cheap
+    argv = ["boundary", "--t", repr(t), "--y", repr(y), "--lambda", repr(lam),
+            "--variant", variant, "--x", "0" if variant == "limit" else repr(x)]
+    report, replay = _replayed(argv)
+    assert replay == report
+
+
+@given(lo=_digits17(1), step=_digits17(-2), tol=_digits17(-11))
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+def test_scan_header_replays_its_report(lo, step, tol):
+    argv = ["scan", "--t", f"{lo!r}:{lo + 3.0!r}", "--step", repr(step), "--tol", repr(tol)]
+    report, replay = _replayed(argv)
+    assert replay == report
 
 
 def test_subprocess_runs_byte_identical():

@@ -14,6 +14,7 @@ import pytest
 
 from zetawave import (
     DomainError,
+    NonConvergenceError,
     OverflowRangeError,
     SpectralParameter,
     TruncationPolicy,
@@ -28,7 +29,7 @@ from zetawave import (
     xi_aux,
     zeta,
 )
-from zetawave.specfun import _binomial_weights, _eta_sums
+from zetawave.specfun import _binomial_weights, _eta_depth, _eta_sums
 
 mp.mp.dps = 40
 
@@ -197,6 +198,24 @@ def test_eta_derivative_against_mpmath(sigma, t):
     want = complex(mp.diff(mp.altzeta, mp.mpc(sigma, t)))
     assert values[0] == eta(s)
     assert abs(derivs[0] - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("s", [0.5 + 14.134725j, -1.5 + 7.0j, 3.0 + 60.0j])
+def test_eta_sums_unit_row_is_eta(s):
+    depth = _eta_depth(np.array([s]))
+    values, derivs = _eta_sums([s], derivative=True, coeffs=np.ones(depth + 1))
+    want_values, want_derivs = _eta_sums([s], derivative=True)
+    assert values[0] == want_values[0] and derivs[0] == want_derivs[0]
+
+
+@pytest.mark.parametrize("s", [0.5 + 10.0j, 0.3 + 10.0j])
+def test_eta_sums_refuses_a_row_that_cannot_settle(s):
+    # for c_k = r^k the m-th level of the double sum is about
+    # 2^{-(m+1)} (1 - r)^m, which grows once r > 3: Euler's transform of
+    # sum_k (-r)^k (k+1)^{-s} diverges, and the settle check must say so
+    for depth in (64, 87, 200):
+        with pytest.raises(NonConvergenceError):
+            _eta_sums([s], coeffs=4.0 ** np.arange(depth + 1))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 81, 421, 1100])

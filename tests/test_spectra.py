@@ -20,7 +20,9 @@ from zetawave import (
     scan_zeros,
     varphi_zero,
 )
+from zetawave.oracles import euler_naive
 from zetawave.spectra import _MAX_NEWTON, SCAN_MODES
+from zetawave.waveform import _bare_overlaps
 
 mp.mp.dps = 40
 
@@ -51,6 +53,20 @@ def test_objective_finite_mode_keeps_suppression():
     at_zero = abs(boundary_objective(14.134725, mode="finite", lam=12.0, n=0))
     off_zero = abs(boundary_objective(10.0, mode="finite", lam=12.0, n=0))
     assert at_zero <= 1e-3 * off_zero
+
+
+@pytest.mark.parametrize("t", [20.0, 30.0, 60.0])
+def test_objective_finite_mode_is_the_level_sum(t):
+    # the finite objective is 2 varphi_zero(s) times sum_m A_m (m+1)^{-s} / 2;
+    # the y = 0 quadrature of psi_boundary is off by 1.5e-3 relative at
+    # t = 20 and by 1.4e24 at t = 60 (ROADMAP item 1)
+    s = complex(0.5, t)
+    count = 120 + int(2.5 * t)
+    overlaps = _bare_overlaps(0, count - 1, 12.0)
+    half_sum, _ = euler_naive(0.5 * overlaps * np.exp(-s * np.log1p(np.arange(count))))
+    want = 2.0 * varphi_zero(s) * half_sum
+    got = boundary_objective(t, mode="finite", lam=12.0, n=0)
+    assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_objective_rejects_unknown_mode():

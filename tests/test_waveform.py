@@ -93,6 +93,16 @@ def test_phi_s_refuses_overflow():
     assert abs(phi_s(np.array([1e-200]), 1.5)[0]) == pytest.approx(1e300 / SQRT_2PI, rel=1e-12)
 
 
+def test_phi_s_refuses_non_finite_input():
+    # phi_s(nan, 0.5) returned nan+nanj, for arrays too, and phi_s(inf, 1j) NaN
+    for x, s in ((math.nan, 0.5), (math.inf, 1j), (1.0, complex(math.nan, 1.0)),
+                 (2.0, complex(0.5, math.inf))):
+        with pytest.raises(DomainError, match="finite"):
+            phi_s(x, s)
+        with pytest.raises(DomainError, match="finite"):
+            phi_s(np.array([1.0, x]), s)
+
+
 def test_eigenvalue_at_first_ordinate():
     rec = eigenvalue_of(complex(0.5, 14.134725), 0)
     assert rec.real_energy
@@ -273,6 +283,18 @@ def test_mehler_domain_guards():
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
             mehler_series(np.array([0.5, bad]), 1.0, 0.5)
+
+
+@pytest.mark.parametrize("args", [
+    (math.nan, 1.0, 0.5), (1.0, math.nan, 0.5), (1.0, 1.0, math.nan),
+    (math.inf, 1.0, 0.5), (1.0, math.inf, 0.5),
+])
+def test_mehler_closed_refuses_non_finite_input(args):
+    # each of these returned NaN
+    with pytest.raises(DomainError):
+        mehler_closed(*args)
+    with pytest.raises(DomainError):
+        mehler_closed(*(np.array([0.5, v]) for v in args))
 
 
 def test_mehler_series_geometric_on_axis():
@@ -687,6 +709,22 @@ def test_boundary_limit_off_point_is_zero():
 def test_boundary_limit_rejects_bad_y(y):
     with pytest.raises(DomainError):
         psi_boundary_limit(0.5 + 3j, y=y)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 1.5])
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("lam", [5.0, 12.0])
+def test_boundary_levels_against_iterated_averaging(sigma, n, lam):
+    # boundary_levels / varphi_zero is sum_m A_m (m+1)^{-s}; the oracle
+    # averages its partial sums level by level over more terms than the
+    # level route keeps (sigma < 1/2 takes the route's head split)
+    for t in (0.0, 7.3, 41.0, 100.0):
+        s = complex(sigma, t)
+        count = 120 + int(2.5 * t)
+        overlaps = _bare_overlaps(n, count - 1, lam)
+        want, _ = euler_naive(overlaps * np.exp(-s * np.log1p(np.arange(count))))
+        got = boundary_levels([s], n, lam)[0] / varphi_zero(s)
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (t, got, want)
 
 
 def test_boundary_levels_guards():
