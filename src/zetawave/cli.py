@@ -2,10 +2,12 @@
 
 Output is deterministic by construction: fixed evaluation order, no
 timestamps, 15-significant-digit formatting with '.' decimal separator,
-manual CSV assembly.  The effective configuration (defaults, overridden
-by an optional flat key=value config file, overridden by flags) is echoed
-as a '#' comment line at the top of every report; fed back as a config
-file, that line reproduces the report.
+manual CSV assembly.  Each command's parameters are declared once, in
+_COMMANDS, which builds the flags, checks config-file keys and values and
+writes the echo.  The effective configuration (defaults, overridden by an
+optional flat key=value config file, overridden by flags) is echoed as a
+'#' comment line at the top of every report; fed back as a config file,
+that line reproduces the report.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 3 numerical non-convergence.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, ZetawaveError
 from .spectra import SCAN_MODES, STUDY_VARIANTS, convergence_study, scan_zeros
@@ -30,7 +32,7 @@ from .waveform import (
     psi_full,
 )
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 _FORMATS = ("csv", "records")
 _BOUNDARY_VARIANTS = (ORIGINAL, TILDE, LIMIT)
@@ -39,61 +41,219 @@ _BOUNDARY_VARIANTS = (ORIGINAL, TILDE, LIMIT)
 # the work grows with that product and is refused (exit 2) before it starts.
 MAX_BOUNDARY_ROWS = 4096
 
-_DEFAULTS: Dict[str, Dict[str, Optional[str]]] = {
-    "verify": {
-        "only": None, "tol": None, "format": "csv", "out": None,
-    },
-    "scan": {
-        "t": None, "step": "0.05", "tol": "1e-10", "mode": "limit",
-        "lambda": "12", "n": "0", "format": "csv", "out": None,
-    },
-    "boundary": {
-        "t": "10", "x": "0", "y": "0", "lambda": "12", "n": "0",
-        "variant": "original", "tol": None, "format": "csv", "out": None,
-    },
-    "converge": {
-        "t": "10", "y": "0", "lambda": "8,10,12", "n": "0",
-        "variant": "original", "format": "csv", "out": None,
-    },
+# A runner's report: CSV header (also the records keys), rows of cell
+# values, trailing comment lines, and whether a verification failed.
+_Report = Tuple[Sequence[str], List[tuple], List[str], bool]
+
+
+def _cell(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(float(value), ".15g")
+    return str(value)
+
+
+def _echo(value: object) -> str:
+    # .15g where that reads back as the value, else every digit repr needs
+    if isinstance(value, list):
+        return ",".join(_echo(v) for v in value)
+    text = _cell(value)
+    if isinstance(value, float) and float(text) != value:
+        return repr(float(value))
+    return text
+
+
+def _pairs(keys: Sequence[str], values: Sequence[object]) -> str:
+    return " ".join(f"{key}={_cell(value)}" for key, value in zip(keys, values))
+
+
+# ---------------------------------------------------------------------------
+# parameter parsers: (raw text, key) -> value, DomainError on bad text
+# ---------------------------------------------------------------------------
+
+
+def _text(raw: str, key: str) -> str:
+    return raw
+
+
+def _number(raw: str, key: str) -> float:
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise DomainError(f"{key} must be a number, got {raw!r}") from exc
+
+
+def _integer(raw: str, key: str) -> int:
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise DomainError(f"{key} must be an integer, got {raw!r}") from exc
+
+
+def _numbers(raw: str, key: str) -> List[float]:
+    values = [_number(part, key) for part in raw.split(",") if part != ""]
+    if not values:
+        raise DomainError(f"{key} list is empty")
+    return values
+
+
+class _Param(NamedTuple):
+    parse: Callable[[str, str], object]
+    default: Optional[str]
+    help: str
+    choices: Optional[Tuple[str, ...]] = None
+
+    def value(self, raw: str, key: str) -> object:
+        if self.choices is not None and raw not in self.choices:
+            raise DomainError(f"{key} must be one of {self.choices}")
+        return self.parse(raw, key)
+
+
+# ---------------------------------------------------------------------------
+# subcommand execution
+# ---------------------------------------------------------------------------
+
+
+def _run_verify(conf: Dict[str, object]) -> _Report:
+    results = run_checks(only=conf.get("only"), tol_override=conf.get("tol"))
+    csv = conf["format"] == "csv"
+    rows = [
+        (
+            r.name, r.measured, r.tolerance,
+            ("pass" if r.passed else "fail") if csv else r.passed,
+            '"' + r.detail.replace('"', '""') + '"' if csv else r.detail,
+        )
+        for r in results
+    ]
+    header = ("name", "measured", "tolerance", "passed", "detail")
+    return header, rows, [], any(not r.passed for r in results)
+
+
+def _run_scan(conf: Dict[str, object]) -> _Report:
+    window = conf.get("t")
+    if window is None:
+        raise DomainError("scan requires --t lo:hi")
+    if ":" not in window:
+        raise DomainError(f"scan window must be lo:hi, got {window!r}")
+    lo_text, hi_text = window.split(":", 1)
+    records = scan_zeros(
+        _number(lo_text, "t lower edge"), _number(hi_text, "t upper edge"),
+        step=conf["step"], refine_tol=conf["tol"], mode=conf["mode"],
+        lam=conf["lambda"], n=conf["n"],
+    )
+    rows = [
+        (r.t, r.residual, r.bracket_lo, r.bracket_hi, r.iterations, r.energy, r.converged)
+        for r in records
+    ]
+    header = ("t", "residual", "bracket_lo", "bracket_hi", "iterations", "energy", "converged")
+    return header, rows, [], False
+
+
+def _boundary_value(
+    variant: str, x: float, y: float, s: complex, n: int, lam: float, tol: Optional[float]
+) -> complex:
+    if variant == LIMIT:
+        if x != 0.0:
+            raise DomainError("the limit variant is defined on the boundary x = 0")
+        return psi_boundary_limit(s, y)
+    if x == 0.0:
+        return psi_boundary(y, s, n, lam, variant=variant, target_tol=tol).value
+    if variant != ORIGINAL:
+        raise DomainError("x > 0 samples exist only for the original variant")
+    return psi_full(x, y, s, n, lam).value
+
+
+def _run_boundary(conf: Dict[str, object]) -> _Report:
+    ts, xs, ys, lams = conf["t"], conf["x"], conf["y"], conf["lambda"]
+    rows_asked = len(ts) * len(xs) * len(ys) * len(lams)
+    if rows_asked > MAX_BOUNDARY_ROWS:
+        raise DomainError(
+            f"boundary grid of {rows_asked} rows exceeds the work limit of "
+            f"{MAX_BOUNDARY_ROWS} rows; shorten the t, lambda, y or x lists"
+        )
+    n, variant = conf["n"], conf["variant"]
+    rows = []
+    for t in ts:
+        s = complex(0.5, t)
+        for lam in lams:
+            for y in ys:
+                for x in xs:
+                    value = _boundary_value(variant, x, y, s, n, lam, conf.get("tol"))
+                    rows.append((x, y, t, lam, n, variant, value.real, value.imag, abs(value)))
+    return ("x", "y", "t", "lambda", "n", "variant", "re", "im", "abs"), rows, [], False
+
+
+def _run_converge(conf: Dict[str, object]) -> _Report:
+    study = convergence_study(
+        complex(0.5, conf["t"]), conf["n"], conf["lambda"],
+        variant=conf["variant"], y=conf["y"],
+    )
+    rows = [
+        (r.lam, r.observable, r.value.real, r.value.imag,
+         r.reference.real, r.reference.imag, r.abs_error)
+        for r in study.records
+    ]
+    summary = "# summary " + _pairs(
+        ("observable", "slope", "intercept", "fit_residual"),
+        (study.observable, study.slope, study.intercept, study.fit_residual),
+    )
+    header = ("lambda", "observable", "value_re", "value_im",
+              "reference_re", "reference_im", "abs_error")
+    return header, rows, [summary], False
+
+
+# ---------------------------------------------------------------------------
+# the parameter table and the one parser built from it
+# ---------------------------------------------------------------------------
+
+
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[Dict[str, object]], _Report]
+    params: Dict[str, _Param]
+
+
+# every command also takes the report's destination and format
+_COMMON = {
+    "out": _Param(_text, None, "write the report to this path instead of stdout"),
+    "format": _Param(_text, "csv", "csv (default) or records", _FORMATS),
 }
 
-
-class RunConfig:
-    """Validated command plus parameter map for one CLI invocation."""
-
-    def __init__(self, command: str, params: Dict[str, object]):
-        self.command = command
-        self.params = params
-
-    def echo_line(self) -> str:
-        parts = [f"command={self.command}"]
-        for key in sorted(self.params):
-            value = self.params[key]
-            # the destination path does not affect the numbers, and two
-            # runs that differ only in it must stay byte-identical
-            if value is None or key == "out":
-                continue
-            if isinstance(value, float):
-                parts.append(f"{key}={_echo(value)}")
-            elif isinstance(value, (list, tuple)):
-                parts.append(f"{key}={','.join(_echo(v) for v in value)}")
-            else:
-                parts.append(f"{key}={value}")
-        return "# config " + " ".join(parts)
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".15g")
-
-
-def _echo(v: float) -> str:
-    # .15g where that reads back as v, else every digit repr needs
-    text = _fmt(v)
-    return text if float(text) == v else repr(float(v))
-
-
-def _fmt_bool(v: bool) -> str:
-    return "true" if v else "false"
+_COMMANDS = {
+    "verify": _Command("run the invariant suites", _run_verify, {
+        **_COMMON,
+        "only": _Param(_text, None, "run only invariants whose name contains this"),
+        "tol": _Param(_number, None, "override every default tolerance"),
+    }),
+    "scan": _Command("scan for critical-line zeros", _run_scan, {
+        **_COMMON,
+        "t": _Param(_text, None, "scan window lo:hi"),
+        "step": _Param(_number, "0.05", "grid step (default 0.05)"),
+        "tol": _Param(_number, "1e-10", "refinement tolerance (default 1e-10)"),
+        "mode": _Param(_text, "limit", "limit or finite", SCAN_MODES),
+        "lambda": _Param(_number, "12", "squeeze parameter for finite mode"),
+        "n": _Param(_integer, "0", "level index for finite mode"),
+    }),
+    "boundary": _Command("evaluate wave-function samples", _run_boundary, {
+        **_COMMON,
+        "t": _Param(_numbers, "10", "height t, single value or comma list"),
+        "x": _Param(_numbers, "0", "x grid, single value or comma list"),
+        "y": _Param(_numbers, "0", "y grid, single value or comma list"),
+        "lambda": _Param(_numbers, "12", "squeeze, single value or comma list"),
+        "n": _Param(_integer, "0", "level index"),
+        "variant": _Param(_text, ORIGINAL, "original, tilde or limit", _BOUNDARY_VARIANTS),
+        "tol": _Param(_number, None, "quadrature tolerance on the eta-normalized scale"),
+    }),
+    "converge": _Command("squeeze-convergence study", _run_converge, {
+        **_COMMON,
+        "t": _Param(_number, "10", "height t of the study point"),
+        "y": _Param(_number, "0", "transverse coordinate (default 0)"),
+        "lambda": _Param(_numbers, "8,10,12", "ascending comma list of squeezes"),
+        "n": _Param(_integer, "0", "level index"),
+        "variant": _Param(_text, ORIGINAL, "original, tilde or tilde-corrected", STUDY_VARIANTS),
+    }),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,45 +263,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "boundary evaluation, squeeze-convergence studies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--format", choices=_FORMATS, help="csv (default) or records")
-
-    p_verify = sub.add_parser("verify", help="run the invariant suites")
-    common(p_verify)
-    p_verify.add_argument("--only", help="run only invariants whose name contains this")
-    p_verify.add_argument("--tol", help="override every default tolerance")
-
-    p_scan = sub.add_parser("scan", help="scan for critical-line zeros")
-    common(p_scan)
-    p_scan.add_argument("--t", help="scan window lo:hi")
-    p_scan.add_argument("--step", help="grid step (default 0.05)")
-    p_scan.add_argument("--tol", help="refinement tolerance (default 1e-10)")
-    p_scan.add_argument("--mode", choices=SCAN_MODES, help="limit or finite")
-    p_scan.add_argument("--lambda", dest="lam", help="squeeze parameter for finite mode")
-    p_scan.add_argument("--n", help="level index for finite mode")
-
-    p_boundary = sub.add_parser("boundary", help="evaluate wave-function samples")
-    common(p_boundary)
-    p_boundary.add_argument("--t", help="height t, single value or comma list")
-    p_boundary.add_argument("--x", help="x grid, single value or comma list")
-    p_boundary.add_argument("--y", help="y grid, single value or comma list")
-    p_boundary.add_argument("--lambda", dest="lam", help="squeeze, single value or comma list")
-    p_boundary.add_argument("--n", help="level index")
-    p_boundary.add_argument("--variant", choices=_BOUNDARY_VARIANTS)
-    p_boundary.add_argument("--tol", help="quadrature tolerance on the eta-normalized scale")
-
-    p_converge = sub.add_parser("converge", help="squeeze-convergence study")
-    common(p_converge)
-    p_converge.add_argument("--t", help="height t of the study point")
-    p_converge.add_argument("--y", help="transverse coordinate (default 0)")
-    p_converge.add_argument("--lambda", dest="lam", help="ascending comma list of squeezes")
-    p_converge.add_argument("--n", help="level index")
-    p_converge.add_argument("--variant", choices=STUDY_VARIANTS)
-
+        for key, param in command.params.items():
+            p.add_argument(f"--{key}", choices=param.choices, help=param.help)
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _read_config_file(path: str) -> Dict[str, str]:
@@ -161,240 +291,55 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return data
 
 
-def _merge_config(args: argparse.Namespace) -> Dict[str, str]:
-    command = args.command
-    merged: Dict[str, Optional[str]] = dict(_DEFAULTS[command])
-    if getattr(args, "config", None):
-        file_conf = _read_config_file(args.config)
-        for key, value in file_conf.items():
-            if key not in merged:
+def _configure(args: argparse.Namespace) -> Dict[str, object]:
+    """Each key's value: its flag, else its config-file entry, else its default.
+
+    Keys with none of the three are left out.
+    """
+    params = _COMMANDS[args.command].params
+    raw = {key: param.default for key, param in params.items()}
+    if args.config:
+        for key, value in _read_config_file(args.config).items():
+            if key not in params:
                 raise DomainError(
-                    f"config key {key!r} is not valid for the {command} command"
+                    f"config key {key!r} is not valid for the {args.command} command"
                 )
-            merged[key] = value
-    for key in merged:
-        attr = "lam" if key == "lambda" else key
-        given = getattr(args, attr, None)
-        if given is not None:
-            merged[key] = given
-    return {k: v for k, v in merged.items() if v is not None}
+            raw[key] = value
+    flags = vars(args)
+    raw.update((key, flags[key]) for key in params if flags[key] is not None)
+    return {key: params[key].value(text, key) for key, text in raw.items() if text is not None}
 
 
-def _as_float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise DomainError(f"{key} must be a number, got {raw!r}") from exc
-
-
-def _as_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{key} must be an integer, got {raw!r}") from exc
-
-
-def _parse_window(raw: str) -> Tuple[float, float]:
-    if ":" not in raw:
-        raise DomainError(f"scan window must be lo:hi, got {raw!r}")
-    lo_text, hi_text = raw.split(":", 1)
-    return _as_float(lo_text, "t lower edge"), _as_float(hi_text, "t upper edge")
-
-
-def _parse_list(raw: str, key: str) -> List[float]:
-    values = [_as_float(part, key) for part in raw.split(",") if part != ""]
-    if not values:
-        raise DomainError(f"{key} list is empty")
-    return values
-
-
-# ---------------------------------------------------------------------------
-# subcommand execution
-# ---------------------------------------------------------------------------
-
-
-def _run_verify(merged: Dict[str, str]) -> Tuple[RunConfig, List[str], bool]:
-    tol = _as_float(merged["tol"], "tol") if "tol" in merged else None
-    params: Dict[str, object] = {
-        "only": merged.get("only"),
-        "tol": tol,
-        "format": merged["format"],
-        "out": merged.get("out"),
-    }
-    config = RunConfig("verify", params)
-    results = run_checks(only=merged.get("only"), tol_override=tol)
-    lines: List[str] = []
-    if merged["format"] == "csv":
-        lines.append("name,measured,tolerance,passed,detail")
-        for r in results:
-            detail = '"' + r.detail.replace('"', '""') + '"'
-            lines.append(
-                f"{r.name},{_fmt(r.measured)},{_fmt(r.tolerance)},"
-                f"{'pass' if r.passed else 'fail'},{detail}"
-            )
+def _render(
+    command: str, conf: Dict[str, object],
+    header: Sequence[str], rows: List[tuple], trailer: List[str],
+) -> str:
+    # the destination path does not affect the numbers, and two runs that
+    # differ only in it must stay byte-identical
+    echo = [f"command={command}"] + [
+        f"{key}={_echo(conf[key])}" for key in sorted(conf) if key != "out"
+    ]
+    lines = ["# config " + " ".join(echo)]
+    if conf["format"] == "csv":
+        lines.append(",".join(header))
+        lines.extend(",".join(_cell(value) for value in row) for row in rows)
     else:
-        for r in results:
-            lines.append(
-                f"name={r.name} measured={_fmt(r.measured)} "
-                f"tolerance={_fmt(r.tolerance)} passed={_fmt_bool(r.passed)} "
-                f"detail={r.detail}"
-            )
-    failed = any(not r.passed for r in results)
-    return config, lines, failed
-
-
-def _run_scan(merged: Dict[str, str]) -> Tuple[RunConfig, List[str], bool]:
-    if "t" not in merged:
-        raise DomainError("scan requires --t lo:hi")
-    t_lo, t_hi = _parse_window(merged["t"])
-    step = _as_float(merged["step"], "step")
-    tol = _as_float(merged["tol"], "tol")
-    mode = merged["mode"]
-    lam = _as_float(merged["lambda"], "lambda")
-    n = _as_int(merged["n"], "n")
-    params: Dict[str, object] = {
-        "t": merged["t"], "step": step, "tol": tol, "mode": mode,
-        "lambda": lam, "n": n, "format": merged["format"], "out": merged.get("out"),
-    }
-    config = RunConfig("scan", params)
-    records = scan_zeros(t_lo, t_hi, step=step, refine_tol=tol, mode=mode, lam=lam, n=n)
-    lines: List[str] = []
-    if merged["format"] == "csv":
-        lines.append("t,residual,bracket_lo,bracket_hi,iterations,energy,converged")
-        for r in records:
-            lines.append(
-                f"{_fmt(r.t)},{_fmt(r.residual)},{_fmt(r.bracket_lo)},"
-                f"{_fmt(r.bracket_hi)},{r.iterations},{_fmt(r.energy)},"
-                f"{_fmt_bool(r.converged)}"
-            )
-    else:
-        for r in records:
-            lines.append(
-                f"t={_fmt(r.t)} residual={_fmt(r.residual)} "
-                f"bracket_lo={_fmt(r.bracket_lo)} bracket_hi={_fmt(r.bracket_hi)} "
-                f"iterations={r.iterations} energy={_fmt(r.energy)} "
-                f"converged={_fmt_bool(r.converged)}"
-            )
-    return config, lines, False
-
-
-def _boundary_value(
-    variant: str, x: float, y: float, s: complex, n: int, lam: float, tol: Optional[float]
-) -> complex:
-    if variant == LIMIT:
-        if x != 0.0:
-            raise DomainError("the limit variant is defined on the boundary x = 0")
-        return psi_boundary_limit(s, y)
-    if x == 0.0:
-        return psi_boundary(y, s, n, lam, variant=variant, target_tol=tol).value
-    if variant != ORIGINAL:
-        raise DomainError("x > 0 samples exist only for the original variant")
-    return psi_full(x, y, s, n, lam).value
-
-
-def _run_boundary(merged: Dict[str, str]) -> Tuple[RunConfig, List[str], bool]:
-    ts = _parse_list(merged["t"], "t")
-    xs = _parse_list(merged["x"], "x")
-    ys = _parse_list(merged["y"], "y")
-    lams = _parse_list(merged["lambda"], "lambda")
-    rows_asked = len(ts) * len(xs) * len(ys) * len(lams)
-    if rows_asked > MAX_BOUNDARY_ROWS:
-        raise DomainError(
-            f"boundary grid of {rows_asked} rows exceeds the work limit of "
-            f"{MAX_BOUNDARY_ROWS} rows; shorten the t, lambda, y or x lists"
-        )
-    n = _as_int(merged["n"], "n")
-    variant = merged["variant"]
-    if variant not in _BOUNDARY_VARIANTS:
-        raise DomainError(f"variant must be one of {_BOUNDARY_VARIANTS}")
-    tol = _as_float(merged["tol"], "tol") if "tol" in merged else None
-    params: Dict[str, object] = {
-        "t": ts, "x": xs, "y": ys, "lambda": lams, "n": n,
-        "variant": variant, "tol": tol,
-        "format": merged["format"], "out": merged.get("out"),
-    }
-    config = RunConfig("boundary", params)
-    lines: List[str] = []
-    rows: List[str] = []
-    for t in ts:
-        s = complex(0.5, t)
-        for lam in lams:
-            for y in ys:
-                for x in xs:
-                    value = _boundary_value(variant, x, y, s, n, lam, tol)
-                    if merged["format"] == "csv":
-                        rows.append(
-                            f"{_fmt(x)},{_fmt(y)},{_fmt(t)},{_fmt(lam)},{n},"
-                            f"{variant},{_fmt(value.real)},{_fmt(value.imag)},"
-                            f"{_fmt(abs(value))}"
-                        )
-                    else:
-                        rows.append(
-                            f"x={_fmt(x)} y={_fmt(y)} t={_fmt(t)} "
-                            f"lambda={_fmt(lam)} n={n} variant={variant} "
-                            f"re={_fmt(value.real)} im={_fmt(value.imag)} "
-                            f"abs={_fmt(abs(value))}"
-                        )
-    if merged["format"] == "csv":
-        lines.append("x,y,t,lambda,n,variant,re,im,abs")
-    lines.extend(rows)
-    return config, lines, False
-
-
-def _run_converge(merged: Dict[str, str]) -> Tuple[RunConfig, List[str], bool]:
-    t = _as_float(merged["t"], "t")
-    y = _as_float(merged["y"], "y")
-    lams = _parse_list(merged["lambda"], "lambda")
-    n = _as_int(merged["n"], "n")
-    variant = merged["variant"]
-    params: Dict[str, object] = {
-        "t": t, "y": y, "lambda": lams, "n": n, "variant": variant,
-        "format": merged["format"], "out": merged.get("out"),
-    }
-    config = RunConfig("converge", params)
-    study = convergence_study(complex(0.5, t), n, lams, variant=variant, y=y)
-    lines: List[str] = []
-    if merged["format"] == "csv":
-        lines.append("lambda,observable,value_re,value_im,reference_re,reference_im,abs_error")
-        for r in study.records:
-            lines.append(
-                f"{_fmt(r.lam)},{r.observable},{_fmt(r.value.real)},"
-                f"{_fmt(r.value.imag)},{_fmt(r.reference.real)},"
-                f"{_fmt(r.reference.imag)},{_fmt(r.abs_error)}"
-            )
-    else:
-        for r in study.records:
-            lines.append(
-                f"lambda={_fmt(r.lam)} observable={r.observable} "
-                f"value_re={_fmt(r.value.real)} value_im={_fmt(r.value.imag)} "
-                f"reference_re={_fmt(r.reference.real)} "
-                f"reference_im={_fmt(r.reference.imag)} "
-                f"abs_error={_fmt(r.abs_error)}"
-            )
-    lines.append(
-        f"# summary observable={study.observable} slope={_fmt(study.slope)} "
-        f"intercept={_fmt(study.intercept)} fit_residual={_fmt(study.fit_residual)}"
-    )
-    return config, lines, False
-
-
-_RUNNERS = {
-    "verify": _run_verify,
-    "scan": _run_scan,
-    "boundary": _run_boundary,
-    "converge": _run_converge,
-}
+        lines.extend(_pairs(header, row) for row in rows)
+    return "\n".join(lines + trailer) + "\n"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        merged = _merge_config(args)
-        config, lines, failed = _RUNNERS[args.command](merged)
-        text = "\n".join([config.echo_line()] + lines) + "\n"
-        out_path = config.params.get("out")
+        conf = _configure(args)
+        header, rows, trailer, failed = _COMMANDS[args.command].run(conf)
+        text = _render(args.command, conf, header, rows, trailer)
+        out_path = conf.get("out")
         if out_path:
-            Path(out_path).write_text(text)
+            try:
+                Path(out_path).write_text(text)
+            except OSError as exc:
+                raise DomainError(f"cannot write report to {out_path}: {exc}") from exc
         else:
             sys.stdout.write(text)
         return 1 if failed else 0

@@ -390,9 +390,11 @@ def run_checks(
     """Run the invariant suite, optionally filtered by substring.
 
     tol_override replaces every default tolerance (useful to demonstrate
-    failure reporting).  Unknown filters raise DomainError so typos do
-    not masquerade as a green empty run.
+    failure reporting) and must be finite.  Unknown filters raise
+    DomainError so typos do not masquerade as a green empty run.
     """
+    if tol_override is not None and not math.isfinite(tol_override):
+        raise DomainError(f"tol_override must be finite, got {tol_override}")
     selected = [
         entry for entry in _REGISTRY if only is None or only in entry[0]
     ]

@@ -272,13 +272,22 @@ def _bare_overlaps(n: int, m_max: int, lam: float) -> np.ndarray:
     peak = np.max(logs, axis=0)
     summands = np.exp(logs - peak[None, :])
     reduced = np.sum(signs * summands, axis=0)
-    envelope = 2.0 * np.exp(peak + m * ln_rho)
-    lost = (n + 1) * 2.0**-52 * float(np.max(envelope * np.sum(summands, axis=0)))
-    if not lost <= 1e-10 * math.exp(0.5 * lam):
+    # the rounding bound is compared in log space: the envelope of a refused
+    # call can pass the float range
+    ln_lost = math.log((n + 1) * 2.0**-52) + float(
+        np.max(peak + m * ln_rho + np.log(2.0 * np.sum(summands, axis=0)))
+    )
+    if not ln_lost <= math.log(1e-10) + 0.5 * lam:
+        if ln_lost < 709.0:
+            bound = f"{math.exp(ln_lost):.3g}"
+        else:
+            decade = int(ln_lost / math.log(10.0))
+            bound = f"{math.exp(ln_lost - decade * math.log(10.0)):.3g}e+{decade}"
         raise NonConvergenceError(
-            f"bare overlaps of level {n} at lambda {lam:g}: rounding bound {lost:.3g} "
+            f"bare overlaps of level {n} at lambda {lam:g}: rounding bound {bound} "
             f"exceeds 1e-10 of their Cauchy-Schwarz bound e^(lambda/2)"
         )
+    envelope = 2.0 * np.exp(peak + m * ln_rho)
     parity = np.where(np.arange(m_count) % 2 == 0, 1.0, -1.0)
     return parity * envelope * reduced
 

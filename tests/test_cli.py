@@ -1,7 +1,15 @@
-"""CLI contract: exit codes, CSV headers, determinism, config precedence."""
+"""CLI contract: exit codes, CSV headers, determinism, config precedence.
+
+Run as a script (`PYTHONPATH=src python3 tests/test_cli.py`), it rewrites
+the expected exit code, stdout, stderr and report of every golden case in
+tests/data/cli_reports.json from the current code.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import subprocess
 import sys
 import tempfile
@@ -18,6 +26,7 @@ SCAN_HEADER = "t,residual,bracket_lo,bracket_hi,iterations,energy,converged"
 BOUNDARY_HEADER = "x,y,t,lambda,n,variant,re,im,abs"
 CONVERGE_HEADER = "lambda,observable,value_re,value_im,reference_re,reference_im,abs_error"
 VERIFY_HEADER = "name,measured,tolerance,passed,detail"
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_reports.json"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -280,6 +289,15 @@ def test_flags_override_config_file(capsys, tmp_path):
     assert "step=0.05" in out.splitlines()[0]
 
 
+def test_config_file_value_is_checked_like_its_flag(capsys, tmp_path):
+    conf = tmp_path / "scan.conf"
+    conf.write_text("t = 13:16\nformat = json\n")
+    rc, out, err = run_cli(capsys, "scan", "--config", str(conf))
+    assert rc == 2
+    assert out == ""
+    assert err == "error: format must be one of ('csv', 'records')\n"
+
+
 def test_config_file_rejects_unknown_key(capsys, tmp_path):
     conf = tmp_path / "scan.conf"
     conf.write_text("t = 13:16\nnonsense_key = 1\n")
@@ -290,6 +308,16 @@ def test_config_file_rejects_unknown_key(capsys, tmp_path):
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+
+def test_unwritable_report_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "r.csv"
+    rc, out, err = run_cli(capsys, "boundary", "--t", "5", "--variant", "limit",
+                           "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write report to {target}: ")
+    assert not target.exists()
 
 
 def test_invalid_window_exits_2(capsys):
@@ -325,6 +353,8 @@ def test_overflow_regime_exits_3(capsys):
     ("scan", "--t", "1:20", "--tol", "inf"),
     ("boundary", "--t", "5", "--y", "nan", "--variant", "limit"),
     ("boundary", "--t", "5", "--y", "inf", "--variant", "limit"),
+    ("verify", "--tol", "nan"),
+    ("verify", "--tol", "inf"),
 ])
 def test_non_finite_input_exits_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
@@ -410,3 +440,45 @@ def test_scan_requires_window(capsys):
     rc, _, err = run_cli(capsys, "scan")
     assert rc == 2
     assert "--t" in err
+
+
+# ---------------------------------------------------------------------------
+# golden reports: every command in both formats, --out, config files and
+# the exit-2 and exit-3 paths, replayed byte for byte
+
+
+def _replay_case(case: dict, tmp: Path) -> dict:
+    """Exit code, stdout, stderr and written report of one golden case.
+
+    "{tmp}" in the argv, and the temporary directory in the results, stand
+    for a fresh directory holding the case's config file as run.conf.
+    """
+    if "config" in case:
+        (tmp / "run.conf").write_text(case["config"])
+    argv = [arg.replace("{tmp}", str(tmp)) for arg in case["argv"]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    report = tmp / "report"
+    result = {
+        "exit": rc, "stdout": out.getvalue(), "stderr": err.getvalue(),
+        "report": report.read_text() if report.exists() else None,
+    }
+    return {k: v.replace(str(tmp), "{tmp}") if isinstance(v, str) else v
+            for k, v in result.items()}
+
+
+_GOLDEN_CASES = json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("case", _GOLDEN_CASES, ids=[c["name"] for c in _GOLDEN_CASES])
+def test_golden_report(case, tmp_path):
+    expected = {key: case[key] for key in ("exit", "stdout", "stderr", "report")}
+    assert _replay_case(case, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    for golden in _GOLDEN_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            golden.update(_replay_case(golden, Path(tmp)))
+    GOLDEN.write_text(json.dumps(_GOLDEN_CASES, indent=1) + "\n")
