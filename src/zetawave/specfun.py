@@ -13,7 +13,10 @@ into the weighted sum derived in eta_grid, and the iterated averaging of
 waveform._euler_accelerated is the same identity on partial sums.  Every
 alternating Dirichlet series sum_k (-1)^k c_k (k+1)^{-s} is one _eta_sums
 batch at the one depth rule _eta_depth: eta (c_k = 1) and the y = 0 level
-sums of the squeezed boundary value (see waveform.boundary_levels).
+sums of the squeezed boundary value (see waveform.boundary_levels).  A scan
+grid, evenly spaced heights on the critical line, is the one exception to
+exact powers: _eta_line factors its phases into block seeds times offsets
+and never builds the points x terms matrix.
 """
 
 from __future__ import annotations
@@ -128,7 +131,8 @@ def gamma_complex(s: complex) -> complex:
     Relative error is below 1e-12 for |Im s| <= 60 and -2 <= Re s <= 3
     (validated against an independent Euler-product oracle).  Non-finite s
     and nonpositive integers raise DomainError; results outside double
-    range raise OverflowRangeError.
+    range, above it or below it (log|Gamma| < -708, reached on the critical
+    line from |t| ~ 451), raise OverflowRangeError.
     """
     z = complex(s)
     if not cmath.isfinite(z):
@@ -149,6 +153,8 @@ def gamma_complex(s: complex) -> complex:
     log_gamma = (z - 0.5) * cmath.log(w) - w + 0.5 * math.log(2.0 * math.pi) + cmath.log(acc)
     if log_gamma.real > 709.0:
         raise OverflowRangeError("|Gamma(s)| exceeds double-precision range")
+    if not (cmath.isfinite(log_gamma) and log_gamma.real >= -708.0):
+        raise OverflowRangeError("|Gamma(s)| falls below double-precision range")
     return cmath.exp(log_gamma)
 
 
@@ -187,20 +193,61 @@ def laguerre(n: int, y):
     return float(out[0]) if np.ndim(y) == 0 else out
 
 
+_TINY = np.finfo(float).tiny  # smallest normal double
+_RESCALE_BITS = 600
+
+
 def chi(n: int, y):
     """Weighted Laguerre function chi_n(y) = e^{-y/2} L_n(y).
 
     The weight is folded into the seed of the recurrence, so every
-    intermediate is bounded by 1 in magnitude and large y underflows
-    gracefully instead of overflowing.
+    intermediate is bounded by 1 in magnitude and nothing overflows.
+    Where the seed is not a normal double (y > 1416.8) its exponent is
+    carried apart (see _chi_deep), so chi_n keeps its digits out to its
+    turning point y = 4n + 2 and beyond.
     """
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
     arr = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(arr < 0.0):
         raise DomainError("chi is defined on the half-line y >= 0")
-    out = _laguerre_recurrence(n, arr, np.exp(-0.5 * arr))
+    seed = np.exp(-0.5 * arr)
+    deep = seed < _TINY
+    if deep.any():
+        out = np.empty_like(arr)
+        out[~deep] = _laguerre_recurrence(n, arr[~deep], seed[~deep])
+        out[deep] = _chi_deep(n, arr[deep])
+    else:
+        out = _laguerre_recurrence(n, arr, seed)
     return float(out[0]) if np.ndim(y) == 0 else out
+
+
+def _chi_deep(n: int, y: np.ndarray) -> np.ndarray:
+    """chi_n(y) where the seed e^{-y/2} is not a normal double.
+
+    e^{-y/2} = r 2^e with r in [1, 2): the recurrence runs from r, and
+    whenever an order passes 2^600 the pair drops by 2^-600 exactly while
+    e carries the 600, so no order underflows; the result is r' 2^e, which
+    rounds to a subnormal or 0 only if chi_n itself does.  Points where
+    even the bound |chi_n(y)| <= e^{-y/2} (1 + y)^n lies below the
+    smallest double are 0 without a recurrence (this also keeps each
+    step's growth, at most a factor 1 + y, far inside the double range).
+    """
+    out = np.zeros_like(y)
+    live = n * np.log1p(y) - 0.5 * y > -746.0
+    y = y[live]
+    exponent = np.floor(-0.5 * y / LN2)
+    prev = np.exp(-0.5 * y - exponent * LN2)
+    cur = (1.0 - y) * prev
+    for m in range(1, n):
+        prev, cur = cur, ((2.0 * m + 1.0 - y) * cur - m * prev) / (m + 1.0)
+        big = np.maximum(np.abs(prev), np.abs(cur)) > 2.0**_RESCALE_BITS
+        if big.any():
+            prev[big] *= 2.0**-_RESCALE_BITS
+            cur[big] *= 2.0**-_RESCALE_BITS
+            exponent[big] += _RESCALE_BITS
+    out[live] = np.ldexp(cur if n > 0 else prev, exponent.astype(int))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -362,26 +409,71 @@ def _eta_sums(s_values, derivative: bool = False, coeffs=None) -> tuple:
     log_base, deriv_weights, weights = _eta_weights(depth, head)
     base = np.arange(1.0, depth + 2.0)
     # (k+1)^{-s} built in place, the modulus by a real power (exact
-    # integers at integer s); a batch on one vertical line, such as a scan
-    # grid, needs only one row of moduli
-    terms = np.empty((arr.size, depth + 1), dtype=complex)
-    phase = terms.imag
-    np.multiply.outer(-arr.imag, log_base, out=phase)
-    np.cos(phase, out=terms.real)
-    np.sin(phase, out=phase)
+    # integers at integer s); a batch on one vertical line needs only one
+    # row of moduli
+    terms = _phasors(arr.imag, log_base)
     terms *= np.power(base, -(sigma_lo if sigma_lo == sigma_hi else arr.real[:, None]))
     if coeffs is not None:
         terms *= np.asarray(coeffs, dtype=float)
     deriv = terms @ deriv_weights if derivative else None
     for level in range(head):
         terms[:, level + 1 :] = terms[:, level:-1] - terms[:, level + 1 :]
-    sums = terms @ weights
-    # The levels decay geometrically until they hit the rounding floor of
-    # the binomial inner products; by the calibrated depth the remaining
-    # tail is negligible unless something is badly off.
+    return _settled(terms @ weights, depth), deriv
+
+
+def _phasors(heights: np.ndarray, log_base: np.ndarray) -> np.ndarray:
+    """e^{-i t log(k+1)} for each height t (rows) and log(k+1) (columns), built in place."""
+    out = np.empty((heights.size, log_base.size), dtype=complex)
+    phase = out.imag
+    np.multiply.outer(-heights, log_base, out=phase)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=phase)
+    return out
+
+
+def _settled(sums: np.ndarray, depth: int) -> np.ndarray:
+    """The value column of a points x 7 product with _eta_weights, after the settle check.
+
+    The levels decay geometrically until they hit the rounding floor of the
+    binomial inner products; by the calibrated depth the remaining tail is
+    negligible unless something is badly off, so a point none of whose
+    levels m = D-5 .. D fell below 1e-10 (1 + |f|) raises NonConvergenceError.
+    """
     if not (np.abs(sums[:, 1:]).min(axis=1) <= 1e-10 * (1.0 + np.abs(sums[:, 0]))).all():
         raise NonConvergenceError(f"alternating double sum did not settle at depth {depth}")
-    return sums[:, 0], deriv
+    return sums[:, 0]
+
+
+def _eta_line(t_lo: float, step: float, count: int, coeffs) -> np.ndarray:
+    """_eta_sums(1/2 + i t_j, coeffs=coeffs)[0] on the evenly spaced heights
+    t_j = t_lo + j step, j < count, without the count x (D+1) matrix of powers.
+
+    Odlyzko and Schonhage (Trans. AMS 309, 1988) evaluate one Dirichlet sum
+    at many evenly spaced heights from the fact that its rows of powers are
+    shifted copies of one another.  With j = q a + b and q = ceil(sqrt(count)),
+    c_k (k+1)^{-1/2 - i t_j} = seed_{a,k} offset_{b,k}, where
+    seed_{a,k} = c_k (k+1)^{-1/2} e^{-i t_{qa} log(k+1)} and
+    offset_{b,k} = e^{-i b step log(k+1)}.  Each factor is one direct
+    exponential, with no recurrence to drift, so about 2 sqrt(count) (D+1)
+    exponentials replace count (D+1); the value column and the six settle
+    columns of _eta_weights(D, 0) are one complex product
+    (seeds * weight column) @ offsets^T, with the settle check of _eta_sums.
+    A point stands at t_{qa} + b step, off t_j by the rounding of that sum,
+    a few ulp of t: measured within 2e-13 (1 + |f|) of the exact powers
+    for t <= 120.  Used only on scan grids; one point takes exact powers.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if count == 1:
+        return _eta_sums([complex(0.5, t_lo)], coeffs=coeffs)[0]
+    depth = coeffs.size - 1
+    log_base, _, weights = _eta_weights(depth, 0)
+    q = math.isqrt(count - 1) + 1
+    seeds = _phasors(t_lo + step * (q * np.arange(-(-count // q))), log_base)
+    offsets = _phasors(step * np.arange(q), log_base)
+    scaled = (weights * (np.power(np.arange(1.0, depth + 2.0), -0.5) * coeffs)[:, None]).T
+    blocks = (seeds[:, None, :] * scaled).reshape(-1, depth + 1) @ offsets.T
+    sums = blocks.reshape(seeds.shape[0], 7, q).transpose(0, 2, 1).reshape(-1, 7)
+    return _settled(sums[:count], depth)
 
 
 def eta(s: complex) -> complex:

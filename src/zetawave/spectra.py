@@ -18,7 +18,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .specfun import _eta_depth, _eta_sums, eta_grid
+from .specfun import _eta_depth, _eta_line, _eta_sums
 from .waveform import (
     ORIGINAL,
     TILDE,
@@ -33,7 +33,7 @@ from .waveform import (
 
 # Unused here, but the benchmark tracer (perfbench/tracer.py) wraps these
 # names in this module, so they must stay importable from it.
-from .specfun import eta  # noqa: F401
+from .specfun import eta, eta_grid  # noqa: F401
 from .waveform import _euler_accelerated, _euler_accelerated_rows  # noqa: F401
 
 __all__ = [
@@ -109,7 +109,7 @@ def boundary_objective(t: float, mode: str = "limit", lam: float = 12.0, n: int 
 
 
 def _finite_series_tools(
-    n: int, lam: float, t_max: float
+    n: int, lam: float, t_max: float, step: float
 ) -> tuple[Callable[[np.ndarray], tuple], Callable[[np.ndarray], np.ndarray]]:
     """Newton and grid evaluators of the normalized finite-squeeze objective.
 
@@ -117,18 +117,28 @@ def _finite_series_tools(
     sum_m A_m (m+1)^{-s} with squeeze-only overlaps A_m, so one overlap
     pass serves the whole scan.  Divided by 2 varphi_zero it lands on the
     eta scale: sum_m (-1)^m c_m (m+1)^{-s} with c_m = (-1)^m A_m / 2, which
-    eta's kernel _eta_sums renders at the depth of the window top, with its
-    settle check (NonConvergenceError).  The Newton evaluator takes
-    (f, df/dt) on an array of heights, df/dt = i f'(s); the grid evaluator
-    keeps f.
+    eta's kernel renders at the depth of the window top, with its settle
+    check (NonConvergenceError).  The Newton evaluator takes (f, df/dt) on
+    an array of heights by exact powers, df/dt = i f'(s); the grid
+    evaluator keeps f on a scan grid of the given step (see _line_grid).
     """
     coeffs = 0.5 * _bare_overlaps(n, _eta_depth(np.array([0.5 + 1j * t_max])), lam)
     coeffs[1::2] *= -1.0
+    return _line_newton(coeffs), _line_grid(coeffs, step)
 
+
+def _line_grid(coeffs, step: float) -> Callable[[np.ndarray], np.ndarray]:
+    """f at s = 1/2 + i t of the _eta_sums series with this coefficient row
+    on a scan grid ts, t_lo + j step with the window top appended when it
+    falls off the lattice: the lattice by _eta_line's factorized phases,
+    the appended top by exact powers.
+    """
     def grid(ts: np.ndarray) -> np.ndarray:
-        return _eta_sums(0.5 + 1j * ts, coeffs=coeffs)[0]
+        count = ts.size - int(ts[-1] != ts[0] + step * (ts.size - 1))
+        top = _eta_sums(0.5 + 1j * ts[count:], coeffs=coeffs)[0]
+        return np.append(_eta_line(ts[0], step, count, coeffs), top)
 
-    return _line_newton(coeffs), grid
+    return grid
 
 
 def _line_newton(coeffs=None) -> Callable[[np.ndarray], tuple]:
@@ -190,9 +200,10 @@ def _refine_all(
     ]
 
 
-# Work preflight: grid points times terms per point, in complex elements
-# (2^24 of them take 256 MB, and building them up to twice that at the
-# peak), checked before any array is built.
+# Work preflight: grid points times terms per point, checked before any
+# array is built.  The grid never holds that many elements at once (see
+# specfun._eta_line), so this bounds the work of the settle products,
+# 7 complex multiply-adds per element, not memory.
 _MAX_SCAN_ELEMENTS = 2**24
 
 
@@ -207,13 +218,16 @@ def scan_zeros(
 ) -> List[ZeroRecord]:
     """Locate critical-line zeros of the boundary objective on (t_lo, t_hi).
 
+    The grid t_lo + j step (with t_hi appended when it falls off it) is
+    evaluated by specfun._eta_line's factorized phases, within 2e-13
+    (1 + |f|) of exact powers; grid values only choose the candidates.
     Grid minima of the normalized modulus qualify as candidates when they
     fall below 0.1 times the window median (robust against shallow dips
     between zeros); all candidates are Newton-refined together, each inside
-    its bracket, with the analytic derivative of the objective.
-    Unconverged candidates are flagged, never dropped.  Records come back
-    sorted by t.  A grid whose points times terms per point exceeds
-    _MAX_SCAN_ELEMENTS is refused with DomainError before any work.
+    its bracket, with the analytic derivative of the objective at exact
+    powers.  Unconverged candidates are flagged, never dropped.  Records
+    come back sorted by t.  A grid whose points times terms per point
+    exceeds _MAX_SCAN_ELEMENTS is refused with DomainError before any work.
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
         raise DomainError("scan range must be finite")
@@ -246,11 +260,13 @@ def scan_zeros(
         ts = np.append(ts, t_hi)
 
     if mode == "limit":
-        fgrid_vals = eta_grid(0.5 + 1j * ts)
-        newton = _line_newton()
+        # eta, c_k = 1 at the depth of the grid's top point, which can pass
+        # t_hi by a rounding (the depth eta_grid took over the whole grid)
+        depth = _eta_depth(0.5 + 1j * ts[-1:])
+        newton, fgrid = _line_newton(), _line_grid(np.ones(depth + 1), step)
     else:
-        newton, fgrid = _finite_series_tools(int(n), float(lam), float(t_hi))
-        fgrid_vals = fgrid(ts)
+        newton, fgrid = _finite_series_tools(int(n), float(lam), float(t_hi), step)
+    fgrid_vals = fgrid(ts)
 
     mags = np.abs(fgrid_vals)
     threshold = 0.1 * float(np.median(mags))

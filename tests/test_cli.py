@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -361,6 +362,26 @@ def test_non_finite_input_exits_2(capsys, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("t", ["500", "1e308"])
+def test_boundary_past_the_gamma_range_exits_3(capsys, t):
+    # |Gamma(1/2 + it)| is below the double range from t ~ 451: --t 500
+    # ended in a ZeroDivisionError and --t 1e308 in a ValueError, exit 1
+    rc, out, err = run_cli(capsys, "boundary", "--t", t)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ") and "double-precision range" in err
+
+
+def test_off_axis_value_where_the_weight_underflows(capsys):
+    # chi_1000(2000) = 0.0100316490260881 (mpmath) while e^{-1000} is 0 in
+    # doubles; the report used to print 0,0,0
+    rc, out, _ = run_cli(capsys, "boundary", "--t", "5", "--x", "1", "--y", "2000",
+                         "--n", "1000", "--lambda", "0")
+    assert rc == 0
+    value = float(csv_rows(out, BOUNDARY_HEADER)[0][8])
+    assert value == pytest.approx(0.0100316490260881 / (2.0 * math.pi) ** 0.5, rel=1e-12)
 
 
 def test_cancelled_level_sum_exits_3(capsys):

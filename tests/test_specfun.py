@@ -11,6 +11,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zetawave import (
     DomainError,
@@ -29,7 +31,8 @@ from zetawave import (
     xi_aux,
     zeta,
 )
-from zetawave.specfun import _binomial_weights, _eta_depth, _eta_sums
+from zetawave.specfun import _binomial_weights, _eta_depth, _eta_line, _eta_sums
+from zetawave.waveform import _bare_overlaps
 
 mp.mp.dps = 40
 
@@ -109,6 +112,29 @@ def test_chi_order_zero():
 def test_chi_against_exact_expansion():
     want = float(laguerre_exact(3, Fraction(3, 2))) * math.exp(-0.75)
     assert chi(3, 1.5) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, y, want", [
+    # mpmath laguerre(n, 0, y) exp(-y/2) at 40 digits; the seed e^{-y/2} is
+    # subnormal at y = 1489 and 0 at the others, and chi used to return
+    # 0.0302, 0 and -0 here
+    (370, 1489.0, "0.028466224173005"),
+    (1000, 2000.0, "0.0100316490260881"),
+    (10000, 30000.0, "-0.0019730236760179"),
+])
+def test_chi_past_the_underflow_of_its_weight(n, y, want):
+    assert chi(n, y) == pytest.approx(float(want), rel=1e-12)
+    with mp.workdps(40):
+        exact = mp.laguerre(n, 0, y) * mp.exp(-mp.mpf(y) / 2)
+    assert abs(chi(n, y) - float(exact)) <= 1e-12 * abs(float(exact))
+
+
+def test_chi_keeps_normal_weights_and_mixes_arrays():
+    # past every digit (1 + y)^n e^{-y/2} < 2^-1074, and n = 0 is the weight
+    assert chi(3, 1e300) == 0.0 and chi(100, 1e6) == 0.0
+    assert chi(0, 1500.0) == 0.0 and chi(0, 1420.0) == pytest.approx(math.exp(-710.0), rel=1e-12)
+    ys = np.array([0.5, 1400.0, 1489.0, 2000.0])
+    assert chi(370, ys).tolist() == [chi(370, y) for y in ys]
 
 
 def test_chi_rejects_negative_order():
@@ -216,6 +242,47 @@ def test_eta_sums_refuses_a_row_that_cannot_settle(s):
     for depth in (64, 87, 200):
         with pytest.raises(NonConvergenceError):
             _eta_sums([s], coeffs=4.0 ** np.arange(depth + 1))
+
+
+def _line_row(kind: str, depth: int) -> np.ndarray:
+    """eta's unit row, or the finite scan's overlap row at lambda = 12, n = 2."""
+    if kind == "eta":
+        return np.ones(depth + 1)
+    row = 0.5 * _bare_overlaps(2, depth, 12.0)
+    row[1::2] *= -1.0
+    return row
+
+
+@st.composite
+def _lines(draw):
+    step = draw(st.floats(0.02, 0.2))
+    t_lo = draw(st.floats(0.1, 120.0 - step))
+    count = draw(st.integers(1, int((120.0 - t_lo) / step) + 1))
+    return t_lo, step, count
+
+
+@given(_lines(), st.sampled_from(["eta", "overlaps"]))
+@example((14.0, 0.05, 1), "eta")  # one point: exact powers
+@example((10.0, 0.1, 2), "overlaps")
+@example((20.0, 0.05, 47), "eta")  # q = 7 rows of 7, the last one short
+@example((120.0 - 0.05 * 2397, 0.05, 2398), "eta")  # a window ending at 120
+@example((120.0 - 0.05 * 2397, 0.05, 2398), "overlaps")
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+def test_eta_line_matches_exact_powers(line, kind):
+    t_lo, step, count = line
+    ts = t_lo + step * np.arange(count)
+    row = _line_row(kind, _eta_depth(0.5 + 1j * ts[-1:]))
+    got = _eta_line(t_lo, step, count, row)
+    want = _eta_sums(0.5 + 1j * ts, coeffs=row)[0]
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+    if count == 1:
+        assert got[0] == want[0]
+
+
+def test_eta_line_keeps_the_settle_check():
+    with pytest.raises(NonConvergenceError):
+        _eta_line(10.0, 0.05, 30, 4.0 ** np.arange(101))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 81, 421, 1100])
@@ -327,6 +394,16 @@ def test_gamma_non_finite_guard(z):
 def test_gamma_overflow_guard():
     with pytest.raises(OverflowRangeError):
         gamma_complex(200.0)
+
+
+@pytest.mark.parametrize("z", [0.5 + 500j, 0.5 - 1000j, 3.0 + 480j, complex(0.5, 1e308)])
+def test_gamma_underflow_guard(z):
+    # log|Gamma(1/2 + it)| ~ 0.92 - pi t / 2 leaves the double range near
+    # t = 451; below it the value used to come back as 0 (a division by
+    # zero in the boundary route), and at t = 1e308 cmath.exp failed
+    with pytest.raises(OverflowRangeError):
+        gamma_complex(z)
+    assert gamma_complex(0.5 + 440j) != 0.0
 
 
 # ---------------------------------------------------------------------------

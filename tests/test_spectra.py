@@ -8,10 +8,13 @@ mpmath's zeta directly so the scan cannot certify itself.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetawave import (
     DomainError,
@@ -21,6 +24,8 @@ from zetawave import (
     varphi_zero,
 )
 from zetawave.oracles import euler_naive
+from zetawave import spectra
+from zetawave.specfun import _eta_sums
 from zetawave.spectra import _MAX_NEWTON, SCAN_MODES
 from zetawave.waveform import _bare_overlaps
 
@@ -157,6 +162,68 @@ def test_scan_to_calibration_limit_matches_mpmath_zetazero():
         assert abs(rec.t - t) <= 1e-10
         assert rec.converged
         assert 1 <= rec.iterations <= _MAX_NEWTON
+
+
+def _exact_power_line(t_lo, step, count, coeffs):
+    return _eta_sums(0.5 + 1j * (t_lo + step * np.arange(count)), coeffs=coeffs)[0]
+
+
+def test_scan_records_match_an_exact_power_grid(monkeypatch):
+    # the factorized grid values move in their last bits; the candidates
+    # they pick, and so every refined record, must not move at all
+    rng = np.random.default_rng(20261018)
+    windows = []
+    for i in range(24):
+        lo = float(rng.uniform(0.1, 100.0))
+        hi = float(min(120.0, lo + rng.uniform(3.0, 30.0)))
+        step = float(rng.uniform(0.02, 0.2))
+        mode = SCAN_MODES[i % 2]
+        windows.append((lo, hi, step, mode, float(rng.uniform(8.0, 16.0)), int(rng.integers(0, 4))))
+    factorized = [scan_zeros(lo, hi, step=step, mode=mode, lam=lam, n=n)
+                  for lo, hi, step, mode, lam, n in windows]
+    monkeypatch.setattr(spectra, "_eta_line", _exact_power_line)
+    exact = [scan_zeros(lo, hi, step=step, mode=mode, lam=lam, n=n)
+             for lo, hi, step, mode, lam, n in windows]
+    assert sum(map(len, exact)) > 50
+    assert factorized == exact
+
+
+def test_scan_grid_never_holds_the_term_matrix():
+    # 2,398 points x 341 terms took 13.1 MB at the peak as one complex
+    # matrix; the factorized grid holds about 2 sqrt(points) rows of it
+    scan_zeros(0.1, 120.0)  # caches and lazy set-up
+    tracemalloc.start()
+    try:
+        scan_zeros(0.1, 120.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+@st.composite
+def _cut_windows(draw):
+    a = draw(st.floats(0.1, 80.0))
+    b = a + draw(st.floats(3.0, 20.0))
+    c = b + draw(st.floats(3.0, 20.0))
+    return a, b, c
+
+
+@given(_cut_windows())
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+def test_scan_zeros_add_over_a_cut(window):
+    # zeros of [a, c] are those of [a, b] and [b, c]; a zero within two
+    # steps of an end may sit on a grid edge and is left out of the compare
+    a, b, c = window
+    step = 0.05
+
+    def inner(records):
+        return [r.t for r in records if min(abs(r.t - a), abs(r.t - b), abs(r.t - c)) > 2 * step]
+
+    whole = inner(scan_zeros(a, c, step=step))
+    parts = inner(scan_zeros(a, b, step=step) + scan_zeros(b, c, step=step))
+    assert len(whole) == len(parts)
+    assert all(abs(x - y) <= 1e-9 for x, y in zip(whole, sorted(parts)))
 
 
 def test_scan_guards():
