@@ -7,7 +7,7 @@ function I0, and the Dirichlet eta / zeta pair evaluated through a globally
 convergent binomial double sum.  No arbitrary-precision arithmetic
 anywhere; the contract region is sigma in [-2, 3], |t| <= 60.
 
-Every alternating sum runs on one kernel, the Bin(n, 1/2) weights of
+Alternating sums take Euler's weights, the Bin(n, 1/2) tails of
 _binomial_weights: Euler's transform of sum_k (-1)^k a_k regroups exactly
 into the weighted sum derived in eta_grid, and the iterated averaging of
 waveform._euler_accelerated is the same identity on partial sums.  Every
@@ -16,7 +16,11 @@ batch at the one depth rule _eta_depth: eta (c_k = 1) and the y = 0 level
 sums of the squeezed boundary value (see waveform.boundary_levels).  A scan
 grid, evenly spaced heights on the critical line, is the one exception to
 exact powers: _eta_line factors its phases into block seeds times offsets
-and never builds the points x terms matrix.
+and never builds the points x terms matrix.  The limit scan's grid (c_k = 1
+at sigma = 1/2, where Borwein's error bound is proved) is the one exception
+to Euler's weights: it takes Borwein's (_borwein_weights), about 2.6 times
+fewer terms for the same accuracy.  Both weight sets are upper tails of a
+unimodal law, built in log space by one helper, _log_space_tails.
 """
 
 from __future__ import annotations
@@ -324,19 +328,16 @@ def bessel_i0(z):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=24)
-def _binomial_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Bin(n, 1/2) probabilities p_j and tails P(Bin(n, 1/2) >= j).
+def _log_space_tails(ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only probabilities p_i and upper tails P(I >= i) of a unimodal law
+    on 0..len(ratio) given its log ratios log(p_{i+1} / p_i), decreasing in i.
 
-    log p_j is accumulated outward from the mode, then normalized by the
-    sum (2^{-n} underflows past n = 1074); the tails sum from the top.
-    O(n), built on first use; at most 24 sizes are kept.
+    log p_i is accumulated outward from the mode, so the terms that carry
+    the mass have short, small partial sums, then normalized by the sum
+    (the smallest p_i may underflow); the tails sum from the top.
     """
-    if n < 0:
-        raise DomainError("binomial weights need n >= 0")
-    ratio = np.log((n - np.arange(n)) / np.arange(1.0, n + 1.0))  # log C(n, j+1) / C(n, j)
-    mode = n // 2
-    log_p = np.zeros(n + 1)
+    mode = int(np.count_nonzero(ratio > 0.0))
+    log_p = np.zeros(ratio.size + 1)
     log_p[mode + 1 :] = np.cumsum(ratio[mode:])
     log_p[:mode] = -np.cumsum(ratio[:mode][::-1])[::-1]
     p = np.exp(log_p)
@@ -347,15 +348,37 @@ def _binomial_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return p, tail
 
 
+@functools.lru_cache(maxsize=24)
+def _binomial_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Bin(n, 1/2) probabilities p_j and tails P(Bin(n, 1/2) >= j).
+
+    Built in log space by _log_space_tails (2^{-n} underflows past
+    n = 1074).  O(n), built on first use; at most 24 sizes are kept.
+    """
+    if n < 0:
+        raise DomainError("binomial weights need n >= 0")
+    return _log_space_tails(np.log((n - np.arange(n)) / np.arange(1.0, n + 1.0)))
+
+
 def _eta_depth(s: np.ndarray) -> int:
-    # Depth calibrated against extended-precision references over
-    # sigma in [-2, 3], |t| <= 60; worst observed error ~5e-13.  A batch
-    # takes its deepest point.  The level sums of the squeezed boundary
-    # value run at the same depth: against 176 more levels they differ by
-    # <= 1.6e-14 (1 + |f|) over lam in {5, 8, 12, 14, 16}, n <= 300,
-    # t <= 120, but 7.6e-13 at lam = 5, n = 10, the overlaps' own rounding.
-    depth = 64 + np.ceil(2.3 * np.abs(s.imag)) + np.where(s.real < 0.5, 16, 0)
-    return int(min(np.max(depth), 420))
+    """Binomial depth D of a batch: 64 + ceil(2.3 |t|), 16 more where sigma < 1/2,
+    at most 420; a batch takes its deepest point.
+
+    Calibrated against extended-precision references over sigma in [-2, 3],
+    |t| <= 60; worst observed error ~5e-13.  The level sums of the squeezed
+    boundary value run at the same depth: against 176 more levels they
+    differ by <= 1.6e-14 (1 + |f|) over lam in {5, 8, 12, 14, 16}, n <= 300,
+    t <= 120, but 7.6e-13 at lam = 5, n = 10, the overlaps' own rounding.
+    ceil is monotone, so the deepest point of each side of sigma = 1/2 is
+    the one with the largest |t| there: two scalar ceilings, not one per
+    point (the cap is applied first, so an infinite t gives 420).
+    """
+    heights = np.abs(s.imag)
+    depth = 64 + math.ceil(min(2.3 * float(heights.max()), 420.0))
+    left = s.real < 0.5
+    if left.any():
+        depth = max(depth, 80 + math.ceil(min(2.3 * float(heights[left].max()), 420.0)))
+    return min(depth, 420)
 
 
 # Levels summed before weighting left of the critical line: (k+1)^{-s} is a
@@ -398,27 +421,38 @@ def _eta_sums(s_values, derivative: bool = False, coeffs=None) -> tuple:
     the levels m = D-5 .. D for the settle check; the derivative
     -sum_k (-1)^k w_k log(k+1) a_k is taken before the differencing.
     """
-    arr = np.asarray(list(s_values), dtype=complex)
+    arr = np.asarray(s_values if isinstance(s_values, np.ndarray) else list(s_values), dtype=complex)
     if not np.isfinite(arr).all():
         raise DomainError("eta requires finite s")
     if arr.size == 0:
         return arr, (arr if derivative else None)
     depth = _eta_depth(arr) if coeffs is None else len(coeffs) - 1
-    sigma_lo, sigma_hi = arr.real.min(), arr.real.max()
+    sigma = arr.real
+    sigma_lo, sigma_hi = float(sigma.min()), float(sigma.max())
     head = _HEAD_LEVELS if sigma_lo < 0.5 else 0
     log_base, deriv_weights, weights = _eta_weights(depth, head)
-    base = np.arange(1.0, depth + 2.0)
     # (k+1)^{-s} built in place, the modulus by a real power (exact
-    # integers at integer s); a batch on one vertical line needs only one
-    # row of moduli
+    # integers at integer s); a batch on one vertical line takes its one
+    # row of moduli from a cache
     terms = _phasors(arr.imag, log_base)
-    terms *= np.power(base, -(sigma_lo if sigma_lo == sigma_hi else arr.real[:, None]))
+    if sigma_lo == sigma_hi:
+        terms *= _moduli(depth, sigma_lo)
+    else:
+        terms *= np.power(np.arange(1.0, depth + 2.0), -sigma[:, None])
     if coeffs is not None:
         terms *= np.asarray(coeffs, dtype=float)
     deriv = terms @ deriv_weights if derivative else None
     for level in range(head):
         terms[:, level + 1 :] = terms[:, level:-1] - terms[:, level + 1 :]
     return _settled(terms @ weights, depth), deriv
+
+
+@functools.lru_cache(maxsize=64)
+def _moduli(depth: int, sigma: float) -> np.ndarray:
+    """Read-only row (k+1)^{-sigma}, k <= depth: the moduli of a batch on one vertical line."""
+    row = np.power(np.arange(1.0, depth + 2.0), -sigma)
+    row.setflags(write=False)
+    return row
 
 
 def _phasors(heights: np.ndarray, log_base: np.ndarray) -> np.ndarray:
@@ -432,21 +466,83 @@ def _phasors(heights: np.ndarray, log_base: np.ndarray) -> np.ndarray:
 
 
 def _settled(sums: np.ndarray, depth: int) -> np.ndarray:
-    """The value column of a points x 7 product with _eta_weights, after the settle check.
+    """The value column of a points x 7 product with _eta_weights or
+    _borwein_weights, after the settle check.
 
     The levels decay geometrically until they hit the rounding floor of the
-    binomial inner products; by the calibrated depth the remaining tail is
+    inner products; by the calibrated depth the remaining tail is
     negligible unless something is badly off, so a point none of whose
-    levels m = D-5 .. D fell below 1e-10 (1 + |f|) raises NonConvergenceError.
+    levels m = D-5 .. D (Borwein: differences from orders n-1 .. n-6) fell
+    below 1e-10 (1 + |f|) raises NonConvergenceError.
     """
-    if not (np.abs(sums[:, 1:]).min(axis=1) <= 1e-10 * (1.0 + np.abs(sums[:, 0]))).all():
+    mags = np.abs(sums)
+    if not (mags[:, 1:].min(axis=1) <= 1e-10 * (1.0 + mags[:, 0])).all():
         raise NonConvergenceError(f"alternating double sum did not settle at depth {depth}")
     return sums[:, 0]
 
 
-def _eta_line(t_lo: float, step: float, count: int, coeffs) -> np.ndarray:
-    """_eta_sums(1/2 + i t_j, coeffs=coeffs)[0] on the evenly spaced heights
-    t_j = t_lo + j step, j < count, without the count x (D+1) matrix of powers.
+# Borwein's bound (see _borwein_order) falls by this factor per term
+_BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))
+
+
+def _borwein_order(t: float) -> int:
+    """Terms n of Borwein's eta sum for an error below 3 e^{-34.5} ~ 3e-15 at 1/2 + i t.
+
+    P. Borwein (CMS Conf. Proc. 27, 2000) bounds the error of the order-n
+    sum for sigma >= 1/2 by 3 (1 + 2|t|) e^{pi |t| / 2} / (3 + sqrt 8)^n:
+    36 terms at t = 16 and 130 at t = 120, against 101 and 341 binomial
+    terms (_eta_depth).
+    """
+    t = abs(t)
+    return math.ceil((0.5 * math.pi * t + math.log(1.0 + 2.0 * t) + 34.5) / _BORWEIN_RATE)
+
+
+def _borwein_tails(n: int) -> np.ndarray:
+    """Borwein's weights (d_n - d_k) / d_n for k < n, read-only, where
+    d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!).
+
+    The summands of d_n are a unimodal law on 0..n (mode near n / sqrt 2)
+    whose weights are its upper tails P(I >= k+1), built in log space by
+    _log_space_tails from the ratios 4 (n+i)(n-i) / ((2i+2)(2i+1)).
+    """
+    i = np.arange(n)
+    return _log_space_tails(np.log(4.0 * (n + i) * (n - i) / ((2.0 * i + 2.0) * (2.0 * i + 1.0))))[1][1:]
+
+
+@functools.lru_cache(maxsize=64)
+def _borwein_weights(n: int) -> np.ndarray:
+    """Read-only n x 7 columns of Borwein's eta sum in the shape of _eta_weights:
+    column 0 is the order-n sum, columns 1-6 its differences from orders
+    n-1 .. n-6 (each about the error of the shorter sum), signs (-1)^k in.
+
+    Cohen, Rodriguez Villegas and Zagier (Experiment. Math. 9, 2000) derive
+    the same weights from Chebyshev polynomials.  The differences shrink by
+    about 3 + sqrt 8 per order until they meet the rounding floor, so the
+    settle check of _settled applies unchanged.
+    """
+    if n < 7:
+        raise DomainError("Borwein's settle columns need n >= 7")
+    weights = np.zeros((n, 7))
+    for col, m in enumerate(range(n, n - 7, -1)):
+        weights[:m, col] = _borwein_tails(m)
+    weights[:, 1:] = weights[:, :1] - weights[:, 1:]
+    weights[1::2] *= -1.0
+    weights.setflags(write=False)
+    return weights
+
+
+def _eta_line(t_lo: float, step: float, count: int, coeffs=None, t_top: float | None = None) -> np.ndarray:
+    """The alternating series sum_k (-1)^k c_k (k+1)^{-s} at s = 1/2 + i t_j on
+    the evenly spaced heights t_j = t_lo + j step, j < count, without the
+    count x (D+1) matrix of powers.
+
+    A row c_0 .. c_D takes the binomial weights of _eta_weights(D, 0):
+    _eta_sums(1/2 + i t_j, coeffs=coeffs)[0] to rounding.  coeffs None is
+    eta (c_k = 1), the limit scan's grid, where sigma = 1/2 and Borwein's
+    bound holds: the n = _borwein_order(t_top) columns of _borwein_weights,
+    about 20 + 0.9 t terms against 64 + 2.3 t, where t_top is the top of
+    the window the grid serves.  One point takes exact powers at eta's
+    depth.
 
     Odlyzko and Schonhage (Trans. AMS 309, 1988) evaluate one Dirichlet sum
     at many evenly spaced heights from the fact that its rows of powers are
@@ -456,24 +552,29 @@ def _eta_line(t_lo: float, step: float, count: int, coeffs) -> np.ndarray:
     offset_{b,k} = e^{-i b step log(k+1)}.  Each factor is one direct
     exponential, with no recurrence to drift, so about 2 sqrt(count) (D+1)
     exponentials replace count (D+1); the value column and the six settle
-    columns of _eta_weights(D, 0) are one complex product
-    (seeds * weight column) @ offsets^T, with the settle check of _eta_sums.
-    A point stands at t_{qa} + b step, off t_j by the rounding of that sum,
-    a few ulp of t: measured within 2e-13 (1 + |f|) of the exact powers
-    for t <= 120.  Used only on scan grids; one point takes exact powers.
+    columns are one complex product (seeds * weight column) @ offsets^T,
+    with the settle check of _eta_sums.  A point stands at t_{qa} + b step,
+    off t_j by the rounding of that sum, a few ulp of t: measured within
+    2e-13 (1 + |f|) of exact binomial powers for t <= 120, with either
+    weights.  Used only on scan grids.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
     if count == 1:
         return _eta_sums([complex(0.5, t_lo)], coeffs=coeffs)[0]
-    depth = coeffs.size - 1
-    log_base, _, weights = _eta_weights(depth, 0)
+    if coeffs is None:
+        weights = _borwein_weights(_borwein_order(t_top))
+        moduli = _moduli(weights.shape[0] - 1, 0.5)
+    else:
+        coeffs = np.asarray(coeffs, dtype=float)
+        weights = _eta_weights(coeffs.size - 1, 0)[2]
+        moduli = np.power(np.arange(1.0, coeffs.size + 1.0), -0.5) * coeffs
+    terms = weights.shape[0]
+    log_base = np.log(np.arange(1.0, terms + 1.0))
     q = math.isqrt(count - 1) + 1
     seeds = _phasors(t_lo + step * (q * np.arange(-(-count // q))), log_base)
     offsets = _phasors(step * np.arange(q), log_base)
-    scaled = (weights * (np.power(np.arange(1.0, depth + 2.0), -0.5) * coeffs)[:, None]).T
-    blocks = (seeds[:, None, :] * scaled).reshape(-1, depth + 1) @ offsets.T
+    blocks = (seeds[:, None, :] * (weights * moduli[:, None]).T).reshape(-1, terms) @ offsets.T
     sums = blocks.reshape(seeds.shape[0], 7, q).transpose(0, 2, 1).reshape(-1, 7)
-    return _settled(sums[:count], depth)
+    return _settled(sums[:count], terms - 1)
 
 
 def eta(s: complex) -> complex:

@@ -129,14 +129,15 @@ def _finite_series_tools(
 
 def _line_grid(coeffs, step: float) -> Callable[[np.ndarray], np.ndarray]:
     """f at s = 1/2 + i t of the _eta_sums series with this coefficient row
-    on a scan grid ts, t_lo + j step with the window top appended when it
-    falls off the lattice: the lattice by _eta_line's factorized phases,
-    the appended top by exact powers.
+    (eta for None) on a scan grid ts, t_lo + j step with the window top
+    appended when it falls off the lattice: the lattice by _eta_line's
+    factorized phases (eta with Borwein's weights sized for the window
+    top), the appended top by exact powers.
     """
     def grid(ts: np.ndarray) -> np.ndarray:
         count = ts.size - int(ts[-1] != ts[0] + step * (ts.size - 1))
         top = _eta_sums(0.5 + 1j * ts[count:], coeffs=coeffs)[0]
-        return np.append(_eta_line(ts[0], step, count, coeffs), top)
+        return np.append(_eta_line(ts[0], step, count, coeffs, t_top=ts[-1]), top)
 
     return grid
 
@@ -220,14 +221,17 @@ def scan_zeros(
 
     The grid t_lo + j step (with t_hi appended when it falls off it) is
     evaluated by specfun._eta_line's factorized phases, within 2e-13
-    (1 + |f|) of exact powers; grid values only choose the candidates.
+    (1 + |f|) of exact powers; in limit mode its lattice sums eta with
+    Borwein's weights, about 20 + 0.9 t_hi terms where the binomial depth
+    takes 64 + 2.3 t_hi.  Grid values only choose the candidates.
     Grid minima of the normalized modulus qualify as candidates when they
     fall below 0.1 times the window median (robust against shallow dips
     between zeros); all candidates are Newton-refined together, each inside
     its bracket, with the analytic derivative of the objective at exact
-    powers.  Unconverged candidates are flagged, never dropped.  Records
-    come back sorted by t.  A grid whose points times terms per point
-    exceeds _MAX_SCAN_ELEMENTS is refused with DomainError before any work.
+    powers and binomial weights.  Unconverged candidates are flagged, never
+    dropped.  Records come back sorted by t.  A grid whose points times
+    binomial terms per point (64 + 2.3 t_hi, in both modes) exceeds
+    _MAX_SCAN_ELEMENTS is refused with DomainError before any work.
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
         raise DomainError("scan range must be finite")
@@ -260,23 +264,17 @@ def scan_zeros(
         ts = np.append(ts, t_hi)
 
     if mode == "limit":
-        # eta, c_k = 1 at the depth of the grid's top point, which can pass
-        # t_hi by a rounding (the depth eta_grid took over the whole grid)
-        depth = _eta_depth(0.5 + 1j * ts[-1:])
-        newton, fgrid = _line_newton(), _line_grid(np.ones(depth + 1), step)
+        newton, fgrid = _line_newton(), _line_grid(None, step)
     else:
         newton, fgrid = _finite_series_tools(int(n), float(lam), float(t_hi), step)
     fgrid_vals = fgrid(ts)
 
     mags = np.abs(fgrid_vals)
     threshold = 0.1 * float(np.median(mags))
-    candidates = [
-        i
-        for i in range(1, ts.size - 1)
-        if mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1] and mags[i] < threshold
-    ]
+    inner = mags[1:-1]
+    candidates = 1 + np.flatnonzero((inner <= mags[:-2]) & (inner <= mags[2:]) & (inner < threshold))
 
-    records = _refine_all(newton, ts[candidates], step, refine_tol, int(n)) if candidates else []
+    records = _refine_all(newton, ts[candidates], step, refine_tol, int(n)) if candidates.size else []
     records.sort(key=lambda r: r.t)
     merged: List[ZeroRecord] = []
     for rec in records:

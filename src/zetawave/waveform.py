@@ -26,6 +26,7 @@ from .errors import DomainError, NonConvergenceError, OverflowRangeError
 from .quad import _gauss_panels, tail_cutoff_for
 from .specfun import (
     TruncationPolicy,
+    _TINY,
     _binomial_weights,
     _eta_depth,
     _eta_sums,
@@ -414,11 +415,17 @@ def varphi_zero(s: complex) -> complex:
 
     Gamma(1-s) (-2i)^{1/2-s} / sqrt(2 pi) with the principal branch
     (-2i)^{1/2-s} = exp[(1/2-s)(ln 2 - i pi/2)]; continuous along the
-    critical line and nonvanishing wherever Gamma(1-s) is finite.
+    critical line and nonvanishing wherever Gamma(1-s) is finite.  On the
+    line its modulus falls like e^{-pi t}: from t ~ 226 it is no longer a
+    normal double (a subnormal keeps too few digits, and from t ~ 237 it
+    is 0), and OverflowRangeError is raised instead.
     """
     z = complex(s)
     branch = (0.5 - z) * complex(math.log(2.0), -0.5 * math.pi)
-    return gamma_complex(1.0 - z) * cmath.exp(branch) / SQRT_2PI
+    value = gamma_complex(1.0 - z) * cmath.exp(branch) / SQRT_2PI
+    if abs(value) < _TINY:
+        raise OverflowRangeError(f"|varphi_zero(s)| falls below double-precision range at s = {z}")
+    return value
 
 
 # ---------------------------------------------------------------------------

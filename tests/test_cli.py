@@ -374,6 +374,23 @@ def test_boundary_past_the_gamma_range_exits_3(capsys, t):
     assert err.startswith("error: ") and "double-precision range" in err
 
 
+@pytest.mark.parametrize("t", ["230", "300"])
+def test_boundary_below_the_normal_range_exits_3(capsys, t):
+    # |varphi_zero(1/2 + it)| leaves the normal doubles near t = 225.5:
+    # --t 230 printed a subnormal with wrong digits (1.159e-313) and
+    # --t 300 printed -0,0,0, both with exit 0
+    rc, out, err = run_cli(capsys, "boundary", "--t", t, "--variant", "limit")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ") and "double-precision range" in err
+
+
+def test_boundary_just_inside_the_normal_range(capsys):
+    rc, out, _ = run_cli(capsys, "boundary", "--t", "220", "--variant", "limit")
+    assert rc == 0
+    assert csv_rows(out, BOUNDARY_HEADER)[0][8] == "3.18702807105245e-300"
+
+
 def test_off_axis_value_where_the_weight_underflows(capsys):
     # chi_1000(2000) = 0.0100316490260881 (mpmath) while e^{-1000} is 0 in
     # doubles; the report used to print 0,0,0

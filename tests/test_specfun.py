@@ -5,13 +5,14 @@ Bessel and eta values against mpmath evaluated at high working precision,
 and the gamma function against mpmath plus its own functional equation.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zetawave import (
@@ -31,7 +32,16 @@ from zetawave import (
     xi_aux,
     zeta,
 )
-from zetawave.specfun import _binomial_weights, _eta_depth, _eta_line, _eta_sums
+from zetawave.specfun import (
+    _binomial_weights,
+    _borwein_order,
+    _borwein_tails,
+    _borwein_weights,
+    _eta_depth,
+    _eta_line,
+    _eta_sums,
+    _settled,
+)
 from zetawave.waveform import _bare_overlaps
 
 mp.mp.dps = 40
@@ -226,6 +236,30 @@ def test_eta_derivative_against_mpmath(sigma, t):
     assert abs(derivs[0] - want) <= 1e-9 * abs(want)
 
 
+def _numpy_depth(s: np.ndarray) -> int:
+    """_eta_depth as one numpy expression per point: the reference the scalar form must equal."""
+    with np.errstate(over="ignore"):  # 2.3 t overflows to inf past t ~ 7.8e307: depth 420
+        depth = 64 + np.ceil(2.3 * np.abs(s.imag)) + np.where(s.real < 0.5, 16, 0)
+    return int(min(np.max(depth), 420))
+
+
+_depth_sigmas = st.one_of(st.just(0.5), st.floats(-3.0, 3.0))
+_depth_heights = st.one_of(
+    st.floats(-200.0, 200.0), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@given(st.lists(st.tuples(_depth_sigmas, _depth_heights), min_size=1, max_size=12))
+@example([(0.5, 120.0)])
+@example([(-1.0, 1.0), (0.5, 100.0)])  # the sigma < 1/2 point is not the highest
+@example([(0.4999, 120.0), (3.0, 121.0)])
+@example([(0.5, 1e308), (-2.0, -1e308)])  # 2.3 t is infinite: the cap
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+def test_eta_depth_equals_its_numpy_form(points):
+    s = np.array([complex(sigma, t) for sigma, t in points])
+    assert _eta_depth(s) == _numpy_depth(s)
+
+
 @pytest.mark.parametrize("s", [0.5 + 14.134725j, -1.5 + 7.0j, 3.0 + 60.0j])
 def test_eta_sums_unit_row_is_eta(s):
     depth = _eta_depth(np.array([s]))
@@ -245,8 +279,9 @@ def test_eta_sums_refuses_a_row_that_cannot_settle(s):
 
 
 def _line_row(kind: str, depth: int) -> np.ndarray:
-    """eta's unit row, or the finite scan's overlap row at lambda = 12, n = 2."""
-    if kind == "eta":
+    """eta's unit row (also the binomial reference for Borwein's weights), or
+    the finite scan's overlap row at lambda = 12, n = 2."""
+    if kind in ("eta", "borwein"):
         return np.ones(depth + 1)
     row = 0.5 * _bare_overlaps(2, depth, 12.0)
     row[1::2] *= -1.0
@@ -261,18 +296,27 @@ def _lines(draw):
     return t_lo, step, count
 
 
-@given(_lines(), st.sampled_from(["eta", "overlaps"]))
+@given(_lines(), st.sampled_from(["eta", "overlaps", "borwein"]))
 @example((14.0, 0.05, 1), "eta")  # one point: exact powers
+@example((14.0, 0.05, 1), "borwein")
 @example((10.0, 0.1, 2), "overlaps")
+@example((10.0, 0.1, 2), "borwein")
 @example((20.0, 0.05, 47), "eta")  # q = 7 rows of 7, the last one short
+@example((20.0, 0.05, 47), "borwein")
 @example((120.0 - 0.05 * 2397, 0.05, 2398), "eta")  # a window ending at 120
 @example((120.0 - 0.05 * 2397, 0.05, 2398), "overlaps")
+@example((120.0 - 0.05 * 2397, 0.05, 2398), "borwein")
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 def test_eta_line_matches_exact_powers(line, kind):
+    # Borwein's weights (coeffs None) against binomial weights at exact
+    # powers, at the binomial depth of the top point
     t_lo, step, count = line
     ts = t_lo + step * np.arange(count)
     row = _line_row(kind, _eta_depth(0.5 + 1j * ts[-1:]))
-    got = _eta_line(t_lo, step, count, row)
+    if kind == "borwein":
+        got = _eta_line(t_lo, step, count, t_top=ts[-1])
+    else:
+        got = _eta_line(t_lo, step, count, row)
     want = _eta_sums(0.5 + 1j * ts, coeffs=row)[0]
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
@@ -283,6 +327,38 @@ def test_eta_line_matches_exact_powers(line, kind):
 def test_eta_line_keeps_the_settle_check():
     with pytest.raises(NonConvergenceError):
         _eta_line(10.0, 0.05, 30, 4.0 ** np.arange(101))
+    # Borwein's weights: a sum sized for t = 1 (22 terms) on heights near
+    # 100, which need 112, and a diverging row on the same columns
+    with pytest.raises(NonConvergenceError):
+        _eta_line(100.0, 0.05, 30, t_top=1.0)
+    n = _borwein_order(10.0)
+    k = np.arange(n)
+    terms = 4.0**k * np.exp(-(0.5 + 10.0j) * np.log(k + 1.0))
+    with pytest.raises(NonConvergenceError):
+        _settled((terms @ _borwein_weights(n))[None, :], n - 1)
+
+
+def _borwein_d(n: int) -> list:
+    """d_0 .. d_n of Borwein's eta sum as exact integers."""
+    f = math.factorial
+    partial, out = 0, []
+    for i in range(n + 1):
+        partial += Fraction(n * f(n + i - 1) * 4**i, f(n - i) * f(2 * i))
+        out.append(partial)
+    return out
+
+
+@pytest.mark.parametrize("n", [7, 20, 36, 130, 200])
+def test_borwein_tails_against_exact_integers(n):
+    d = _borwein_d(n)
+    assert all(v.denominator == 1 for v in d)
+    want = np.array([float((d[n] - d[k]) / d[n]) for k in range(n)])
+    got = _borwein_tails(n)
+    assert got.shape == (n,) and not got.flags.writeable
+    assert np.all(np.abs(got - want) <= 1e-14)
+    weights = _borwein_weights(n)
+    assert weights.shape == (n, 7) and not weights.flags.writeable
+    assert np.array_equal(weights[:, 0], np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * got)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 81, 421, 1100])
@@ -373,6 +449,23 @@ def test_gamma_functional_equation_seeded():
         rhs = z * gamma_complex(z)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     assert worst <= 1e-10
+
+
+@given(st.floats(-2.0, 3.0), st.floats(-60.0, 60.0))
+@example(0.5, 0.0)
+@example(-1.5, 0.3)
+@example(3.0, 60.0)
+@example(-2.0, -60.0)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+def test_gamma_recurrence_and_reflection(sigma, t):
+    # Gamma(z+1) = z Gamma(z) and Gamma(z) Gamma(1-z) sin(pi z) = pi over
+    # the contract region, a distance 0.05 from every pole of either side
+    z = complex(sigma, t)
+    assume(abs(z - round(sigma)) >= 0.05)
+    rhs = z * gamma_complex(z)
+    assert abs(gamma_complex(z + 1.0) - rhs) <= 1e-12 * abs(rhs)
+    product = gamma_complex(z) * gamma_complex(1.0 - z) * cmath.sin(cmath.pi * z)
+    assert abs(product - math.pi) <= 1e-12 * math.pi
 
 
 def test_gamma_pole_guard():

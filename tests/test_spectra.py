@@ -25,7 +25,7 @@ from zetawave import (
 )
 from zetawave.oracles import euler_naive
 from zetawave import spectra
-from zetawave.specfun import _eta_sums
+from zetawave.specfun import _eta_depth, _eta_sums
 from zetawave.spectra import _MAX_NEWTON, SCAN_MODES
 from zetawave.waveform import _bare_overlaps
 
@@ -164,13 +164,19 @@ def test_scan_to_calibration_limit_matches_mpmath_zetazero():
         assert 1 <= rec.iterations <= _MAX_NEWTON
 
 
-def _exact_power_line(t_lo, step, count, coeffs):
+def _exact_power_line(t_lo, step, count, coeffs=None, t_top=None):
+    # binomial weights at exact powers in both modes, independent of the
+    # lattice: for the limit grid's eta (coeffs None, Borwein's weights in
+    # _eta_line) a row of ones at the binomial depth of the window top
+    if coeffs is None:
+        coeffs = np.ones(_eta_depth(np.array([0.5 + 1j * t_top])) + 1)
     return _eta_sums(0.5 + 1j * (t_lo + step * np.arange(count)), coeffs=coeffs)[0]
 
 
 def test_scan_records_match_an_exact_power_grid(monkeypatch):
-    # the factorized grid values move in their last bits; the candidates
-    # they pick, and so every refined record, must not move at all
+    # the factorized grid values (with Borwein's weights in limit mode)
+    # move in their last bits; the candidates they pick, and so every
+    # refined record, must not move at all
     rng = np.random.default_rng(20261018)
     windows = []
     for i in range(24):

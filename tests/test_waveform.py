@@ -388,6 +388,24 @@ def test_varphi_zero_against_mpmath():
     assert abs(got - complex(want)) <= 1e-12 * abs(complex(want))
 
 
+@pytest.mark.parametrize("t", [200.0, 220.0, 225.0])
+def test_varphi_zero_holds_its_digits_to_the_normal_range(t):
+    s = mp.mpc("0.5", t)
+    want = complex(mp.gamma(1 - s) * mp.power(mp.mpc(0, -2), mp.mpf("0.5") - s) / mp.sqrt(2 * mp.pi))
+    got = varphi_zero(complex(0.5, t))
+    assert abs(got) >= np.finfo(float).tiny
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("t", [226.0, 230.0, 237.0, 300.0, 440.0])
+def test_varphi_zero_refuses_a_modulus_below_the_normal_range(t):
+    # |varphi_zero(1/2 + it)| ~ e^{-pi t} leaves the normal doubles near
+    # t = 225.5: t = 230 came back as a subnormal with wrong digits and
+    # t = 300 as 0, while Gamma(1/2 - it) itself still holds to t ~ 451
+    with pytest.raises(OverflowRangeError):
+        varphi_zero(complex(0.5, t))
+
+
 def test_varphi_zero_branch_walk():
     ts = np.arange(0.0, 30.0 + 1e-9, 0.02)
     vals = np.array([varphi_zero(complex(0.5, t)) for t in ts])
