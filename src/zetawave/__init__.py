@@ -15,8 +15,6 @@ from .errors import (
 )
 from .oracles import apply_bk_operator, apply_number_operator, eta_naive, quad_naive
 from .quad import (
-    ENDPOINT_SINGULAR,
-    SMOOTH_DECAYING,
     QuadratureSpec,
     QuadResult,
     default_spec,
@@ -25,12 +23,8 @@ from .quad import (
     tail_cutoff_for,
 )
 from .specfun import (
-    SpectralParameter,
-    TruncationPolicy,
-    bessel_i0,
     bessel_i0_scaled,
     chi,
-    critical_point,
     eta,
     eta_grid,
     gamma_complex,
@@ -48,14 +42,12 @@ from .spectra import (
 )
 from .verify import CheckResult, check_names, run_checks
 from .waveform import (
-    EigenvalueRecord,
     MehlerSeriesResult,
     QuantumNumber,
     SqueezeParameter,
     TildeExpansion,
     WaveSample,
     boundary_levels,
-    eigenvalue_of,
     mehler_closed,
     mehler_series,
     overlap_s1,

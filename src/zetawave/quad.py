@@ -1,17 +1,18 @@
-"""Half-line quadrature with two deliberate schemes, not one black box.
+"""Half-line quadrature: panelled Gauss-Legendre with panel halving.
 
-Endpoint-singular integrands (u^{s-1} g(u) with sigma near 1/2) go through
-the substitution u = e^v, which turns the oscillatory algebraic singularity
-into a pure Fourier mode times a smooth envelope on a finite v-interval.
-Smooth exponentially decaying integrands get panelwise fixed-order
-Gauss-Legendre directly.  Both report an a posteriori error from panel
-halving plus an explicit bound for the discarded tail.
+Smooth exponentially decaying integrands go to integrate_halfline, which
+applies the panels directly.  Endpoint-singular integrands u^{s-1} g(u)
+go to integrate_singular_log, whose substitution u = e^v turns the
+oscillatory algebraic singularity into a pure Fourier mode times a smooth
+envelope on a finite v-interval, summed in 80-bit extended precision.
+Both report an a posteriori error from panel halving plus an explicit
+bound for the discarded tail.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -29,26 +30,20 @@ __all__ = [
     "integrate_singular_log",
 ]
 
-ENDPOINT_SINGULAR = "endpoint-singular"
-SMOOTH_DECAYING = "smooth-decaying"
-
 # Hard ceiling on panels * nodes_per_panel after all refinement.
 NODE_BUDGET = 400_000
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Scheme, subdivision, and tail handling for one half-line integral."""
+    """Subdivision and tail handling for one half-line integral."""
 
-    scheme: str
     panels: int = 64
     nodes_per_panel: int = 12
     tail_cutoff: float = 40.0
     target_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.scheme not in (ENDPOINT_SINGULAR, SMOOTH_DECAYING):
-            raise DomainError(f"unknown quadrature scheme {self.scheme!r}")
         if self.panels < 1 or self.nodes_per_panel < 2:
             raise DomainError("need panels >= 1 and nodes_per_panel >= 2")
         if not (self.tail_cutoff > 0.0 and math.isfinite(self.tail_cutoff)):
@@ -76,27 +71,14 @@ def tail_cutoff_for(rate: float, target_tol: float, scale: float = 1.0) -> float
     return max(1.0, math.log(10.0 * max(scale, target_tol) / target_tol) / rate)
 
 
-def default_spec(
-    scheme: str,
-    *,
-    tail_cutoff: float = 40.0,
-    target_tol: float = 1e-10,
-    t_hint: float = 0.0,
-) -> QuadratureSpec:
-    """Reasonable starting subdivision for the given scheme.
+def default_spec(*, tail_cutoff: float = 40.0, target_tol: float = 1e-10) -> QuadratureSpec:
+    """Starting subdivision of about one order-12 panel per unit of u.
 
-    For the singular scheme the panel count scales with the oscillation
-    frequency |t| so that each order-12 panel sees at most ~6 radians of
-    phase; refinement from there is cheap.
+    integrate_singular_log raises the panel count further with the
+    oscillation frequency Im s of its integrand.
     """
-    if scheme == ENDPOINT_SINGULAR:
-        span = abs(_log_lower_cut(target_tol, 0.5)) + max(math.log(tail_cutoff), 1.0)
-        panels = max(24, int(math.ceil(abs(t_hint) * span / 6.0)))
-    else:
-        panels = max(16, int(math.ceil(tail_cutoff)))
     return QuadratureSpec(
-        scheme=scheme,
-        panels=panels,
+        panels=max(16, int(math.ceil(tail_cutoff))),
         nodes_per_panel=12,
         tail_cutoff=tail_cutoff,
         target_tol=target_tol,
@@ -224,29 +206,14 @@ def _log_lower_cut(target_tol: float, sigma: float) -> float:
 def integrate_halfline(f: Callable, spec: QuadratureSpec) -> QuadResult:
     """Integrate f over (0, infinity) under the given spec.
 
-    The value carries an a posteriori error estimate from panel halving
-    and an explicit tail bound for the mass beyond tail_cutoff (plus the
-    mass below the lower cut in the singular scheme).  Raises
-    NonConvergenceError if halving cannot reach target_tol inside the
-    node budget.
+    f must be smooth on [0, tail_cutoff]; endpoint-singular integrands
+    belong to integrate_singular_log.  The value carries an a posteriori
+    error estimate from panel halving and an explicit tail bound for the
+    mass beyond tail_cutoff.  Raises NonConvergenceError if halving cannot
+    reach target_tol inside the node budget.
     """
     tail = _geometric_tail_bound(f, spec.tail_cutoff)
-    if spec.scheme == ENDPOINT_SINGULAR:
-        v_lo = _log_lower_cut(spec.target_tol, 0.5)
-        v_hi = math.log(spec.tail_cutoff)
-
-        def transformed(v: np.ndarray) -> np.ndarray:
-            u = np.exp(v)
-            return _eval(f, u) * u
-
-        value, err, used = _refine(transformed, v_lo, v_hi, spec)
-        u_lo = math.exp(v_lo)
-        head = 2.0 * abs(complex(_eval(f, np.array([u_lo]))[0])) * u_lo
-        tail += head
-    elif spec.scheme == SMOOTH_DECAYING:
-        value, err, used = _refine(f, 0.0, spec.tail_cutoff, spec)
-    else:  # pragma: no cover - QuadratureSpec validation already rejects this
-        raise DomainError(f"unknown scheme {spec.scheme!r}")
+    value, err, used = _refine(f, 0.0, spec.tail_cutoff, spec)
     return QuadResult(value, err + tail, tail, used)
 
 
@@ -256,7 +223,9 @@ def integrate_singular_log(f: Callable, s: complex, spec: QuadratureSpec) -> Qua
     f is the bounded factor g(u) only; the u^{s-1} endpoint behaviour is
     handled analytically by the substitution, under which the integrand
     becomes e^{s v} g(e^v): a pure Fourier mode in v times a smooth
-    envelope.  Requires Re s > 0 for integrability at the endpoint.
+    envelope.  Requires Re s > 0 for integrability at the endpoint.  The
+    halving starts from at least enough panels for each order-12 panel to
+    see about 6 radians of that mode's phase, |Im s| (v_hi - v_lo) / 6.
     """
     z = complex(s)
     sigma = z.real
@@ -264,6 +233,7 @@ def integrate_singular_log(f: Callable, s: complex, spec: QuadratureSpec) -> Qua
         raise DomainError("integrate_singular_log requires Re s > 0")
     v_lo = _log_lower_cut(spec.target_tol, sigma)
     v_hi = math.log(spec.tail_cutoff)
+    panels = max(spec.panels, int(math.ceil(abs(z.imag) * (v_hi - v_lo) / 6.0)))
 
     def transformed(v: np.ndarray) -> np.ndarray:
         vl = v.astype(np.longdouble)
@@ -276,7 +246,8 @@ def integrate_singular_log(f: Callable, s: complex, spec: QuadratureSpec) -> Qua
         phase = np.longdouble(z.imag) * vl
         return envelope * (np.cos(phase) + 1j * np.sin(phase)) * g
 
-    value, err, used = _refine(transformed, v_lo, v_hi, spec, extended=True)
+    start = replace(spec, panels=panels)
+    value, err, used = _refine(transformed, v_lo, v_hi, start, extended=True)
 
     def weighted(u: np.ndarray) -> np.ndarray:
         return u ** (z - 1.0) * _eval(f, u)

@@ -2,10 +2,10 @@
 
 Everything is hand-rolled on top of numpy so each piece has a known,
 separately testable error budget: a Lanczos gamma, one Laguerre recurrence
-for L_n and its exponentially weighted cousin chi_n, the modified Bessel
-function I0, and the Dirichlet eta / zeta pair evaluated through a globally
-convergent binomial double sum.  No arbitrary-precision arithmetic
-anywhere; the contract region is sigma in [-2, 3], |t| <= 60.
+for L_n and its exponentially weighted cousin chi_n, the scaled modified
+Bessel function e^{-z} I0(z), and the Dirichlet eta / zeta pair evaluated
+through a globally convergent binomial double sum.  No arbitrary-precision
+arithmetic anywhere; the contract region is sigma in [-2, 3], |t| <= 60.
 
 Alternating sums take Euler's weights, the Bin(n, 1/2) tails of
 _binomial_weights: Euler's transform of sum_k (-1)^k a_k regroups exactly
@@ -28,20 +28,15 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, OverflowRangeError
 
 __all__ = [
-    "SpectralParameter",
-    "TruncationPolicy",
-    "critical_point",
     "gamma_complex",
     "laguerre",
     "chi",
-    "bessel_i0",
     "bessel_i0_scaled",
     "eta",
     "eta_grid",
@@ -50,56 +45,6 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class SpectralParameter:
-    """Spectral point s = sigma + i t.
-
-    Critical-line scans fix sigma = 1/2 exactly; the numerical contracts of
-    this module are calibrated for sigma in [-2, 3] and |t| <= 60.
-    """
-
-    sigma: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and math.isfinite(self.t)):
-            raise DomainError("spectral parameter must be finite")
-
-    @property
-    def value(self) -> complex:
-        return complex(self.sigma, self.t)
-
-    @classmethod
-    def from_complex(cls, s: complex) -> "SpectralParameter":
-        s = complex(s)
-        return cls(s.real, s.imag)
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Cutoff rules shared by every infinite sum in the package."""
-
-    max_terms: int = 400
-    abs_tol: float = 1e-12
-    rel_tol: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
-            raise DomainError("tolerances must be nonnegative")
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            raise DomainError("at least one tolerance must be positive")
-
-    def converged(self, last_term: float, accumulated: float) -> bool:
-        return last_term <= self.abs_tol + self.rel_tol * abs(accumulated)
-
-
-def critical_point(t: float) -> complex:
-    """s = 1/2 + i t."""
-    return complex(0.5, t)
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +250,6 @@ def bessel_i0_scaled(z):
     if np.any(~small):
         out[~small] = _i0e_asym(arr[~small])
     return float(out[0]) if scalar else out
-
-
-def bessel_i0(z):
-    """Modified Bessel function I0(z), real z >= 0.
-
-    Relative error below 1e-13 for z <= 700.  Beyond z ~ 709 the value
-    exceeds double range and OverflowRangeError is raised; callers that
-    only need ratios should use bessel_i0_scaled.
-    """
-    arr = np.asarray(z, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("bessel_i0 requires z >= 0")
-    if np.any(arr > 709.0):
-        raise OverflowRangeError("I0(z) overflows for z > 709; use bessel_i0_scaled")
-    scaled = bessel_i0_scaled(arr)
-    return scaled * np.exp(arr) if isinstance(scaled, np.ndarray) else scaled * math.exp(arr)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,8 @@ class ZeroRecord:
     height; converged records met refine_tol, the rest are kept with the
     flag down rather than dropped (finite-squeeze zeros sit slightly off
     the line, so their on-line modulus floors at the displacement scale).
+    energy is n - t, the eigenvalue E = i(s - 1/2) + n at s = 1/2 + it,
+    with n the level index passed to the scan.
     """
 
     t: float

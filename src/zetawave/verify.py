@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DomainError
 from .oracles import apply_bk_operator, apply_number_operator, eta_naive, euler_naive
 from .quad import (
-    SMOOTH_DECAYING,
     QuadratureSpec,
     _gauss_panels,
     default_spec,
@@ -24,7 +23,6 @@ from .quad import (
     tail_cutoff_for,
 )
 from .specfun import (
-    TruncationPolicy,
     chi,
     eta,
     gamma_complex,
@@ -38,6 +36,7 @@ from .waveform import (
     mehler_series,
     overlap_s1,
     phi_confined,
+    phi_s,
     psi_boundary_batch,
     psi_boundary_limit,
     squeeze_apply,
@@ -142,7 +141,7 @@ def _check_gamma_functional() -> tuple[float, str]:
 
 
 def _check_quad_linearity() -> tuple[float, str]:
-    spec = default_spec(SMOOTH_DECAYING, target_tol=1e-10)
+    spec = default_spec(target_tol=1e-10)
     alpha, beta = 2.5, -1.25
     f = lambda u: np.exp(-u)
     g = lambda u: u * np.exp(-0.5 * u)
@@ -169,7 +168,7 @@ def _check_quad_doubling() -> tuple[float, str]:
 
 def _check_quad_tail_honesty() -> tuple[float, str]:
     spec = QuadratureSpec(
-        scheme=SMOOTH_DECAYING, panels=64, nodes_per_panel=12,
+        panels=64, nodes_per_panel=12,
         tail_cutoff=40.0, target_tol=1e-11,
     )
     res = integrate_halfline(lambda u: np.exp(-0.5 * u), spec)
@@ -196,11 +195,10 @@ def _check_squeeze_unitarity() -> tuple[float, str]:
             squeezed = squeeze_apply(psi, lam)
             scaled_rate = rate * math.exp(-lam)
             base_spec = QuadratureSpec(
-                scheme=SMOOTH_DECAYING, panels=64, nodes_per_panel=12,
+                panels=64, nodes_per_panel=12,
                 tail_cutoff=tail_cutoff_for(rate, 1e-13), target_tol=1e-11,
             )
             sq_spec = QuadratureSpec(
-                scheme=SMOOTH_DECAYING,
                 panels=max(64, int(tail_cutoff_for(scaled_rate, 1e-13) / 4.0)),
                 nodes_per_panel=12,
                 tail_cutoff=tail_cutoff_for(scaled_rate, 1e-13),
@@ -250,14 +248,20 @@ def _check_boundary_factorization() -> tuple[float, str]:
 
 
 def _check_confined_boundary() -> tuple[float, str]:
-    policy = TruncationPolicy(max_terms=160, abs_tol=1e-13)
+    # the literal series 2 sum_m (-1)^m (m+1)^{-s} phi_s(x/(m+1)), with
+    # varphi_zero(s) for phi_s(0), summed by iterated averaging
+    x = 0.7
+    m = np.arange(64)
+    signs = np.where(m % 2 == 0, 2.0, -2.0)
     worst = 0.0
     for t in (0.0, 3.0, 10.0):
         s = complex(0.5, t)
-        value, _ = phi_confined(0.0, s, policy=policy)
-        want = 2.0 * varphi_zero(s) * eta(s)
-        worst = max(worst, abs(value - want) / abs(want))
-    return worst, "confined profile at x = 0 vs boundary identity"
+        weights = signs * np.exp(-s * np.log1p(m))
+        want, _ = euler_naive(weights * varphi_zero(s))
+        worst = max(worst, abs(phi_confined(0.0, s) - want) / abs(want))
+    want, _ = euler_naive(weights * phi_s(x / (m + 1.0), s))
+    worst = max(worst, abs(phi_confined(x, s) - want) / abs(want))
+    return worst, "confined profile vs iterated averaging of its series, x = 0 and 0.7"
 
 
 def _check_varphi_branch() -> tuple[float, str]:

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError, OverflowRangeError
 from .quad import _gauss_panels, tail_cutoff_for
 from .specfun import (
-    TruncationPolicy,
     _TINY,
     _binomial_weights,
     _eta_depth,
@@ -42,7 +41,6 @@ __all__ = [
     "SqueezeParameter",
     "QuantumNumber",
     "WaveSample",
-    "EigenvalueRecord",
     "TildeExpansion",
     "MehlerSeriesResult",
     "ORIGINAL",
@@ -61,7 +59,6 @@ __all__ = [
     "boundary_levels",
     "phi_confined",
     "tilde_expansion_check",
-    "eigenvalue_of",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -134,14 +131,6 @@ class WaveSample:
             raise DomainError(f"unknown variant {self.variant!r}")
 
 
-@dataclass(frozen=True)
-class EigenvalueRecord:
-    s: complex
-    n: int
-    energy: complex
-    real_energy: bool
-
-
 class TildeExpansion(NamedTuple):
     exact: complex
     zero_order: complex
@@ -153,15 +142,6 @@ class MehlerSeriesResult(NamedTuple):
     value: Union[float, np.ndarray]
     tail_bound: Union[float, np.ndarray]
     terms_used: int
-
-
-def eigenvalue_of(s: complex, n: int) -> EigenvalueRecord:
-    """Eigenvalue record E = i(s - 1/2) + n; real exactly on the line."""
-    z = complex(s)
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    energy = 1j * (z - 0.5) + n
-    return EigenvalueRecord(s=z, n=int(n), energy=energy, real_energy=(z.real == 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -345,24 +325,26 @@ def mehler_closed(y, yp, t):
 _MAX_MEHLER_TERMS = 2**22
 
 
-def mehler_series(y, yp, t, policy: Optional[TruncationPolicy] = None) -> MehlerSeriesResult:
+def mehler_series(
+    y, yp, t, *, max_terms: int = 400, abs_tol: float = 1e-12
+) -> MehlerSeriesResult:
     """Direct Laguerre-basis sum of the Mehler kernel with a tail bound.
 
     y, yp and t are scalars or arrays that broadcast together.  Scalar
     input gives float value and tail_bound; any array input gives arrays of
     the broadcast shape for both, each element bitwise equal to the scalar
-    call with that element's arguments.  terms_used is the int
-    policy.max_terms either way.  One all-orders Laguerre recurrence runs
-    over the distinct y and y' values and powers are built once per distinct
-    t, so a grid costs one table, not one recurrence per point.
+    call with that element's arguments.  terms_used is the int max_terms
+    either way.  One all-orders Laguerre recurrence runs over the distinct
+    y and y' values and powers are built once per distinct t, so a grid
+    costs one table, not one recurrence per point.
 
     The tail bound uses the half-line envelope |chi_m| <= 1, giving
     tail <= t^{M+1}/(1-t) after terms up to m = M.  Raises DomainError
     when any y or y' is negative or not finite or any t lies outside
-    [0, 1), and before any work when points times max_terms exceed
-    _MAX_MEHLER_TERMS (the longdouble terms would pass 64 MB).  Raises
-    NonConvergenceError when the last included term of any element still
-    exceeds the policy tolerance.
+    [0, 1), when max_terms < 1 or abs_tol is not positive, and before any
+    work when points times max_terms exceed _MAX_MEHLER_TERMS (the
+    longdouble terms would pass 64 MB).  Raises NonConvergenceError when
+    the last included term of any element still exceeds abs_tol.
     """
     ya, yb, ta = np.broadcast_arrays(
         np.asarray(y, dtype=float), np.asarray(yp, dtype=float), np.asarray(t, dtype=float)
@@ -371,9 +353,11 @@ def mehler_series(y, yp, t, policy: Optional[TruncationPolicy] = None) -> Mehler
         raise DomainError("need finite y, y' >= 0")
     if not np.all((ta >= 0.0) & (ta < 1.0)):
         raise DomainError("need 0 <= t < 1")
-    if policy is None:
-        policy = TruncationPolicy(max_terms=400, abs_tol=1e-12)
-    m_max = policy.max_terms - 1
+    if max_terms < 1:
+        raise DomainError("max_terms must be at least 1")
+    if not abs_tol > 0.0:
+        raise DomainError("abs_tol must be positive")
+    m_max = max_terms - 1
     if ya.size * (m_max + 1) > _MAX_MEHLER_TERMS:
         raise DomainError(
             f"Mehler series of {ya.size} points x {m_max + 1} terms exceeds the work "
@@ -393,7 +377,7 @@ def mehler_series(y, yp, t, policy: Optional[TruncationPolicy] = None) -> Mehler
     terms = table[arg_index[:size]] * table[arg_index[size:]] * powers[t_index]
     values = np.sum(terms, axis=1).astype(float)
     lasts = np.abs(terms[:, -1].astype(float))
-    converged = policy.converged(lasts, values)
+    converged = lasts <= abs_tol
     if not np.all(converged):
         last = float(lasts[np.argmin(converged)])
         raise NonConvergenceError(
@@ -675,6 +659,8 @@ def boundary_levels(s_values: Sequence[complex], n: int, lam: float) -> np.ndarr
     arr = np.asarray(list(s_values), dtype=complex)
     if arr.size == 0:
         return np.empty(0, dtype=complex)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("level route requires finite s")
     if any(z.real <= 0.0 for z in arr):
         raise DomainError("level route requires Re s > 0")
     QuantumNumber(int(n))
@@ -688,7 +674,9 @@ def psi_boundary_limit(s: complex, y: float = 0.0) -> complex:
     """Large-squeeze limit of the boundary value.
 
     2 varphi_zero(s) eta(s) at y = 0; exactly 0 for y > 0 (the limit
-    concentrates on the boundary point).  The finite-squeeze original
+    concentrates on the boundary point).  Like varphi_zero, raises
+    OverflowRangeError where the y = 0 value is no longer a normal
+    double.  The finite-squeeze original
     variant approaches the y > 0 limit as varphi_zero(s) chi_n(y)
     (4 e^{-lam}/y)^s, with a relative correction of O(e^{-lam}), so the
     confinement rate is e^{-Re(s) lam}; see psi_boundary.
@@ -700,42 +688,32 @@ def psi_boundary_limit(s: complex, y: float = 0.0) -> complex:
         raise DomainError("y must be finite and >= 0")
     if y > 0.0:
         return 0.0 + 0.0j
-    return 2.0 * varphi_zero(z) * eta(z)
+    value = 2.0 * varphi_zero(z) * eta(z)
+    if abs(value) < _TINY:
+        raise OverflowRangeError(
+            f"|2 varphi_zero(s) eta(s)| falls below double-precision range at s = {z}"
+        )
+    return value
 
 
-def phi_confined(
-    x: float,
-    s: complex,
-    policy: Optional[TruncationPolicy] = None,
-) -> tuple[complex, float]:
-    """Confined profile 2 sum_m (-1)^m (m+1)^{-s} phi_s(x/(m+1)).
+def phi_confined(x: float, s: complex) -> complex:
+    """Confined profile 2 sum_m (-1)^m (m+1)^{-s} phi_s(x/(m+1)), in closed form.
 
-    Euler-accelerated; returns (value, tail_estimate).  At x = 0 every
-    term carries the boundary value varphi_zero(s), and the accelerated
-    sum reproduces 2 varphi_zero(s) eta(s) numerically rather than by
-    shortcut.  With max_terms = 1 the value is the single m = 0 term.
+    For x > 0 each term (m+1)^{-s} phi_s(x/(m+1)) is phi_s(x), so the series
+    is 2 phi_s(x) sum_m (-1)^m, whose Euler (Abel) sum is phi_s(x).  At
+    x = 0 each term carries the boundary value varphi_zero(s) instead, and
+    the series is 2 varphi_zero(s) eta(s), psi_boundary_limit.  The profile
+    is therefore discontinuous at x = 0: it grows like x^{-Re s} as x -> 0+
+    but takes a finite value at 0.
     """
     z = complex(s)
     if z.real <= 0.0:
         raise DomainError("confined profile requires Re s > 0")
     if x < 0.0:
         raise DomainError("x must be >= 0")
-    if policy is None:
-        policy = TruncationPolicy(max_terms=64, abs_tol=1e-12)
-    m_idx = np.arange(policy.max_terms)
-    signs = np.where(m_idx % 2 == 0, 1.0, -1.0)
-    weights = np.exp(-z * np.log(m_idx + 1.0))
     if x == 0.0:
-        prof = np.full(policy.max_terms, varphi_zero(z))
-    else:
-        prof = np.array([phi_s(x / (m + 1.0), z) for m in m_idx])
-    terms = 2.0 * signs * weights * prof
-    value, tail = _euler_accelerated(terms)
-    if not policy.converged(tail, abs(value)):
-        raise NonConvergenceError(
-            f"alternating acceleration stalled at correction {tail:.3g}"
-        )
-    return value, tail
+        return psi_boundary_limit(z)
+    return phi_s(x, z)
 
 
 def tilde_expansion_check(

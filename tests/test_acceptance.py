@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from zetawave import (
-    ENDPOINT_SINGULAR,
     chi,
     default_spec,
     eta,
@@ -198,7 +197,7 @@ def test_criterion_8_eta_integral_identity(capsys):
     worst = 0.0
     for t in (2.0, 4.0, 6.0, 8.0, 10.0):
         s = complex(0.5, t)
-        spec = default_spec(ENDPOINT_SINGULAR, target_tol=1e-12, t_hint=t)
+        spec = default_spec(target_tol=1e-12)
         value = integrate_singular_log(
             lambda u: np.exp(-u) / (1.0 + np.exp(-u)), s, spec
         ).value

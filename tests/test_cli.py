@@ -385,6 +385,16 @@ def test_boundary_below_the_normal_range_exits_3(capsys, t):
     assert err.startswith("error: ") and "double-precision range" in err
 
 
+def test_boundary_limit_product_below_the_normal_range_exits_3(capsys):
+    # varphi_zero(1/2 + 225i) is still a normal double, but the limit value
+    # 2 varphi_zero(s) eta(s) is not: --t 225 printed |psi| = 1.35e-308, a
+    # subnormal, with exit 0
+    rc, out, err = run_cli(capsys, "boundary", "--t", "225", "--variant", "limit")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ") and "double-precision range" in err
+
+
 def test_boundary_just_inside_the_normal_range(capsys):
     rc, out, _ = run_cli(capsys, "boundary", "--t", "220", "--variant", "limit")
     assert rc == 0

@@ -7,7 +7,6 @@ import pytest
 
 from zetawave import (
     DomainError,
-    SMOOTH_DECAYING,
     StepSizeError,
     apply_bk_operator,
     apply_number_operator,
@@ -148,5 +147,5 @@ def test_quad_naive_cross_checks_mehler_integrand():
         return mehler_closed(1.3, yp, t_param) * chi(4, eps * yp)
 
     simpson = quad_naive(f, 0.0, 40.0, panels=20_000)
-    gauss = integrate_halfline(f, default_spec(SMOOTH_DECAYING)).value
+    gauss = integrate_halfline(f, default_spec()).value
     assert abs(simpson - gauss) <= 1e-7

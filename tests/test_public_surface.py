@@ -6,8 +6,10 @@ A name left in __all__ after its definition is gone breaks
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +32,16 @@ def test_all_names_resolve(name):
     namespace: dict = {}
     exec(f"from zetawave.{name} import *", namespace)
     assert set(getattr(module, "__all__", [])) <= set(namespace)
+
+
+def test_package_reexports_only_exported_names():
+    # a name re-exported from zetawave/__init__.py but missing from its
+    # module's __all__ is a surface no module declares
+    tree = ast.parse(Path(zetawave.__file__).read_text())
+    stray = [
+        f"{node.module}.{alias.name}"
+        for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"zetawave.{node.module}").__all__
+    ]
+    assert stray == []

@@ -8,9 +8,7 @@ import pytest
 
 from zetawave import (
     DomainError,
-    ENDPOINT_SINGULAR,
     NonConvergenceError,
-    SMOOTH_DECAYING,
     QuadratureSpec,
     default_spec,
     eta,
@@ -19,38 +17,30 @@ from zetawave import (
     integrate_singular_log,
     tail_cutoff_for,
 )
-from zetawave.quad import NODE_BUDGET, _gauss_panels
+from zetawave.quad import NODE_BUDGET, _gauss_panels, _log_lower_cut
 
 
-def smooth_spec(**kw):
-    base = dict(
-        scheme=SMOOTH_DECAYING, panels=64, nodes_per_panel=12,
-        tail_cutoff=40.0, target_tol=1e-11,
-    )
+def make_spec(**kw):
+    base = dict(panels=64, nodes_per_panel=12, tail_cutoff=40.0, target_tol=1e-11)
     base.update(kw)
     return QuadratureSpec(**base)
 
 
 def test_plain_exponential():
-    res = integrate_halfline(lambda u: np.exp(-u), smooth_spec())
+    res = integrate_halfline(lambda u: np.exp(-u), make_spec())
     assert abs(res.value - 1.0) <= 1e-12
     assert res.error <= 1e-10
 
 
 def test_inverse_sqrt_singularity():
-    spec = QuadratureSpec(
-        scheme=ENDPOINT_SINGULAR, panels=64, nodes_per_panel=12,
-        tail_cutoff=40.0, target_tol=1e-11,
-    )
-    res = integrate_halfline(lambda u: np.exp(-u) / np.sqrt(u), spec)
+    res = integrate_singular_log(lambda u: np.exp(-u), 0.5, make_spec())
     assert abs(res.value - math.sqrt(math.pi)) <= 1e-10
 
 
 def test_eta_integral_identity():
     s = 0.5 + 5j
-    spec = default_spec(ENDPOINT_SINGULAR, t_hint=5.0)
-    res = integrate_halfline(
-        lambda u: u ** (s - 1.0) * np.exp(-u) / (1.0 + np.exp(-u)), spec
+    res = integrate_singular_log(
+        lambda u: np.exp(-u) / (1.0 + np.exp(-u)), s, default_spec()
     )
     want = gamma_complex(s) * eta(s)
     assert abs(res.value - want) <= 1e-8 * abs(want)
@@ -58,19 +48,30 @@ def test_eta_integral_identity():
 
 def test_singular_log_gamma():
     s = 0.5 + 10j
-    spec = default_spec(ENDPOINT_SINGULAR, t_hint=10.0)
+    spec = default_spec()
     res = integrate_singular_log(lambda u: np.exp(-u), s, spec)
     assert abs(res.value - gamma_complex(s)) <= 1e-9
+
+
+def test_singular_log_sizes_its_panels_from_im_s():
+    # the halving starts from the larger of spec.panels and one panel per
+    # ~6 radians of the phase t v over [v_lo, v_hi]
+    s = 0.5 + 10j
+    f = lambda u: np.exp(-u)
+    v_lo, v_hi = _log_lower_cut(1e-11, 0.5), math.log(40.0)
+    rule = math.ceil(10.0 * (v_hi - v_lo) / 6.0)
+    res = integrate_singular_log(f, s, make_spec(panels=1))
+    assert res == integrate_singular_log(f, s, make_spec(panels=rule))
+    assert res.panels_used >= 2 * rule
+    assert abs(res.value - gamma_complex(s)) <= 1e-9
+    wide = integrate_singular_log(f, s, make_spec(panels=4 * rule))
+    assert wide.panels_used >= 8 * rule
 
 
 def test_singular_log_truncated_plateau():
     # g jumps to zero at u = 1; setting the cutoff on the jump keeps the
     # panelled region smooth and the integral is just 2 sqrt(u) at 1
-    spec = QuadratureSpec(
-        scheme=ENDPOINT_SINGULAR, panels=64, nodes_per_panel=12,
-        tail_cutoff=1.0, target_tol=1e-11,
-    )
-    res = integrate_singular_log(lambda u: np.ones_like(u), 0.5, spec)
+    res = integrate_singular_log(lambda u: np.ones_like(u), 0.5, make_spec(tail_cutoff=1.0))
     assert abs(res.value - 2.0) <= 1e-10
 
 
@@ -78,7 +79,7 @@ def test_singular_log_vanishes_at_first_zero():
     # the bound is ~5.7e-16 absolute, so the head cut has to sit deeper
     # than the default tolerance would place it
     s = complex(0.5, 14.134725)
-    spec = default_spec(ENDPOINT_SINGULAR, target_tol=1e-13, t_hint=15.0)
+    spec = default_spec(target_tol=1e-13)
     res = integrate_singular_log(
         lambda u: np.exp(-u) / (1.0 + np.exp(-u)), s, spec
     )
@@ -86,7 +87,7 @@ def test_singular_log_vanishes_at_first_zero():
 
 
 def test_linearity():
-    spec = smooth_spec()
+    spec = make_spec()
     f = lambda u: np.exp(-u)
     g = lambda u: u * np.exp(-2.0 * u)
     combined = integrate_halfline(lambda u: 3.0 * f(u) - 2.0 * g(u), spec).value
@@ -98,13 +99,13 @@ def test_doubling_never_raises_error_estimate():
     f = lambda u: np.exp(-u) * np.cos(3.0 * u)
     errors = []
     for panels in (16, 32, 64, 128):
-        res = integrate_halfline(f, smooth_spec(panels=panels, target_tol=1e-14))
+        res = integrate_halfline(f, make_spec(panels=panels, target_tol=1e-14))
         errors.append(res.error)
     assert all(b <= a * 1.0000001 for a, b in zip(errors, errors[1:]))
 
 
 def test_tail_bound_honest_for_known_tail():
-    res = integrate_halfline(lambda u: np.exp(-0.5 * u), smooth_spec())
+    res = integrate_halfline(lambda u: np.exp(-0.5 * u), make_spec())
     true_tail = 2.0 * math.exp(-20.0)
     assert true_tail <= res.tail_bound
 
@@ -117,24 +118,20 @@ def test_tail_cutoff_for_sizing():
 def test_budget_guard_on_spec():
     with pytest.raises(DomainError):
         QuadratureSpec(
-            scheme=SMOOTH_DECAYING, panels=NODE_BUDGET, nodes_per_panel=12,
-            tail_cutoff=40.0, target_tol=1e-10,
+            panels=NODE_BUDGET, nodes_per_panel=12, tail_cutoff=40.0, target_tol=1e-10
         )
 
 
 def test_nonconvergence_when_budget_too_small():
     # order-2 panels cannot resolve this oscillation even after the
     # halving loop exhausts the node budget
-    spec = QuadratureSpec(
-        scheme=SMOOTH_DECAYING, panels=2, nodes_per_panel=2,
-        tail_cutoff=40.0, target_tol=1e-13,
-    )
+    spec = QuadratureSpec(panels=2, nodes_per_panel=2, tail_cutoff=40.0, target_tol=1e-13)
     with pytest.raises(NonConvergenceError):
         integrate_halfline(lambda u: np.cos(2.0e4 * u) * np.exp(-0.1 * u), spec)
 
 
 def test_result_exposes_complex_protocol():
-    res = integrate_halfline(lambda u: np.exp(-u), smooth_spec())
+    res = integrate_halfline(lambda u: np.exp(-u), make_spec())
     assert complex(res) == res.value
 
 

@@ -21,14 +21,11 @@ from zetawave import (
     NonConvergenceError,
     OverflowRangeError,
     QuantumNumber,
-    SMOOTH_DECAYING,
     SqueezeParameter,
-    TruncationPolicy,
     WaveSample,
     boundary_levels,
     chi,
     default_spec,
-    eigenvalue_of,
     eta,
     integrate_halfline,
     mehler_closed,
@@ -39,6 +36,7 @@ from zetawave import (
     psi_boundary,
     psi_boundary_limit,
     psi_full,
+    scan_zeros,
     squeeze_apply,
     tilde_expansion_check,
     varphi_zero,
@@ -59,7 +57,7 @@ FIRST_ORDINATE = 14.134725141734694
 
 
 # ---------------------------------------------------------------------------
-# phi_s and eigenvalues
+# phi_s
 # ---------------------------------------------------------------------------
 
 
@@ -103,27 +101,25 @@ def test_phi_s_refuses_non_finite_input():
             phi_s(np.array([1.0, x]), s)
 
 
+# ---------------------------------------------------------------------------
+# eigenvalues E = i(s - 1/2) + n, carried by the zero records of a scan
+# ---------------------------------------------------------------------------
+
+
 def test_eigenvalue_at_first_ordinate():
-    rec = eigenvalue_of(complex(0.5, 14.134725), 0)
-    assert rec.real_energy
-    assert abs(rec.energy - (-14.134725)) <= 1e-12
+    (rec,) = scan_zeros(13.0, 16.0)
+    assert abs(rec.t - FIRST_ORDINATE) <= 1e-9
+    assert rec.energy == -rec.t
 
 
 def test_eigenvalue_shift_by_level():
-    rec = eigenvalue_of(0.5 + 7.25j, 3)
-    assert abs(rec.energy - (-7.25 + 3.0)) <= 1e-12
-
-
-def test_eigenvalue_off_line():
-    # i(s - 1/2) has imaginary part sigma - 1/2
-    rec = eigenvalue_of(0.6 + 4j, 0)
-    assert not rec.real_energy
-    assert abs(rec.energy.imag - 0.1) <= 1e-12
+    (rec,) = scan_zeros(13.0, 16.0, n=3)
+    assert rec.energy == 3.0 - rec.t
 
 
 def test_eigenvalue_guard():
     with pytest.raises(DomainError):
-        eigenvalue_of(0.5 + 1j, -2)
+        scan_zeros(13.0, 16.0, n=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +144,10 @@ def test_squeeze_norm_on_exponential():
     lam = math.log(3.0)
     sq = squeeze_apply(lambda x: np.exp(-x), lam)
     # squeezed decay rate is 2 e^{-lam}, so the cutoff scales with e^lam
-    spec = default_spec(SMOOTH_DECAYING, tail_cutoff=40.0 * math.exp(lam))
+    spec = default_spec(tail_cutoff=40.0 * math.exp(lam))
     norm = integrate_halfline(lambda x: np.abs(sq(x)) ** 2, spec).value
     base = integrate_halfline(
-        lambda x: np.exp(-2.0 * x), default_spec(SMOOTH_DECAYING)
+        lambda x: np.exp(-2.0 * x), default_spec()
     ).value
     assert abs(norm - 0.5) <= 1e-10
     assert abs(base - 0.5) <= 1e-10
@@ -167,13 +163,11 @@ def test_squeeze_unitary_on_family():
     ]
     for f in family:
         base = integrate_halfline(
-            lambda x: np.abs(f(x)) ** 2, default_spec(SMOOTH_DECAYING, tail_cutoff=80.0)
+            lambda x: np.abs(f(x)) ** 2, default_spec(tail_cutoff=80.0)
         ).value
         for lam in (0.0, 1.0, 5.0):
             sq = squeeze_apply(f, lam)
-            spec = default_spec(
-                SMOOTH_DECAYING, tail_cutoff=80.0 * math.exp(lam)
-            )
+            spec = default_spec(tail_cutoff=80.0 * math.exp(lam))
             norm = integrate_halfline(lambda x: np.abs(sq(x)) ** 2, spec).value
             assert abs(norm - base) <= 1e-8, (f, lam)
 
@@ -265,7 +259,7 @@ def test_mehler_closed_axis_value():
 
 def test_mehler_closed_vs_series_midpoint():
     closed = mehler_closed(1.0, 1.0, 0.5)
-    series = mehler_series(1.0, 1.0, 0.5, TruncationPolicy(max_terms=201, abs_tol=1e-13))
+    series = mehler_series(1.0, 1.0, 0.5, max_terms=201, abs_tol=1e-13)
     assert abs(closed - series.value) <= 1e-10
 
 
@@ -315,7 +309,17 @@ def test_mehler_series_tail_honest():
 
 def test_mehler_series_refuses_tiny_budget():
     with pytest.raises(NonConvergenceError):
-        mehler_series(1.0, 1.0, 0.9, TruncationPolicy(max_terms=10, abs_tol=1e-12))
+        mehler_series(1.0, 1.0, 0.9, max_terms=10, abs_tol=1e-12)
+
+
+def test_mehler_series_budget_guards():
+    for budget in (dict(max_terms=0), dict(abs_tol=0.0), dict(abs_tol=-1e-12), dict(abs_tol=math.nan)):
+        with pytest.raises(DomainError):
+            mehler_series(1.0, 1.0, 0.5, **budget)
+    # on the axis every chi_m is 1, so the last of 8 terms is 0.5^7 = 7.8e-3
+    assert mehler_series(0.0, 0.0, 0.5, max_terms=8, abs_tol=1e-2).terms_used == 8
+    with pytest.raises(NonConvergenceError):
+        mehler_series(0.0, 0.0, 0.5, max_terms=8, abs_tol=5e-3)
 
 
 # y, y' in [0, 10], t in [0, 0.9] on a broadcast (y, y', t) grid; each
@@ -346,13 +350,13 @@ def test_mehler_series_array_is_the_scalar_call(ys, yps, ts):
 @settings(derandomize=True, database=None, deadline=None)
 def test_mehler_series_array_refuses_one_stalled_element(points, where):
     # t <= 0.01 converges within 10 terms; (1, 1, 0.9) does not
-    policy = TruncationPolicy(max_terms=10, abs_tol=1e-12)
+    budget = dict(max_terms=10, abs_tol=1e-12)
     y, yp, t = (np.array(axis) for axis in zip(*points))
-    mehler_series(y, yp, t, policy)
+    mehler_series(y, yp, t, **budget)
     where = min(where, len(points))
     y, yp, t = (np.insert(axis, where, bad) for axis, bad in zip((y, yp, t), (1.0, 1.0, 0.9)))
     with pytest.raises(NonConvergenceError):
-        mehler_series(y, yp, t, policy)
+        mehler_series(y, yp, t, **budget)
 
 
 def test_mehler_series_array_work_limit():
@@ -720,6 +724,16 @@ def test_boundary_limit_at_half():
     assert abs(got) > 0.1
 
 
+def test_boundary_limit_refuses_a_modulus_below_the_normal_range():
+    # varphi_zero is still a normal double at t = 225, but 2 varphi_zero(s)
+    # eta(s) is not: it came back as a subnormal with lost digits
+    s = complex(0.5, 225.0)
+    assert abs(varphi_zero(s)) >= np.finfo(float).tiny
+    with pytest.raises(OverflowRangeError, match="below double-precision range"):
+        psi_boundary_limit(s)
+    assert abs(psi_boundary_limit(complex(0.5, 220.0))) >= np.finfo(float).tiny
+
+
 def test_boundary_limit_off_point_is_zero():
     assert psi_boundary_limit(0.5 + 3j, y=0.7) == 0.0
 
@@ -750,6 +764,10 @@ def test_boundary_levels_guards():
     assert boundary_levels([], 0, 1.0).size == 0
     with pytest.raises(DomainError):
         boundary_levels([-1.0 + 2j], 0, 1.0)
+    # a NaN height reached the depth rule and raised a bare ValueError
+    for bad in (complex(0.5, math.nan), complex(math.nan, 2.0), complex(0.5, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            boundary_levels([0.5 + 3j, bad], 0, 12.0)
 
 
 # ---------------------------------------------------------------------------
@@ -757,23 +775,49 @@ def test_boundary_levels_guards():
 # ---------------------------------------------------------------------------
 
 
+def _confined_at_zero(t: float) -> complex:
+    """2 varphi_zero(s) eta(s) at s = 1/2 + it, from mpmath."""
+    s = mp.mpc("0.5", t)
+    varphi = mp.gamma(1 - s) * mp.power(mp.mpc(0, -2), mp.mpf("0.5") - s) / mp.sqrt(2 * mp.pi)
+    return complex(2 * varphi * mp.altzeta(s))
+
+
 def test_confined_boundary_value_matches_limit():
-    s = 0.5 + 3j
-    value, tail = phi_confined(0.0, s)
-    assert abs(value - psi_boundary_limit(s)) <= 1e-12
-    assert tail <= 1e-10
+    assert abs(phi_confined(0.0, 0.5 + 3j) - _confined_at_zero(3.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [30.0, 60.0, 100.0])
+def test_confined_boundary_value_against_mpmath(t):
+    # a 64-term Euler transform of the series was off by 2.9e-10, 5.0e-4
+    # and 45 % here while its own correction passed a 1e-12 absolute test
+    want = _confined_at_zero(t)
+    assert abs(phi_confined(0.0, complex(0.5, t)) - want) <= 1e-12 * abs(want)
 
 
 def test_confined_vanishes_at_first_zero():
-    value, _ = phi_confined(0.0, complex(0.5, FIRST_ORDINATE))
-    assert abs(value) <= 1e-8
+    assert abs(phi_confined(0.0, complex(0.5, FIRST_ORDINATE))) <= 1e-8
 
 
-def test_confined_single_term():
-    s = 0.5 + 3j
-    value, tail = phi_confined(0.7, s, policy=TruncationPolicy(max_terms=1, abs_tol=1.0))
-    assert value == 2.0 * phi_s(0.7, s)
-    assert tail == 0.0
+@given(
+    x=st.floats(1e-3, 50.0),
+    sigma=st.floats(0.3, 2.0),
+    t=st.floats(-40.0, 40.0),
+)
+@example(x=0.7, sigma=0.5, t=3.0)
+@settings(derandomize=True, database=None, deadline=None)
+def test_confined_matches_its_literal_series(x, sigma, t):
+    # each term 2 (-1)^m (m+1)^{-s} phi_s(x/(m+1)) is 2 (-1)^m phi_s(x), and
+    # iterated averaging of the alternating series lands on half of 2 phi_s(x)
+    s = complex(sigma, t)
+    value = phi_confined(x, s)
+    m = np.arange(40)
+    signs = np.where(m % 2 == 0, 1.0, -1.0)
+    terms = 2.0 * signs * np.exp(-s * np.log1p(m)) * phi_s(x / (m + 1.0), s)
+    # the rounding of s ln x and s ln(m+1) in each term's exponent
+    rounding = 1e-13 * (1.0 + abs(s) * (abs(math.log(x)) + math.log(40.0)))
+    assert np.all(np.abs(signs * terms - 2.0 * value) <= 2.0 * rounding * abs(value))
+    want, _ = euler_naive(terms)
+    assert abs(value - want) <= rounding * abs(value)
 
 
 def test_confined_guards():
@@ -781,6 +825,9 @@ def test_confined_guards():
         phi_confined(-0.1, 0.5 + 2j)
     with pytest.raises(DomainError):
         phi_confined(1.0, -0.2 + 2j)
+    for x in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            phi_confined(x, 0.5 + 2j)
 
 
 # ---------------------------------------------------------------------------
