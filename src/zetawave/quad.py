@@ -1,19 +1,19 @@
-"""Half-line quadrature: panelled Gauss-Legendre with panel halving.
+"""Half-line quadrature on panelled 12-point Gauss-Legendre grids.
 
 Smooth exponentially decaying integrands go to integrate_halfline, which
-applies the panels directly.  Endpoint-singular integrands u^{s-1} g(u)
-go to integrate_singular_log, whose substitution u = e^v turns the
-oscillatory algebraic singularity into a pure Fourier mode times a smooth
-envelope on a finite v-interval, summed in 80-bit extended precision.
-Both report an a posteriori error from panel halving plus an explicit
-bound for the discarded tail.
+applies the panels directly and reports an a posteriori error from panel
+halving plus an explicit bound for the discarded tail.  Mellin integrals
+(1/scale) int_0^inf u^{s-1} g(u)/(e^u - 1) du go to integrate_singular_log,
+the one engine behind every boundary value: the substitution u = e^v turns
+the algebraic endpoint into a pure Fourier mode e^{s v} times an envelope
+that does not involve s, on a finite v-interval whose grid doubles each
+round, for a whole batch of s in double precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,8 +30,34 @@ __all__ = [
     "integrate_singular_log",
 ]
 
-# Hard ceiling on panels * nodes_per_panel after all refinement.
+# Hard ceiling on the Gauss nodes (12 per panel) of integrate_halfline
+# after all refinement.
 NODE_BUDGET = 400_000
+
+# The 12-point Gauss-Legendre rule on [-1, 1], bitwise numpy's leggauss(12),
+# which is symmetric: the positive nodes ascending, and their weights.
+_HALF_NODES = np.array([
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+])
+_HALF_WEIGHTS = np.array([
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+])
+_GAUSS_NODES = np.concatenate((-_HALF_NODES[::-1], _HALF_NODES))
+_GAUSS_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
+_ORDER = _GAUSS_NODES.size
+
+# Rounds of grid doubling in integrate_singular_log after its first grid.
+_MAX_BOUNDARY_ROUNDS = 5
+# 40_000_000 // (24 * 12): the outer-node count at which the earlier budget
+# on outer times inner quadrature nodes first stopped a boundary request.
+_MAX_OUTER_NODES = 138_888
+
+
+def _positive_finite(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -39,18 +65,15 @@ class QuadratureSpec:
     """Subdivision and tail handling for one half-line integral."""
 
     panels: int = 64
-    nodes_per_panel: int = 12
     tail_cutoff: float = 40.0
     target_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.panels < 1 or self.nodes_per_panel < 2:
-            raise DomainError("need panels >= 1 and nodes_per_panel >= 2")
-        if not (self.tail_cutoff > 0.0 and math.isfinite(self.tail_cutoff)):
-            raise DomainError("tail_cutoff must be positive and finite")
-        if not (self.target_tol > 0.0):
-            raise DomainError("target_tol must be positive")
-        if self.panels * self.nodes_per_panel > NODE_BUDGET:
+        if self.panels < 1:
+            raise DomainError("need panels >= 1")
+        _positive_finite("tail_cutoff", self.tail_cutoff)
+        _positive_finite("target_tol", self.target_tol)
+        if self.panels * _ORDER > NODE_BUDGET:
             raise DomainError("requested node count exceeds the budget")
 
 
@@ -64,58 +87,21 @@ class QuadResult(NamedTuple):
         return self.value
 
 
-def tail_cutoff_for(rate: float, target_tol: float, scale: float = 1.0) -> float:
-    """Cutoff T with scale * e^{-rate*T} <= target_tol / 10."""
-    if rate <= 0.0:
-        raise DomainError("decay rate must be positive")
-    return max(1.0, math.log(10.0 * max(scale, target_tol) / target_tol) / rate)
+def tail_cutoff_for(rate: float, target_tol: float) -> float:
+    """Cutoff T >= 1 with e^{-rate*T} <= target_tol / 10."""
+    _positive_finite("decay rate", rate)
+    _positive_finite("target_tol", target_tol)
+    return max(1.0, math.log(10.0 * max(1.0, target_tol) / target_tol) / rate)
 
 
 def default_spec(*, tail_cutoff: float = 40.0, target_tol: float = 1e-10) -> QuadratureSpec:
-    """Starting subdivision of about one order-12 panel per unit of u.
-
-    integrate_singular_log raises the panel count further with the
-    oscillation frequency Im s of its integrand.
-    """
+    """Starting subdivision of about one 12-point panel per unit of u, at least 16."""
+    _positive_finite("tail_cutoff", tail_cutoff)
     return QuadratureSpec(
         panels=max(16, int(math.ceil(tail_cutoff))),
-        nodes_per_panel=12,
         tail_cutoff=tail_cutoff,
         target_tol=target_tol,
     )
-
-
-@lru_cache(maxsize=32)
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def _legendre_pair(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for k in range(2, order + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = order * (x * p1 - p0) / (x * x - 1.0)
-    return p1, dp
-
-
-@lru_cache(maxsize=32)
-def _gauss_rule_extended(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule refined to 80-bit node placement.
-
-    The double-precision nodes carry ~1 ulp placement error, which for an
-    integrand with derivative ~|t| times its magnitude leaves an absolute
-    floor near |t|*eps*mass.  Two Newton steps on the Legendre recurrence
-    remove it.
-    """
-    x = _gauss_rule(order)[0].astype(np.longdouble)
-    for _ in range(2):
-        p, dp = _legendre_pair(x, order)
-        x = x - p / dp
-    _, dp = _legendre_pair(x, order)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return x, w
 
 
 def _eval(f: Callable, u: np.ndarray) -> np.ndarray:
@@ -123,59 +109,41 @@ def _eval(f: Callable, u: np.ndarray) -> np.ndarray:
     try:
         out = np.asarray(f(u))
         if out.shape == u.shape:
-            if out.dtype in (np.clongdouble, np.longdouble):
-                return out.astype(np.clongdouble, copy=False)
             return out.astype(complex, copy=False)
     except (TypeError, ValueError):
         pass
     return np.array([complex(f(float(v))) for v in u], dtype=complex)
 
 
-def _gauss_panels(
-    a: float, b: float, panels: int, order: int, extended: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights, order points on each of panels
-    equal panels of [a, b]; extended=True builds them in longdouble from the
-    80-bit rule of _gauss_rule_extended."""
-    if extended:
-        x, w = _gauss_rule_extended(order)
-        edges = np.linspace(np.longdouble(a), np.longdouble(b), panels + 1)
-    else:
-        x, w = _gauss_rule(order)
-        edges = np.linspace(a, b, panels + 1)
+def _gauss_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, 12 points on each of panels
+    equal panels of [a, b]."""
+    edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * x[None, :]).ravel()
-    return nodes, np.tile(half * w, panels)
+    nodes = (mid[:, None] + half * _GAUSS_NODES[None, :]).ravel()
+    return nodes, np.tile(half * _GAUSS_WEIGHTS, panels)
 
 
-def _panel_sum(
-    f: Callable, a: float, b: float, panels: int, order: int, extended: bool = False
-) -> complex:
-    nodes, weights = _gauss_panels(a, b, panels, order, extended)
-    vals = _eval(f, nodes)
-    if vals.dtype == np.clongdouble:
-        return complex(np.sum(vals * weights))
-    vals = vals * weights
+def _panel_sum(f: Callable, a: float, b: float, panels: int) -> complex:
+    nodes, weights = _gauss_panels(a, b, panels)
+    vals = _eval(f, nodes) * weights
     # Compensated final reduction: the oscillatory integrands cancel to
     # near the rounding floor and pairwise summation noise would show up
     # in the tightest downstream tolerances.
     return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
 
-def _refine(
-    f: Callable, a: float, b: float, spec: QuadratureSpec, extended: bool = False
-) -> tuple[complex, float, int]:
-    order = spec.nodes_per_panel
+def _refine(f: Callable, a: float, b: float, spec: QuadratureSpec) -> tuple[complex, float, int]:
     panels = spec.panels
-    coarse = _panel_sum(f, a, b, panels, order, extended)
+    coarse = _panel_sum(f, a, b, panels)
     err = math.inf
     while True:
-        if 2 * panels * order > NODE_BUDGET:
+        if 2 * panels * _ORDER > NODE_BUDGET:
             raise NonConvergenceError(
                 f"panel halving hit the node budget with error estimate {err:.3g}"
             )
-        fine = _panel_sum(f, a, b, 2 * panels, order, extended)
+        fine = _panel_sum(f, a, b, 2 * panels)
         err = abs(fine - coarse)
         panels *= 2
         coarse = fine
@@ -197,62 +165,89 @@ def _geometric_tail_bound(f: Callable, cutoff: float) -> float:
     return m0 * (1.0 / -math.log(ratio) + 1.0)
 
 
-def _log_lower_cut(target_tol: float, sigma: float) -> float:
-    # Envelope on the v-line is bounded by C e^{sigma v}; this cut keeps
-    # the discarded (-inf, v_lo] mass below target_tol/10 for C up to ~100.
-    return (math.log(target_tol) - math.log(10.0)) / sigma - 6.0
-
-
 def integrate_halfline(f: Callable, spec: QuadratureSpec) -> QuadResult:
     """Integrate f over (0, infinity) under the given spec.
 
-    f must be smooth on [0, tail_cutoff]; endpoint-singular integrands
-    belong to integrate_singular_log.  The value carries an a posteriori
-    error estimate from panel halving and an explicit tail bound for the
-    mass beyond tail_cutoff.  Raises NonConvergenceError if halving cannot
-    reach target_tol inside the node budget.
+    f must be smooth on [0, tail_cutoff]; endpoint-singular Mellin
+    integrands belong to integrate_singular_log.  The value carries an a
+    posteriori error estimate from panel halving and an explicit tail bound
+    for the mass beyond tail_cutoff.  Raises NonConvergenceError if halving
+    cannot reach target_tol inside the node budget.
     """
     tail = _geometric_tail_bound(f, spec.tail_cutoff)
     value, err, used = _refine(f, 0.0, spec.tail_cutoff, spec)
     return QuadResult(value, err + tail, tail, used)
 
 
-def integrate_singular_log(f: Callable, s: complex, spec: QuadratureSpec) -> QuadResult:
-    """Integrate u^{s-1} f(u) over (0, infinity) via u = e^v.
+def integrate_singular_log(
+    g: Callable,
+    s_values: np.ndarray,
+    head: float,
+    scale: np.ndarray,
+    tols: np.ndarray,
+    envelope: float = 1.0,
+) -> tuple[np.ndarray, float]:
+    """(1/scale) int_0^inf u^{s-1} g(u)/(e^u - 1) du for a batch of s.
 
-    f is the bounded factor g(u) only; the u^{s-1} endpoint behaviour is
-    handled analytically by the substitution, under which the integrand
-    becomes e^{s v} g(e^v): a pure Fourier mode in v times a smooth
-    envelope.  Requires Re s > 0 for integrability at the endpoint.  The
-    halving starts from at least enough panels for each order-12 panel to
-    see about 6 radians of that mode's phase, |Im s| (v_hi - v_lo) / 6.
+    Returns (values, err), err the largest change of the last doubling.
+    Under u = e^v the integrand is e^{s v} g(e^v)/(e^{e^v} - 1): a Fourier
+    mode times a kernel that does not involve s, so each grid evaluates g
+    once and each point costs one phase sum.  The grid is 12-point
+    Gauss-Legendre on [v_lo, ln 45], starting from one panel per 6 radians
+    of the phase (1 + max|Im s|) v (at least 24 panels) and doubling until
+    every point moves by at most its tolerance (tols broadcasts against
+    s_values); NonConvergenceError after _MAX_BOUNDARY_ROUNDS doublings or
+    once a grid would pass _MAX_OUTER_NODES nodes, before it is built.
+    Above ln 45 the kernel is below e^{-45} times g.
+
+    head is the u -> 0 limit of g(u)/(e^u - 1).  Below the cut u_lo = e^{v_lo}
+    the integrand is u^{s-1} (head + O(envelope u)), so head u_lo^s / s is
+    added back analytically and the cut only controls the next order: it
+    discards less than min(tols) min|scale| / 10, the raw tolerance, for
+    every point.  scale is a nonzero value or array that broadcasts
+    against s_values, such as Gamma(s).
     """
-    z = complex(s)
-    sigma = z.real
-    if sigma <= 0.0:
-        raise DomainError("integrate_singular_log requires Re s > 0")
-    v_lo = _log_lower_cut(spec.target_tol, sigma)
-    v_hi = math.log(spec.tail_cutoff)
-    panels = max(spec.panels, int(math.ceil(abs(z.imag) * (v_hi - v_lo) / 6.0)))
-
-    def transformed(v: np.ndarray) -> np.ndarray:
-        vl = v.astype(np.longdouble)
-        # Envelope, phase, and abscissas at 80 bits: near an eta zero the
-        # integral cancels to ~1e-16 of the term mass, beyond what
-        # double-precision node values can resolve.  Integrands written
-        # with numpy ufuncs inherit the extended precision.
-        g = _eval(f, np.exp(vl)).astype(np.clongdouble)
-        envelope = np.exp(np.longdouble(sigma) * vl)
-        phase = np.longdouble(z.imag) * vl
-        return envelope * (np.cos(phase) + 1j * np.sin(phase)) * g
-
-    start = replace(spec, panels=panels)
-    value, err, used = _refine(transformed, v_lo, v_hi, start, extended=True)
-
-    def weighted(u: np.ndarray) -> np.ndarray:
-        return u ** (z - 1.0) * _eval(f, u)
-
-    tail = _geometric_tail_bound(weighted, spec.tail_cutoff)
-    u_lo = math.exp(v_lo)
-    head = abs(complex(_eval(f, np.array([u_lo]))[0])) * u_lo**sigma / sigma
-    return QuadResult(value, err + tail + head, tail + head, used)
+    s = np.asarray(s_values, dtype=complex).reshape(-1)
+    scale = np.asarray(scale, dtype=complex)
+    tols = np.asarray(tols, dtype=float)
+    moduli = np.abs(scale)
+    if s.size == 0:
+        raise DomainError("Mellin integral needs at least one point s")
+    # NaN fails every comparison below, so these checks also reject it
+    sig_min, t_max = float(s.real.min()), float(np.abs(s.imag).max())
+    if not (sig_min > 0.0 and s.real.max() < math.inf and t_max < math.inf):
+        raise DomainError("Mellin integral requires finite s with Re s > 0")
+    tol_min, modulus_min = float(tols.min()), float(moduli.min())
+    if not (tol_min > 0.0 and tols.max() < math.inf):
+        raise DomainError("Mellin tolerances must be positive and finite")
+    if not (modulus_min > 0.0 and moduli.max() < math.inf):
+        raise DomainError("Mellin scale must be finite and nonzero")
+    _positive_finite("envelope", envelope)
+    raw_tol = tol_min * modulus_min
+    if raw_tol == 0.0:
+        raise DomainError("Mellin tolerance times |scale| underflows to 0")
+    cut = math.log(raw_tol) - math.log(10.0) - math.log(envelope)
+    v_lo = cut / (sig_min + 1.0) - 6.0
+    v_hi = math.log(45.0)
+    head_terms = head * np.exp(s * v_lo) / s
+    panels = max(24, int(math.ceil((1.0 + t_max) * (v_hi - v_lo) / 6.0)))
+    prev = None
+    err = math.inf
+    for _ in range(_MAX_BOUNDARY_ROUNDS + 1):
+        if panels * _ORDER > _MAX_OUTER_NODES:
+            break
+        v, w = _gauss_panels(v_lo, v_hi, panels)
+        u = np.exp(v)
+        kernel = w * g(u) / np.expm1(u)
+        vals = np.empty(s.size, dtype=complex)
+        for lo in range(0, s.size, 128):
+            vals[lo : lo + 128] = np.exp(np.multiply.outer(s[lo : lo + 128], v)) @ kernel
+        vals = (vals + head_terms) / scale
+        if prev is not None:
+            diffs = np.abs(vals - prev)
+            err = float(np.max(diffs))
+            if np.all(diffs <= tols):
+                return vals, err
+        prev = vals
+        panels *= 2
+    raise NonConvergenceError(f"Mellin quadrature stalled at discrepancy {err:.3g}")

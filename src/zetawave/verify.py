@@ -82,7 +82,7 @@ def _check_chi_orthonormality() -> tuple[float, str]:
     cutoff = 42.0 + tail_cutoff_for(0.3, 1e-12)
     grams = []
     for panels in (160, 320):
-        nodes, weights = _gauss_panels(0.0, cutoff, panels, 12)
+        nodes, weights = _gauss_panels(0.0, cutoff, panels)
         rows = np.array([chi(n, nodes) for n in range(11)])
         grams.append((rows * weights) @ rows.T)
     halving = float(np.max(np.abs(grams[1] - grams[0])))
@@ -158,7 +158,7 @@ def _check_quad_doubling() -> tuple[float, str]:
     ]
     worst = 0.0
     for f in tests:
-        grids = [_gauss_panels(0.0, 40.0, p, 12) for p in (16, 32, 64, 128, 256)]
+        grids = [_gauss_panels(0.0, 40.0, p) for p in (16, 32, 64, 128, 256)]
         vals = [float(np.sum(w * f(x))) for x, w in grids]
         diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
         for a, b in zip(diffs, diffs[1:]):
@@ -167,10 +167,7 @@ def _check_quad_doubling() -> tuple[float, str]:
 
 
 def _check_quad_tail_honesty() -> tuple[float, str]:
-    spec = QuadratureSpec(
-        panels=64, nodes_per_panel=12,
-        tail_cutoff=40.0, target_tol=1e-11,
-    )
+    spec = QuadratureSpec(panels=64, tail_cutoff=40.0, target_tol=1e-11)
     res = integrate_halfline(lambda u: np.exp(-0.5 * u), spec)
     true_tail = 2.0 * math.exp(-20.0)
     return true_tail / res.tail_bound, "known discarded tail vs reported bound, ratio <= 1"
@@ -195,12 +192,10 @@ def _check_squeeze_unitarity() -> tuple[float, str]:
             squeezed = squeeze_apply(psi, lam)
             scaled_rate = rate * math.exp(-lam)
             base_spec = QuadratureSpec(
-                panels=64, nodes_per_panel=12,
-                tail_cutoff=tail_cutoff_for(rate, 1e-13), target_tol=1e-11,
+                panels=64, tail_cutoff=tail_cutoff_for(rate, 1e-13), target_tol=1e-11
             )
             sq_spec = QuadratureSpec(
                 panels=max(64, int(tail_cutoff_for(scaled_rate, 1e-13) / 4.0)),
-                nodes_per_panel=12,
                 tail_cutoff=tail_cutoff_for(scaled_rate, 1e-13),
                 target_tol=1e-11,
             )

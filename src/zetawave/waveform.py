@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, OverflowRangeError
-from .quad import _gauss_panels, tail_cutoff_for
+from .quad import _gauss_panels, integrate_singular_log, tail_cutoff_for
 from .specfun import (
     _TINY,
     _binomial_weights,
@@ -286,7 +286,7 @@ def overlap_s1(m: int, n: int, lam: float, *, bare: bool = False) -> float:
     # chi_m oscillates out to roughly 4m + 2 and only then starts its
     # exponential tail, so the cutoff must scale with the order.
     cutoff = 4.0 * m + 2.0 + 6.0 * (m + 1.0) ** (1.0 / 3.0) + tail_cutoff_for(0.3, 1e-13)
-    nodes, weights = _gauss_panels(0.0, cutoff, max(32, int(cutoff)), 12)
+    nodes, weights = _gauss_panels(0.0, cutoff, max(32, int(cutoff)))
     value = float(np.dot(weights * chi(n, math.exp(-p.lam) * nodes), chi(m, nodes)))
     if bare:
         return value
@@ -453,12 +453,6 @@ def _euler_accelerated_rows(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Boundary integral
 # ---------------------------------------------------------------------------
 
-_MAX_BOUNDARY_ROUNDS = 5
-# 40_000_000 // (24 * 12): the outer-node count at which the earlier budget
-# on outer times inner quadrature nodes first stopped a request.
-_MAX_OUTER_NODES = 138_888
-
-
 def _inner_profile(u: np.ndarray, Y: float, lam: float, n: int) -> np.ndarray:
     """Inner transverse integral, without the 1/(1-t) factor, per outer node.
 
@@ -500,13 +494,13 @@ def _boundary_eta_scale(
 ) -> tuple[np.ndarray, float]:
     """Boundary integral divided by Gamma(s), batched over spectral points.
 
-    The integrand, u^{s-1} e^{-u}/(1-e^{-u}) times the exact _inner_profile,
-    is summed on a Gauss-Legendre grid in v = log u that doubles each round;
-    the inner values do not involve s, so each point costs one phase sum.
-    Convergence is controlled on
-    this eta-normalized scale, which is O(1) uniformly in t; per-point
-    tolerances are clamped to the double-precision floor, which grows like
-    e^{pi t/2} because the raw integral is O(|Gamma(s)|).
+    The integrand u^{s-1} e^{-u}/(1-e^{-u}) times the exact _inner_profile
+    goes to quad.integrate_singular_log, whose grid in v = log u doubles
+    each round; the inner values do not involve s, so each point costs one
+    phase sum.  Convergence is controlled on this eta-normalized scale,
+    which is O(1) uniformly in t; per-point tolerances are clamped to the
+    double-precision floor, which grows like e^{pi t/2} because the raw
+    integral is O(|Gamma(s)|).
     """
     if not np.all(np.isfinite(s_values)):
         raise DomainError("boundary integral requires finite s")
@@ -514,52 +508,17 @@ def _boundary_eta_scale(
         raise DomainError("boundary tolerance must be finite")
     eps = math.exp(-lam)
     Y = (math.exp(lam) if variant == ORIGINAL else eps) * y
-    sig_min = float(min(z.real for z in s_values))
-    if sig_min <= 0.0:
-        raise DomainError("boundary integral requires Re s > 0")
-    t_max = float(max(abs(z.imag) for z in s_values))
     gammas = np.array([gamma_complex(z) for z in s_values])
     floors = np.array([_eta_scale_floor(z) for z in s_values])
     if target_tol is None:
         tols = np.maximum(1e-9, 30.0 * floors)
     else:
         tols = np.maximum(float(target_tol), 3.0 * floors)
-    # The lower cut must discard less than the *raw* tolerance tol |Gamma|,
-    # since the integral itself is O(|Gamma(s)|).  Below the cut the
-    # integrand is u^{s-1} [J(0) + O(u) + O(Y u)] with J(0) = chi_n(eps Y),
-    # so the J(0) u_lo^s / s head is restored analytically and the cut only
-    # needs to control the next order, hence the sigma + 1 in the exponent.
-    raw_tol = float(np.min(tols)) * float(np.min(np.abs(gammas)))
-    v_lo = (math.log(raw_tol) - math.log(10.0) - math.log(1.0 + Y)) / (
-        sig_min + 1.0
-    ) - 6.0
-    v_hi = math.log(45.0)
-    head_amp = float(chi(n, eps * Y))
-    head = head_amp * np.exp(s_values * v_lo) / s_values
-    panels = max(24, int(math.ceil((1.0 + t_max) * (v_hi - v_lo) / 6.0)))
-    order = 12
-    prev = None
-    err = math.inf
-    for _ in range(_MAX_BOUNDARY_ROUNDS + 1):
-        v, w = _gauss_panels(v_lo, v_hi, panels, order)
-        u = np.exp(v)
-        kernel = w * _inner_profile(u, Y, lam, n) / np.expm1(u)
-        vals = np.empty(s_values.size, dtype=complex)
-        for lo in range(0, s_values.size, 128):
-            chunk = s_values[lo : lo + 128]
-            vals[lo : lo + 128] = np.exp(np.multiply.outer(chunk, v)) @ kernel
-        vals = (vals + head) / gammas
-        if prev is not None:
-            diffs = np.abs(vals - prev)
-            err = float(np.max(diffs))
-            if np.all(diffs <= tols):
-                return vals, err
-        prev = vals
-        panels *= 2
-        if panels * order > _MAX_OUTER_NODES:
-            break
-    raise NonConvergenceError(
-        f"boundary quadrature stalled at eta-scale discrepancy {err:.3g}"
+    # Near u = 0 the integrand is u^{s-1} [J(0) + O(u) + O(Y u)], where
+    # J(0) = chi_n(eps Y) is the limit of the inner profile over e^u - 1.
+    return integrate_singular_log(
+        lambda u: _inner_profile(u, Y, lam, n), s_values, float(chi(n, eps * Y)),
+        gammas, tols, envelope=1.0 + Y,
     )
 
 

@@ -1,10 +1,15 @@
 """Half-line quadrature engine: pinned integrals, invariants, guards."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetawave import (
     DomainError,
@@ -17,13 +22,25 @@ from zetawave import (
     integrate_singular_log,
     tail_cutoff_for,
 )
-from zetawave.quad import NODE_BUDGET, _gauss_panels, _log_lower_cut
+from zetawave.quad import NODE_BUDGET, _GAUSS_NODES, _GAUSS_WEIGHTS, _gauss_panels
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_spec(**kw):
-    base = dict(panels=64, nodes_per_panel=12, tail_cutoff=40.0, target_tol=1e-11)
+    base = dict(panels=64, tail_cutoff=40.0, target_tol=1e-11)
     base.update(kw)
     return QuadratureSpec(**base)
+
+
+def one_minus_exp(u):
+    # with g = 1 - e^{-u}, g/(e^u - 1) = e^{-u}: the Mellin integral is Gamma(s)
+    return -np.expm1(-u)
+
+
+def half_tanh(u):
+    # with g = tanh(u/2), g/(e^u - 1) = 1/(e^u + 1): the Mellin integral is Gamma(s) eta(s)
+    return np.tanh(0.5 * u)
 
 
 def test_plain_exponential():
@@ -33,57 +50,100 @@ def test_plain_exponential():
 
 
 def test_inverse_sqrt_singularity():
-    res = integrate_singular_log(lambda u: np.exp(-u), 0.5, make_spec())
-    assert abs(res.value - math.sqrt(math.pi)) <= 1e-10
+    values, _ = integrate_singular_log(one_minus_exp, [0.5], 1.0, 1.0, 1e-10)
+    assert abs(values[0] - math.sqrt(math.pi)) <= 1e-10
 
 
 def test_eta_integral_identity():
     s = 0.5 + 5j
-    res = integrate_singular_log(
-        lambda u: np.exp(-u) / (1.0 + np.exp(-u)), s, default_spec()
-    )
-    want = gamma_complex(s) * eta(s)
-    assert abs(res.value - want) <= 1e-8 * abs(want)
+    values, _ = integrate_singular_log(half_tanh, [s], 0.5, gamma_complex(s), 1e-9)
+    assert abs(values[0] - eta(s)) <= 1e-8 * abs(eta(s))
 
 
 def test_singular_log_gamma():
     s = 0.5 + 10j
-    spec = default_spec()
-    res = integrate_singular_log(lambda u: np.exp(-u), s, spec)
-    assert abs(res.value - gamma_complex(s)) <= 1e-9
+    values, _ = integrate_singular_log(one_minus_exp, [s], 1.0, 1.0, 1e-9)
+    assert abs(values[0] - gamma_complex(s)) <= 1e-9
 
 
 def test_singular_log_sizes_its_panels_from_im_s():
-    # the halving starts from the larger of spec.panels and one panel per
-    # ~6 radians of the phase t v over [v_lo, v_hi]
-    s = 0.5 + 10j
-    f = lambda u: np.exp(-u)
-    v_lo, v_hi = _log_lower_cut(1e-11, 0.5), math.log(40.0)
-    rule = math.ceil(10.0 * (v_hi - v_lo) / 6.0)
-    res = integrate_singular_log(f, s, make_spec(panels=1))
-    assert res == integrate_singular_log(f, s, make_spec(panels=rule))
-    assert res.panels_used >= 2 * rule
-    assert abs(res.value - gamma_complex(s)) <= 1e-9
-    wide = integrate_singular_log(f, s, make_spec(panels=4 * rule))
-    assert wide.panels_used >= 8 * rule
+    # the first grid has one 12-point panel per 6 radians of the phase
+    # (1 + t_max) v over [v_lo, ln 45], at least 24, and each round doubles it
+    sizes = []
 
+    def counted(u):
+        sizes.append(u.size)
+        return one_minus_exp(u)
 
-def test_singular_log_truncated_plateau():
-    # g jumps to zero at u = 1; setting the cutoff on the jump keeps the
-    # panelled region smooth and the integral is just 2 sqrt(u) at 1
-    res = integrate_singular_log(lambda u: np.ones_like(u), 0.5, make_spec(tail_cutoff=1.0))
-    assert abs(res.value - 2.0) <= 1e-10
+    v_lo = (math.log(1e-9) - math.log(10.0)) / 1.5 - 6.0
+    first = []
+    for t_max in (0.0, 10.0):
+        sizes.clear()
+        integrate_singular_log(counted, [0.5, complex(0.5, t_max)], 1.0, 1.0, 1e-9)
+        rule = math.ceil((1.0 + t_max) * (math.log(45.0) - v_lo) / 6.0)
+        assert sizes[0] == 12 * max(24, rule)
+        assert sizes[1:] == [sizes[0] * 2**k for k in range(1, len(sizes))]
+        first.append(sizes[0])
+    assert first[0] == 12 * 24 < first[1]
 
 
 def test_singular_log_vanishes_at_first_zero():
-    # the bound is ~5.7e-16 absolute, so the head cut has to sit deeper
-    # than the default tolerance would place it
+    # on the Gamma scale the value is eta(s), whose zero leaves only the
+    # quadrature error; measured 5.5e-7 at tol 1e-6
     s = complex(0.5, 14.134725)
-    spec = default_spec(target_tol=1e-13)
-    res = integrate_singular_log(
-        lambda u: np.exp(-u) / (1.0 + np.exp(-u)), s, spec
-    )
-    assert abs(res.value) <= 1e-6 * abs(gamma_complex(s))
+    values, _ = integrate_singular_log(half_tanh, [s], 0.5, gamma_complex(s), 1e-6)
+    assert abs(values[0]) <= 1e-6
+
+
+@given(sigma=st.floats(0.5, 2.0), t=st.floats(-10.0, 10.0))
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+def test_singular_log_recovers_gamma(sigma, t):
+    s = complex(sigma, t)
+    values, _ = integrate_singular_log(one_minus_exp, [s], 1.0, gamma_complex(s), 1e-9)
+    assert abs(values[0] - 1.0) <= 1e-8
+
+
+def test_singular_log_stalls_with_nonconvergence():
+    # at t = 40 the eta-scale rounding floor is ~e^{20 pi} eps, far above 1e-12
+    s = complex(0.5, 40.0)
+    with pytest.raises(NonConvergenceError, match="stalled"):
+        integrate_singular_log(one_minus_exp, [s], 1.0, gamma_complex(s), 1e-12)
+    # a first grid past the node cap is refused before it is built
+    with pytest.raises(NonConvergenceError, match="stalled"):
+        integrate_singular_log(one_minus_exp, [complex(0.5, 1e6)], 1.0, 1.0, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tail_cutoff_for(0.3, 0.0),
+        lambda: tail_cutoff_for(0.3, -1.0),
+        lambda: tail_cutoff_for(math.nan, 1e-10),
+        lambda: tail_cutoff_for(math.inf, 1e-10),
+        lambda: tail_cutoff_for(0.3, math.nan),
+        lambda: tail_cutoff_for(0.3, math.inf),
+        lambda: default_spec(tail_cutoff=math.nan),
+        lambda: default_spec(tail_cutoff=math.inf),
+        lambda: QuadratureSpec(target_tol=math.inf),
+        lambda: QuadratureSpec(target_tol=math.nan),
+        lambda: QuadratureSpec(panels=0),
+        lambda: integrate_singular_log(one_minus_exp, [complex(0.5, math.nan)], 1.0, 1.0, 1e-9),
+        lambda: integrate_singular_log(one_minus_exp, [complex(math.inf, 1.0)], 1.0, 1.0, 1e-9),
+        lambda: integrate_singular_log(one_minus_exp, [0.0], 1.0, 1.0, 1e-9),
+        lambda: integrate_singular_log(one_minus_exp, [0.5, -0.5 + 2j], 1.0, 1.0, 1e-9),
+        lambda: integrate_singular_log(one_minus_exp, [], 1.0, 1.0, 1e-9),
+        lambda: integrate_singular_log(one_minus_exp, [0.5], 1.0, 1.0, 0.0),
+        lambda: integrate_singular_log(one_minus_exp, [0.5], 1.0, 1.0, math.inf),
+        lambda: integrate_singular_log(one_minus_exp, [0.5, 1.0], 1.0, 1.0, [1e-9, math.nan]),
+        lambda: integrate_singular_log(one_minus_exp, [0.5], 1.0, 0.0, 1e-9),
+        lambda: integrate_singular_log(one_minus_exp, [0.5], 1.0, math.inf, 1e-9),
+        lambda: integrate_singular_log(one_minus_exp, [0.5], 1.0, 1e-300, 1e-30),
+        lambda: integrate_singular_log(one_minus_exp, [0.5], 1.0, 1.0, 1e-9, envelope=0.0),
+    ],
+)
+def test_bad_input_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_linearity():
@@ -117,15 +177,13 @@ def test_tail_cutoff_for_sizing():
 
 def test_budget_guard_on_spec():
     with pytest.raises(DomainError):
-        QuadratureSpec(
-            panels=NODE_BUDGET, nodes_per_panel=12, tail_cutoff=40.0, target_tol=1e-10
-        )
+        QuadratureSpec(panels=NODE_BUDGET, tail_cutoff=40.0, target_tol=1e-10)
 
 
 def test_nonconvergence_when_budget_too_small():
-    # order-2 panels cannot resolve this oscillation even after the
+    # 12-point panels cannot resolve this oscillation even after the
     # halving loop exhausts the node budget
-    spec = QuadratureSpec(panels=2, nodes_per_panel=2, tail_cutoff=40.0, target_tol=1e-13)
+    spec = QuadratureSpec(panels=2, tail_cutoff=40.0, target_tol=1e-13)
     with pytest.raises(NonConvergenceError):
         integrate_halfline(lambda u: np.cos(2.0e4 * u) * np.exp(-0.1 * u), spec)
 
@@ -135,31 +193,35 @@ def test_result_exposes_complex_protocol():
     assert complex(res) == res.value
 
 
-@pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-    reason="longdouble is plain double on this platform",
-)
-def test_extended_gauss_nodes_against_mpmath_roots():
-    # the double nodes sit ~1e-16 off the roots; two longdouble Newton steps
-    # should leave only 80-bit rounding
-    nodes, _ = _gauss_panels(-1.0, 1.0, 1, 12, extended=True)
-    assert nodes.dtype == np.longdouble
-    worst = 0.0
-    with mp.workdps(40):
-        for x in nodes:
-            hi = float(x)
-            value = mp.mpf(hi) + mp.mpf(float(x - np.longdouble(hi)))
-            root = mp.findroot(lambda u: mp.legendre(12, u), mp.mpf(hi))
-            worst = max(worst, float(abs(value - root)))
-    assert worst <= 1e-18
+def test_gauss_rule_is_numpy_leggauss_bitwise():
+    x, w = np.polynomial.legendre.leggauss(12)
+    assert _GAUSS_NODES.tobytes() == x.tobytes()
+    assert _GAUSS_WEIGHTS.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("extended", [False, True])
-def test_gauss_panels_integrate_polynomials(extended):
+def test_gauss_panels_integrate_polynomials():
     # 12 points per panel are exact through degree 23
-    nodes, weights = _gauss_panels(0.0, 3.0, 5, 12, extended)
+    nodes, weights = _gauss_panels(0.0, 3.0, 5)
     assert nodes.shape == weights.shape == (60,)
     for k in range(24):
         want = 3.0 ** (k + 1) / (k + 1)
         got = float(np.sum(weights * nodes**k))
         assert abs(got - want) <= 1e-14 * want, k
+
+
+def test_boundary_request_does_not_import_numpy_polynomial():
+    # the Gauss rule is a constant, so a cold boundary request pays for no
+    # numpy.polynomial import (4-5 ms)
+    code = (
+        "import sys\n"
+        "from zetawave.cli import main\n"
+        "main(['boundary', '--t', '5', '--lambda', '8'])\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
