@@ -36,7 +36,6 @@ from .spectra import (
     ConvergenceRecord,
     ConvergenceStudy,
     ZeroRecord,
-    boundary_objective,
     convergence_study,
     scan_zeros,
 )

@@ -105,14 +105,11 @@ def default_spec(*, tail_cutoff: float = 40.0, target_tol: float = 1e-10) -> Qua
 
 
 def _eval(f: Callable, u: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, falling back to a Python loop for scalar-only f."""
-    try:
-        out = np.asarray(f(u))
-        if out.shape == u.shape:
-            return out.astype(complex, copy=False)
-    except (TypeError, ValueError):
-        pass
-    return np.array([complex(f(float(v))) for v in u], dtype=complex)
+    """f on an array of nodes, as complex; f must map arrays elementwise."""
+    out = np.asarray(f(u), dtype=complex)
+    if out.shape != u.shape:
+        raise DomainError("integrand must return one value per node")
+    return out
 
 
 def _gauss_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +195,8 @@ def integrate_singular_log(
     every point moves by at most its tolerance (tols broadcasts against
     s_values); NonConvergenceError after _MAX_BOUNDARY_ROUNDS doublings or
     once a grid would pass _MAX_OUTER_NODES nodes, before it is built.
-    Above ln 45 the kernel is below e^{-45} times g.
+    Above ln 45 the kernel is below e^{-45} times g; a tolerance so loose
+    that v_lo would reach ln 45 raises DomainError.
 
     head is the u -> 0 limit of g(u)/(e^u - 1).  Below the cut u_lo = e^{v_lo}
     the integrand is u^{s-1} (head + O(envelope u)), so head u_lo^s / s is
@@ -229,6 +227,10 @@ def integrate_singular_log(
     cut = math.log(raw_tol) - math.log(10.0) - math.log(envelope)
     v_lo = cut / (sig_min + 1.0) - 6.0
     v_hi = math.log(45.0)
+    if not v_lo < v_hi:
+        raise DomainError(
+            f"Mellin tolerance {tol_min:.3g} is too loose: its lower cut passes u = 45"
+        )
     head_terms = head * np.exp(s * v_lo) / s
     panels = max(24, int(math.ceil((1.0 + t_max) * (v_hi - v_lo) / 6.0)))
     prev = None

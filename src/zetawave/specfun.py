@@ -111,16 +111,25 @@ def gamma_complex(s: complex) -> complex:
 # Laguerre family
 # ---------------------------------------------------------------------------
 
+_RESCALE_BITS = 600
+
 
 def _laguerre_recurrence(
-    n: int, y: np.ndarray, seed: np.ndarray, all_orders: bool = False
+    n: int,
+    y: np.ndarray,
+    seed: np.ndarray,
+    all_orders: bool = False,
+    exponent: np.ndarray | None = None,
 ) -> np.ndarray:
     """seed * L_m(y) by the ascending three-term recurrence, in seed's dtype.
 
     (m+1) L_{m+1} = (2m+1-y) L_m - m L_{m-1} from L_0 = 1, L_1 = 1 - y is
     forward stable for the half-line arguments used here.  Returns order n,
     keeping only two orders alive, or with all_orders=True every order
-    m = 0..n stacked along a new first axis.
+    m = 0..n stacked along a new first axis.  With exponent, a float array
+    of base-2 exponents beside the seed, whenever an order passes 2^600 the
+    pair drops by 2^-600 exactly and exponent (updated in place) carries
+    the 600: the true value is the result times 2^exponent.
     """
     prev, cur = seed, (1.0 - y) * seed
     rows = [prev, cur]
@@ -128,6 +137,12 @@ def _laguerre_recurrence(
         prev, cur = cur, ((2.0 * m + 1.0 - y) * cur - m * prev) / (m + 1.0)
         if all_orders:
             rows.append(cur)
+        if exponent is not None:
+            big = np.maximum(np.abs(prev), np.abs(cur)) > 2.0**_RESCALE_BITS
+            if big.any():
+                prev[big] *= 2.0**-_RESCALE_BITS
+                cur[big] *= 2.0**-_RESCALE_BITS
+                exponent[big] += _RESCALE_BITS
     if all_orders:
         return np.stack(rows[: n + 1])
     return cur if n > 0 else seed
@@ -143,7 +158,6 @@ def laguerre(n: int, y):
 
 
 _TINY = np.finfo(float).tiny  # smallest normal double
-_RESCALE_BITS = 600
 
 
 def chi(n: int, y):
@@ -174,28 +188,20 @@ def chi(n: int, y):
 def _chi_deep(n: int, y: np.ndarray) -> np.ndarray:
     """chi_n(y) where the seed e^{-y/2} is not a normal double.
 
-    e^{-y/2} = r 2^e with r in [1, 2): the recurrence runs from r, and
-    whenever an order passes 2^600 the pair drops by 2^-600 exactly while
-    e carries the 600, so no order underflows; the result is r' 2^e, which
-    rounds to a subnormal or 0 only if chi_n itself does.  Points where
-    even the bound |chi_n(y)| <= e^{-y/2} (1 + y)^n lies below the
-    smallest double are 0 without a recurrence (this also keeps each
-    step's growth, at most a factor 1 + y, far inside the double range).
+    e^{-y/2} = r 2^e with r in [1, 2): the recurrence runs from r and
+    carries e (_laguerre_recurrence's exponent), so no order underflows;
+    the result is r' 2^e, which rounds to a subnormal or 0 only if chi_n
+    itself does.  Points where even the bound
+    |chi_n(y)| <= e^{-y/2} (1 + y)^n lies below the smallest double are 0
+    without a recurrence (this also keeps each step's growth, at most a
+    factor 1 + y, far inside the double range).
     """
     out = np.zeros_like(y)
     live = n * np.log1p(y) - 0.5 * y > -746.0
     y = y[live]
     exponent = np.floor(-0.5 * y / LN2)
-    prev = np.exp(-0.5 * y - exponent * LN2)
-    cur = (1.0 - y) * prev
-    for m in range(1, n):
-        prev, cur = cur, ((2.0 * m + 1.0 - y) * cur - m * prev) / (m + 1.0)
-        big = np.maximum(np.abs(prev), np.abs(cur)) > 2.0**_RESCALE_BITS
-        if big.any():
-            prev[big] *= 2.0**-_RESCALE_BITS
-            cur[big] *= 2.0**-_RESCALE_BITS
-            exponent[big] += _RESCALE_BITS
-    out[live] = np.ldexp(cur if n > 0 else prev, exponent.astype(int))
+    mantissa = _laguerre_recurrence(n, y, np.exp(-0.5 * y - exponent * LN2), exponent=exponent)
+    out[live] = np.ldexp(mantissa, exponent.astype(int))
     return out
 
 

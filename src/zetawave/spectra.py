@@ -25,7 +25,6 @@ from .waveform import (
     QuantumNumber,
     SqueezeParameter,
     _bare_overlaps,
-    boundary_levels,
     psi_boundary,
     psi_boundary_limit,
     tilde_expansion_check,
@@ -40,7 +39,6 @@ __all__ = [
     "ZeroRecord",
     "ConvergenceRecord",
     "ConvergenceStudy",
-    "boundary_objective",
     "scan_zeros",
     "convergence_study",
     "SCAN_MODES",
@@ -92,22 +90,6 @@ class ConvergenceStudy:
     slope: float
     intercept: float
     fit_residual: float
-
-
-def boundary_objective(t: float, mode: str = "limit", lam: float = 12.0, n: int = 0) -> complex:
-    """Boundary value whose zeros the scans chase, at s = 1/2 + it.
-
-    Limit mode returns 2 varphi_zero(s) eta(s); finite mode returns the
-    y = 0 boundary value at the given squeeze by its level route,
-    boundary_levels, which is 2 varphi_zero(s) times the objective the
-    finite scan chases.
-    """
-    if mode not in SCAN_MODES:
-        raise DomainError(f"mode must be one of {SCAN_MODES}")
-    z = complex(0.5, float(t))
-    if mode == "limit":
-        return psi_boundary_limit(z)
-    return complex(boundary_levels([z], int(n), float(lam))[0])
 
 
 def _finite_series_tools(

@@ -78,7 +78,7 @@ MAX_LEVEL = 10_000
 
 # Absolute rounding floor of the outer oscillatory integral.  The integral
 # itself is O(|Gamma(s)|), so the achievable accuracy on the eta-normalized
-# scale degrades like e^{pi t / 2}; tolerances are clamped accordingly.
+# scale degrades like e^{pi t / 2}; default tolerances sit above it.
 _ABS_NOISE = 4e-16
 
 
@@ -479,9 +479,9 @@ def _inner_profile(u: np.ndarray, Y: float, lam: float, n: int) -> np.ndarray:
     return decay * (2.0 * one_minus_t / d1) * (d2 / d1) ** n * laguerre(n, x)
 
 
-def _eta_scale_floor(s: complex) -> float:
-    """Achievable accuracy of the boundary quadrature on the eta scale."""
-    return _ABS_NOISE * (1.0 + abs(complex(s).imag) / 10.0) / abs(gamma_complex(s))
+def _eta_scale_floor(s, gamma):
+    """Achievable accuracy of the boundary quadrature on the eta scale, from Gamma(s)."""
+    return _ABS_NOISE * (1.0 + np.abs(np.imag(s)) / 10.0) / np.abs(gamma)
 
 
 def _boundary_eta_scale(
@@ -498,22 +498,22 @@ def _boundary_eta_scale(
     goes to quad.integrate_singular_log, whose grid in v = log u doubles
     each round; the inner values do not involve s, so each point costs one
     phase sum.  Convergence is controlled on this eta-normalized scale,
-    which is O(1) uniformly in t; per-point tolerances are clamped to the
-    double-precision floor, which grows like e^{pi t/2} because the raw
-    integral is O(|Gamma(s)|).
+    which is O(1) uniformly in t.  target_tol None gives each point 30x
+    its double-precision floor (at least 1e-9), which grows like
+    e^{pi t/2} because the raw integral is O(|Gamma(s)|); an explicit
+    target_tol is passed to the engine as given, so it is met or refused.
     """
     if not np.all(np.isfinite(s_values)):
         raise DomainError("boundary integral requires finite s")
-    if target_tol is not None and not math.isfinite(target_tol):
-        raise DomainError("boundary tolerance must be finite")
+    if target_tol is not None and not (math.isfinite(target_tol) and target_tol > 0.0):
+        raise DomainError("boundary tolerance must be positive and finite")
     eps = math.exp(-lam)
     Y = (math.exp(lam) if variant == ORIGINAL else eps) * y
     gammas = np.array([gamma_complex(z) for z in s_values])
-    floors = np.array([_eta_scale_floor(z) for z in s_values])
     if target_tol is None:
-        tols = np.maximum(1e-9, 30.0 * floors)
+        tols = np.maximum(1e-9, 30.0 * _eta_scale_floor(s_values, gammas))
     else:
-        tols = np.maximum(float(target_tol), 3.0 * floors)
+        tols = float(target_tol)
     # Near u = 0 the integrand is u^{s-1} [J(0) + O(u) + O(Y u)], where
     # J(0) = chi_n(eps Y) is the limit of the inner profile over e^u - 1.
     return integrate_singular_log(
@@ -556,10 +556,12 @@ def psi_boundary(
     d1 = (1+eps) + t(1-eps), d2 = (1-eps) + t(1+eps).
 
     target_tol is an absolute tolerance on the eta-normalized value
-    psi / varphi_zero; None picks a tolerance 30x above the rounding
-    floor, and explicit values are clamped to 3x the floor (the floor
-    grows like e^{pi t/2}, see _eta_scale_floor).  The achieved estimate
-    is reported in the sample's error field.
+    psi / varphi_zero.  None picks a tolerance 30x above the rounding
+    floor, which grows like e^{pi t/2} (see _eta_scale_floor).  An
+    explicit value is met or refused: NonConvergenceError if the
+    quadrature stalls above it, DomainError if it is not positive and
+    finite or so loose that the quadrature's lower cut passes ln 45.  The
+    achieved estimate is reported in the sample's error field.
 
     Approach to the limit: for y > 0 the original variant tends to 0 as
     varphi_zero(s) chi_n(y) (4 e^{-lam}/y)^s, with a relative correction
@@ -693,7 +695,7 @@ def tilde_expansion_check(
     if lam < 5.0:
         raise DomainError("expansion regime needs lam >= 5")
     if target_tol is None:
-        target_tol = max(1e-11, 10.0 * _eta_scale_floor(z))
+        target_tol = max(1e-11, 10.0 * _eta_scale_floor(z, gamma_complex(z)))
     exact = psi_boundary(y, z, n, lam, variant=TILDE, target_tol=target_tol).value
     pref = 2.0 * varphi_zero(z)
     zero_order = pref * eta(z)

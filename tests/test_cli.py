@@ -2,11 +2,15 @@
 
 Run as a script (`PYTHONPATH=src python3 tests/test_cli.py`), it rewrites
 the expected exit code, stdout, stderr and report of every golden case in
-tests/data/cli_reports.json from the current code.
+tests/data/cli_reports.json from the current code and prints the names of
+the cases it changed.  With `--check` it writes nothing: it prints the
+names of the cases whose replay differs from the file and exits 1 if there
+are any.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -364,6 +368,20 @@ def test_non_finite_input_exits_2(capsys, argv):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("t, tol, code", [
+    ("5", "1e300", 2),  # printed |psi| = 7.06e92 with exit 0
+    ("5", "1e20", 2),  # printed 0.328, where the value is 5.31e-7
+    ("5", "0", 2),  # both were replaced by 3x the rounding floor
+    ("5", "-1", 2),
+    ("20", "1e-9", 3),  # was loosened to 3x the floor, 0.063
+])
+def test_explicit_boundary_tolerance_is_met_or_refused(capsys, t, tol, code):
+    rc, out, err = run_cli(capsys, "boundary", "--t", t, "--tol", tol)
+    assert rc == code
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("t", ["500", "1e308"])
 def test_boundary_past_the_gamma_range_exits_3(capsys, t):
     # |Gamma(1/2 + it)| is below the double range from t ~ 451: --t 500
@@ -525,8 +543,36 @@ def test_golden_report(case, tmp_path):
     assert _replay_case(case, tmp_path) == expected
 
 
-if __name__ == "__main__":
-    for golden in _GOLDEN_CASES:
+def _stale_cases(cases: list) -> list[tuple[str, dict]]:
+    """(name, replay) of each golden case whose replay differs from its record."""
+    stale = []
+    for case in cases:
         with tempfile.TemporaryDirectory() as tmp:
-            golden.update(_replay_case(golden, Path(tmp)))
+            replay = _replay_case(case, Path(tmp))
+        if any(case[key] != value for key, value in replay.items()):
+            stale.append((case["name"], replay))
+    return stale
+
+
+def test_stale_golden_cases_are_named():
+    case = next(c for c in _GOLDEN_CASES if c["name"] == "scan-no-window")
+    edited = dict(case, name="scan-no-window-edited", stderr="error: something else\n")
+    assert _stale_cases([case, edited]) == [("scan-no-window-edited", {
+        key: case[key] for key in ("exit", "stdout", "stderr", "report")
+    })]
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Rewrite the golden reports from the current code.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if any case differs from the file")
+    check = parser.parse_args().check
+    stale = _stale_cases(_GOLDEN_CASES)
+    for name, _ in stale:
+        print(name)
+    if check:
+        sys.exit(1 if stale else 0)
+    replays = dict(stale)
+    for golden in _GOLDEN_CASES:
+        golden.update(replays.get(golden["name"], {}))
     GOLDEN.write_text(json.dumps(_GOLDEN_CASES, indent=1) + "\n")

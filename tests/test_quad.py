@@ -139,6 +139,11 @@ def test_singular_log_stalls_with_nonconvergence():
         lambda: integrate_singular_log(one_minus_exp, [0.5], 1.0, math.inf, 1e-9),
         lambda: integrate_singular_log(one_minus_exp, [0.5], 1.0, 1e-300, 1e-30),
         lambda: integrate_singular_log(one_minus_exp, [0.5], 1.0, 1.0, 1e-9, envelope=0.0),
+        # a lower cut at or past u = 45 leaves only the head term
+        lambda: integrate_singular_log(one_minus_exp, [0.5], 1.0, 1.0, 1e20),
+        # an integrand must map the array of nodes elementwise
+        lambda: integrate_halfline(lambda u: 1.0, make_spec()),
+        lambda: integrate_halfline(lambda u: np.exp(-u)[:-1], make_spec()),
     ],
 )
 def test_bad_input_raises_domain_error(call):

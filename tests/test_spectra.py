@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from zetawave import (
     DomainError,
-    boundary_objective,
+    boundary_levels,
     convergence_study,
+    psi_boundary_limit,
     scan_zeros,
     varphi_zero,
 )
@@ -39,24 +40,20 @@ FIRST_THREE = (
 
 
 # ---------------------------------------------------------------------------
-# boundary_objective
-
-
-def test_objective_limit_vanishes_at_first_zero():
-    assert abs(boundary_objective(14.134725)) <= 1e-8
+# the boundary objectives the scans chase, times 2 varphi_zero(s): the limit
+# value psi_boundary_limit and the finite-squeeze level route boundary_levels
 
 
 def test_objective_limit_nonzero_off_zero():
     # the outer factor 2*varphi_zero(1/2 + it) decays like e^{-pi t / 2},
     # so the off-zero check is made scale free by dividing it out
-    value = boundary_objective(10.0)
+    value = psi_boundary_limit(0.5 + 10j)
     assert value != 0
     assert abs(value / (2.0 * varphi_zero(0.5 + 10j))) > 0.01
 
 
 def test_objective_finite_mode_keeps_suppression():
-    at_zero = abs(boundary_objective(14.134725, mode="finite", lam=12.0, n=0))
-    off_zero = abs(boundary_objective(10.0, mode="finite", lam=12.0, n=0))
+    at_zero, off_zero = np.abs(boundary_levels([complex(0.5, 14.134725), 0.5 + 10j], 0, 12.0))
     assert at_zero <= 1e-3 * off_zero
 
 
@@ -70,13 +67,8 @@ def test_objective_finite_mode_is_the_level_sum(t):
     overlaps = _bare_overlaps(0, count - 1, 12.0)
     half_sum, _ = euler_naive(0.5 * overlaps * np.exp(-s * np.log1p(np.arange(count))))
     want = 2.0 * varphi_zero(s) * half_sum
-    got = boundary_objective(t, mode="finite", lam=12.0, n=0)
+    got = boundary_levels([s], 0, 12.0)[0]
     assert abs(got - want) <= 1e-10 * abs(want)
-
-
-def test_objective_rejects_unknown_mode():
-    with pytest.raises(DomainError):
-        boundary_objective(10.0, mode="average")
 
 
 # ---------------------------------------------------------------------------

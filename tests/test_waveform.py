@@ -712,6 +712,14 @@ def test_boundary_guards():
         psi_boundary(0.0, -0.5 + 2j, 0, 1.0)
 
 
+def test_boundary_explicit_tolerance_is_met():
+    # 1e-9 at t = 10 used to be raised to 3x the rounding floor, 6.3e-9,
+    # and the sample came back with error 1.27e-9; the refusals are
+    # test_cli::test_explicit_boundary_tolerance_is_met_or_refused
+    sample = psi_boundary(0.0, 0.5 + 10j, 0, 8.0, target_tol=1e-9)
+    assert sample.error <= 1e-9
+
+
 def test_boundary_limit_at_first_zero():
     assert abs(psi_boundary_limit(complex(0.5, FIRST_ORDINATE))) <= 1e-8
 
