@@ -17,23 +17,24 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .errors import DomainError
-from .specfun import _eta_depth, _eta_line, _eta_sums
+from .errors import DomainError, OverflowRangeError
+from .specfun import _TINY, _eta_depth, _eta_line, _eta_sums
 from .waveform import (
     ORIGINAL,
     TILDE,
     QuantumNumber,
     SqueezeParameter,
     _bare_overlaps,
-    psi_boundary,
+    _boundary_squeezes,
+    _tilde_expansions,
     psi_boundary_limit,
-    tilde_expansion_check,
 )
 
 # Unused here, but the benchmark tracer (perfbench/tracer.py) wraps these
 # names in this module, so they must stay importable from it.
 from .specfun import eta, eta_grid  # noqa: F401
 from .waveform import _euler_accelerated, _euler_accelerated_rows  # noqa: F401
+from .waveform import psi_boundary, tilde_expansion_check  # noqa: F401
 
 __all__ = [
     "ZeroRecord",
@@ -281,9 +282,18 @@ def convergence_study(
 
     For 'original' and 'tilde' the error is |psi_boundary - limit| per
     lambda; 'tilde-corrected' subtracts the first-order term as well and
-    tracks the remainder.  Reports the least-squares slope of
-    log(abs_error) against lambda with its rms fit residual; e^{-lambda}
-    decay shows up as slope -1, the corrected remainder as slope -2.
+    tracks the remainder (tilde_expansion_check).  Reports the
+    least-squares slope of log(abs_error) against lambda with its rms fit
+    residual; e^{-lambda} decay shows up as slope -1, the corrected
+    remainder as slope -2.  An abs_error that is not a positive normal
+    double has no logarithm to fit, and raises OverflowRangeError.
+
+    Every lambda is checked before any work.  Gamma(s), varphi_zero(s) and
+    eta(s) (with eta(s-1) for 'tilde-corrected') are evaluated once per
+    study.  At y = 0 all squeezes share the quadrature's envelope 1 + Y,
+    Y = e^{+-lambda} y = 0, and the study runs on one grid; at y > 0 each
+    lambda has its own.  Each record is bitwise the per-lambda
+    psi_boundary (or tilde_expansion_check) value.
     """
     z = complex(s)
     if variant not in STUDY_VARIANTS:
@@ -297,32 +307,37 @@ def convergence_study(
         raise DomainError("convergence regime needs lambda >= 5")
     QuantumNumber(int(n))
 
-    records = []
-    for lam in lams:
-        if variant == "tilde-corrected":
-            expansion = tilde_expansion_check(float(y), z, int(n), lam)
-            value = expansion.exact
-            reference = expansion.first_order
-            err = expansion.residual
-        else:
-            kind = ORIGINAL if variant == "original" else TILDE
-            value = psi_boundary(float(y), z, int(n), lam, variant=kind).value
-            reference = psi_boundary_limit(z, float(y))
-            err = abs(value - reference)
-        records.append(
-            ConvergenceRecord(
-                lam=lam, observable=variant, value=value,
-                reference=reference, abs_error=err,
-            )
+    if variant == "tilde-corrected":
+        rows = [
+            (e.exact, e.first_order, e.residual)
+            for e in _tilde_expansions(float(y), z, int(n), lams)
+        ]
+    else:
+        kind = ORIGINAL if variant == "original" else TILDE
+        values = _boundary_squeezes(z, float(y), int(n), lams, kind)
+        reference = psi_boundary_limit(z, float(y))
+        rows = [(value, reference, abs(value - reference)) for value in values]
+    records = tuple(
+        ConvergenceRecord(
+            lam=lam, observable=variant, value=value,
+            reference=reference, abs_error=err,
         )
+        for lam, (value, reference, err) in zip(lams, rows)
+    )
+    for rec in records:
+        if not _TINY <= rec.abs_error < math.inf:
+            raise OverflowRangeError(
+                f"abs_error {rec.abs_error:.3g} at lambda {rec.lam:g} is not a positive "
+                f"normal double, so no rate can be fitted"
+            )
 
     xs = np.array(lams)
-    ys = np.log(np.maximum([r.abs_error for r in records], 1e-300))
+    ys = np.log([r.abs_error for r in records])
     slope, intercept = np.polyfit(xs, ys, 1)
     fit_residual = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
     return ConvergenceStudy(
         observable=variant,
-        records=tuple(records),
+        records=records,
         slope=float(slope),
         intercept=float(intercept),
         fit_residual=fit_residual,

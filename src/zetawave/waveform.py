@@ -9,7 +9,8 @@ The boundary integral is a quadrature over the Mehler parameter u with an
 oscillatory algebraic endpoint, through the log substitution of the quad
 module; the inner transverse integral is exact, an exponential times a
 Laguerre polynomial (see _inner_profile).  It does not involve the spectral
-parameter, so batches of spectral points share its values.
+parameter, so batches of spectral points share its values; at y = 0 the
+squeezes of a convergence study share the quadrature grid as well.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ MAX_LEVEL = 10_000
 # itself is O(|Gamma(s)|), so the achievable accuracy on the eta-normalized
 # scale degrades like e^{pi t / 2}; default tolerances sit above it.
 _ABS_NOISE = 4e-16
+# Default tolerances on that scale, (minimum, multiple of the floor): the
+# boundary value's, and tilde_expansion_check's, tighter for its e^{-2 lam}
+# residual.
+_BOUNDARY_TOL_RULE = (1e-9, 30.0)
+_EXPANSION_TOL_RULE = (1e-11, 10.0)
 
 
 @dataclass(frozen=True)
@@ -488,38 +494,56 @@ def _boundary_eta_scale(
     s_values: np.ndarray,
     y: float,
     n: int,
-    lam: float,
+    lams: Sequence[float],
     variant: str,
     target_tol: Optional[float],
-) -> tuple[np.ndarray, float]:
-    """Boundary integral divided by Gamma(s), batched over spectral points.
+    tol_rule: tuple[float, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary integrals divided by Gamma(s), one row per squeeze in lams.
 
-    The integrand u^{s-1} e^{-u}/(1-e^{-u}) times the exact _inner_profile
-    goes to quad.integrate_singular_log, whose grid in v = log u doubles
-    each round; the inner values do not involve s, so each point costs one
-    phase sum.  Convergence is controlled on this eta-normalized scale,
-    which is O(1) uniformly in t.  target_tol None gives each point 30x
-    its double-precision floor (at least 1e-9), which grows like
-    e^{pi t/2} because the raw integral is O(|Gamma(s)|); an explicit
-    target_tol is passed to the engine as given, so it is met or refused.
+    Returns (values, errs) of shapes (len(lams), len(s_values)) and
+    (len(lams),).  The integrand u^{s-1} e^{-u}/(1-e^{-u}) times the exact
+    _inner_profile goes to quad.integrate_singular_log, whose grid in
+    v = log u doubles each round; the inner values do not involve s, so
+    each point costs one phase sum.  Gamma(s) is evaluated once per point.
+    At y = 0 every squeeze has Y = 0, so all share one engine call and its
+    grids; at y > 0 each has its own Y, envelope and grid.  Convergence is
+    controlled on this eta-normalized scale, which is O(1) uniformly in t.
+    target_tol None gives each point max(minimum, multiple x its
+    double-precision floor), tol_rule = (minimum, multiple); the floor
+    grows like e^{pi t/2} because the raw integral is O(|Gamma(s)|).  An
+    explicit target_tol is passed to the engine as given, so it is met or
+    refused.
     """
     if not np.all(np.isfinite(s_values)):
         raise DomainError("boundary integral requires finite s")
     if target_tol is not None and not (math.isfinite(target_tol) and target_tol > 0.0):
         raise DomainError("boundary tolerance must be positive and finite")
-    eps = math.exp(-lam)
-    Y = (math.exp(lam) if variant == ORIGINAL else eps) * y
     gammas = np.array([gamma_complex(z) for z in s_values])
     if target_tol is None:
-        tols = np.maximum(1e-9, 30.0 * _eta_scale_floor(s_values, gammas))
+        minimum, multiple = tol_rule
+        tols = np.maximum(minimum, multiple * _eta_scale_floor(s_values, gammas))
     else:
         tols = float(target_tol)
-    # Near u = 0 the integrand is u^{s-1} [J(0) + O(u) + O(Y u)], where
-    # J(0) = chi_n(eps Y) is the limit of the inner profile over e^u - 1.
-    return integrate_singular_log(
-        lambda u: _inner_profile(u, Y, lam, n), s_values, float(chi(n, eps * Y)),
-        gammas, tols, envelope=1.0 + Y,
-    )
+    if y == 0.0:
+        # Y = 0 for every squeeze, so they share the cut and one engine
+        # call; the head J(0) = chi_n(0) = L_n(0) is 1, exactly as chi's
+        # recurrence gives it
+        return integrate_singular_log(
+            lambda u: [_inner_profile(u, 0.0, lam, n) for lam in lams],
+            s_values, [1.0] * len(lams), gammas, tols,
+        )
+    rows = []
+    for lam in lams:
+        Y = (math.exp(lam) if variant == ORIGINAL else math.exp(-lam)) * y
+        # Near u = 0 the integrand is u^{s-1} [J(0) + O(u) + O(Y u)], where
+        # J(0) = chi_n(eps Y) is the limit of the inner profile over e^u - 1.
+        rows.append(integrate_singular_log(
+            lambda u: [_inner_profile(u, Y, lam, n)], s_values,
+            [float(chi(n, math.exp(-lam) * Y))], gammas, tols, envelope=1.0 + Y,
+        ))
+    values, errs = zip(*rows)
+    return np.concatenate(values), np.concatenate(errs)
 
 
 def _check_boundary_args(y: float, n: int, lam: float, variant: str) -> None:
@@ -533,6 +557,37 @@ def _check_boundary_args(y: float, n: int, lam: float, variant: str) -> None:
         raise OverflowRangeError(
             f"original variant with y > 0 supports lam <= {MAX_LAMBDA:g}"
         )
+    if variant == ORIGINAL and not math.isfinite(math.exp(p.lam) * y):
+        raise DomainError(
+            f"y = {y:g} at lambda = {p.lam:g} puts the squeezed argument e^lambda y "
+            f"past the double range"
+        )
+
+
+def _boundary_squeezes(
+    z: complex,
+    y: float,
+    n: int,
+    lams: Sequence[float],
+    variant: str,
+    target_tol: Optional[float] = None,
+    tol_rule: tuple[float, float] = _BOUNDARY_TOL_RULE,
+) -> list:
+    """psi_boundary(y, z, n, lam, variant, target_tol).value for every lam in lams.
+
+    Every squeeze is checked before any work; Gamma(z) and varphi_zero(z)
+    are evaluated once for all of them, and at y = 0 they share one grid
+    (see _boundary_eta_scale).  Each value is bitwise the one-squeeze
+    call's.
+    """
+    lams = [float(lam) for lam in lams]
+    for lam in lams:
+        _check_boundary_args(y, n, lam, variant)
+    vals, _ = _boundary_eta_scale(
+        np.array([z]), float(y), int(n), lams, variant, target_tol, tol_rule
+    )
+    phi = varphi_zero(z)
+    return [phi * complex(row[0]) for row in vals]
 
 
 def psi_boundary(
@@ -598,9 +653,11 @@ def psi_boundary_batch(
     arr = np.asarray(list(s_values), dtype=complex)
     if arr.size == 0:
         return np.empty(0, dtype=complex), 0.0
-    vals, err = _boundary_eta_scale(arr, float(y), int(n), float(lam), variant, target_tol)
-    values = [varphi_zero(z) * complex(v) for z, v in zip(arr, vals)]
-    return np.array(values, dtype=complex), err
+    vals, errs = _boundary_eta_scale(
+        arr, float(y), int(n), [float(lam)], variant, target_tol, _BOUNDARY_TOL_RULE
+    )
+    values = [varphi_zero(z) * complex(v) for z, v in zip(arr, vals[0])]
+    return np.array(values, dtype=complex), float(errs[0])
 
 
 def boundary_levels(s_values: Sequence[complex], n: int, lam: float) -> np.ndarray:
@@ -689,21 +746,40 @@ def tilde_expansion_check(
     zero_order is the limit value; first_order adds the e^{-lam} term
     with coefficient (2n + 1 + y/2) times
     2 varphi_zero(s) (eta(s) - 2 eta(s-1)); residual = |exact -
-    first_order| is expected to scale like e^{-2 lam}.
+    first_order| is expected to scale like e^{-2 lam}.  target_tol None
+    picks max(1e-11, 10x the rounding floor) on the eta-normalized scale
+    (see _eta_scale_floor).
     """
-    z = complex(s)
-    if lam < 5.0:
+    return _tilde_expansions(y, complex(s), n, [lam], target_tol)[0]
+
+
+def _tilde_expansions(
+    y: float,
+    z: complex,
+    n: int,
+    lams: Sequence[float],
+    target_tol: Optional[float] = None,
+) -> list:
+    """tilde_expansion_check at every squeeze in lams.
+
+    One _boundary_squeezes call gives the exact values, so Gamma(s) and
+    the grids are shared as there; varphi_zero(s), eta(s) and eta(s-1)
+    are evaluated once for all squeezes.
+    """
+    if any(lam < 5.0 for lam in lams):
         raise DomainError("expansion regime needs lam >= 5")
-    if target_tol is None:
-        target_tol = max(1e-11, 10.0 * _eta_scale_floor(z, gamma_complex(z)))
-    exact = psi_boundary(y, z, n, lam, variant=TILDE, target_tol=target_tol).value
+    exact = _boundary_squeezes(z, y, n, lams, TILDE, target_tol, _EXPANSION_TOL_RULE)
     pref = 2.0 * varphi_zero(z)
-    zero_order = pref * eta(z)
-    correction = (eta(z) - 2.0 * eta(z - 1.0)) * (2.0 * n + 1.0 + 0.5 * y)
-    first_order = zero_order + math.exp(-lam) * pref * correction
-    return TildeExpansion(
-        exact=exact,
-        zero_order=zero_order,
-        first_order=first_order,
-        residual=abs(exact - first_order),
-    )
+    eta_s = eta(z)
+    zero_order = pref * eta_s
+    correction = (eta_s - 2.0 * eta(z - 1.0)) * (2.0 * n + 1.0 + 0.5 * y)
+    expansions = []
+    for lam, value in zip(lams, exact):
+        first_order = zero_order + math.exp(-lam) * pref * correction
+        expansions.append(TildeExpansion(
+            exact=value,
+            zero_order=zero_order,
+            first_order=first_order,
+            residual=abs(value - first_order),
+        ))
+    return expansions

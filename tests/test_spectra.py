@@ -20,15 +20,18 @@ from zetawave import (
     DomainError,
     boundary_levels,
     convergence_study,
+    eta,
+    gamma_complex,
+    psi_boundary,
     psi_boundary_limit,
     scan_zeros,
     varphi_zero,
 )
 from zetawave.oracles import euler_naive
-from zetawave import spectra
+from zetawave import quad, spectra, waveform
 from zetawave.specfun import _eta_depth, _eta_sums
 from zetawave.spectra import _MAX_NEWTON, SCAN_MODES
-from zetawave.waveform import _bare_overlaps
+from zetawave.waveform import ORIGINAL, TILDE, _bare_overlaps, _eta_scale_floor
 
 mp.mp.dps = 40
 
@@ -290,3 +293,70 @@ def test_study_guards():
         convergence_study(0.5 + 10j, 0, [4.0, 8.0])
     with pytest.raises(DomainError):
         convergence_study(0.5 + 10j, 0, [8.0, 10.0], variant="bogus")
+
+
+def _per_lambda_study(s, n, lams, variant, y):
+    """(value, reference, abs_error) rows and the fit, one boundary call per lambda."""
+    rows = []
+    for lam in lams:
+        if variant == "tilde-corrected":
+            tol = max(1e-11, 10.0 * _eta_scale_floor(s, gamma_complex(s)))
+            exact = psi_boundary(y, s, n, lam, TILDE, tol).value
+            pref = 2.0 * varphi_zero(s)
+            zero_order = pref * eta(s)
+            correction = (eta(s) - 2.0 * eta(s - 1.0)) * (2.0 * n + 1.0 + 0.5 * y)
+            first_order = zero_order + math.exp(-lam) * pref * correction
+            rows.append((exact, first_order, abs(exact - first_order)))
+        else:
+            kind = ORIGINAL if variant == "original" else TILDE
+            value = psi_boundary(y, s, n, lam, kind).value
+            reference = psi_boundary_limit(s, y)
+            rows.append((value, reference, abs(value - reference)))
+    xs = np.array(lams)
+    ys = np.log([err for _, _, err in rows])
+    slope, intercept = np.polyfit(xs, ys, 1)
+    fit_residual = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
+    return rows, float(slope), float(intercept), fit_residual
+
+
+@given(
+    t=st.floats(0.5, 13.5),
+    n=st.integers(0, 3),
+    lams=st.lists(st.integers(10, 32), min_size=2, max_size=3, unique=True),
+    variant=st.sampled_from(spectra.STUDY_VARIANTS),
+    y=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+)
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+def test_study_equals_the_per_lambda_route_bitwise(t, n, lams, variant, y):
+    # the study shares grids and s-only factors across its squeezes; each
+    # record and the fit must still be what one call per lambda gives
+    s = complex(0.5, t)
+    squeezes = [0.5 * k for k in sorted(lams)]
+    expected = _per_lambda_study(s, n, squeezes, variant, y)
+    study = convergence_study(s, n, squeezes, variant=variant, y=y)
+    got = [(r.value, r.reference, r.abs_error) for r in study.records]
+    assert repr(got) == repr(expected[0])
+    assert repr((study.slope, study.intercept, study.fit_residual)) == repr(expected[1:])
+    assert [r.lam for r in study.records] == squeezes
+
+
+@pytest.mark.parametrize("variant,etas", [("original", 1), ("tilde", 1), ("tilde-corrected", 2)])
+def test_study_at_y0_builds_one_grid_pair(monkeypatch, variant, etas):
+    # y = 0: every squeeze shares the cut, so the study's quadrature is one
+    # engine call (a grid and its one doubling here, where the per-lambda
+    # route built six); Gamma is evaluated for Gamma(s) and varphi_zero
+    calls = {"grids": 0, "gamma": 0, "eta": 0}
+
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(quad, "_gauss_panels", counted("grids", quad._gauss_panels))
+    monkeypatch.setattr(waveform, "gamma_complex", counted("gamma", waveform.gamma_complex))
+    monkeypatch.setattr(waveform, "eta", counted("eta", waveform.eta))
+    convergence_study(0.5 + 10j, 0, [8.0, 10.0, 12.0], variant=variant)
+    assert calls["grids"] == 2
+    assert calls["gamma"] <= 3
+    assert calls["eta"] == etas
