@@ -4,23 +4,25 @@ Everything is hand-rolled on top of numpy so each piece has a known,
 separately testable error budget: a Lanczos gamma, one Laguerre recurrence
 for L_n and its exponentially weighted cousin chi_n, the scaled modified
 Bessel function e^{-z} I0(z), and the Dirichlet eta / zeta pair evaluated
-through a globally convergent binomial double sum.  No arbitrary-precision
+through weighted alternating sums.  No arbitrary-precision
 arithmetic anywhere; the contract region is sigma in [-2, 3], |t| <= 60.
 
-Alternating sums take Euler's weights, the Bin(n, 1/2) tails of
-_binomial_weights: Euler's transform of sum_k (-1)^k a_k regroups exactly
-into the weighted sum derived in eta_grid, and the iterated averaging of
-waveform._euler_accelerated is the same identity on partial sums.  Every
-alternating Dirichlet series sum_k (-1)^k c_k (k+1)^{-s} is one _eta_sums
-batch at the one depth rule _eta_depth: eta (c_k = 1) and the y = 0 level
-sums of the squeezed boundary value (see waveform.boundary_levels).  A scan
-grid, evenly spaced heights on the critical line, is the one exception to
-exact powers: _eta_line factors its phases into block seeds times offsets
-and never builds the points x terms matrix.  The limit scan's grid (c_k = 1
-at sigma = 1/2, where Borwein's error bound is proved) is the one exception
-to Euler's weights: it takes Borwein's (_borwein_weights), about 2.6 times
-fewer terms for the same accuracy.  Both weight sets are upper tails of a
-unimodal law, built in log space by one helper, _log_space_tails.
+Alternating sums sum_k (-1)^k c_k (k+1)^{-s} are one _eta_sums batch,
+weighted by one of two families that one selector, _weight_rows, picks.
+Borwein's (_borwein_weights) serve eta (c_k = 1) on every batch whose
+points all have sigma >= 1/2, where his error bound is proved: about
+20 + 0.9 |t| terms, 2.6 times fewer than Euler's for the same accuracy.
+Euler's weights, the Bin(n, 1/2) tails of _binomial_weights, serve the
+rest at the one depth rule _eta_depth: eta left of the critical line and
+every coefficient row (the y = 0 level sums of the squeezed boundary
+value, see waveform.boundary_levels).  Euler's transform of
+sum_k (-1)^k a_k regroups exactly into the weighted sum derived in
+eta_grid, and the iterated averaging of waveform._euler_accelerated is
+the same identity on partial sums.  A scan grid, evenly spaced heights on
+the critical line, is the one exception to exact powers: _eta_line
+factors its phases into block seeds times offsets and never builds the
+points x terms matrix.  Both weight sets are upper tails of a unimodal
+law, built in log space by one helper, _log_space_tails.
 """
 
 from __future__ import annotations
@@ -299,8 +301,11 @@ def _eta_depth(s: np.ndarray) -> int:
     """Binomial depth D of a batch: 64 + ceil(2.3 |t|), 16 more where sigma < 1/2,
     at most 420; a batch takes its deepest point.
 
-    Calibrated against extended-precision references over sigma in [-2, 3],
-    |t| <= 60; worst observed error ~5e-13.  The level sums of the squeezed
+    It sizes Euler's weights: eta left of the critical line, and the
+    coefficient rows whose length sets their depth (the finite scan and
+    waveform.boundary_levels).  Calibrated against extended-precision
+    references over sigma in [-2, 3], |t| <= 60; worst observed error
+    ~5e-13.  The level sums of the squeezed
     boundary value run at the same depth: against 176 more levels they
     differ by <= 1.6e-14 (1 + |f|) over lam in {5, 8, 12, 14, 16}, n <= 300,
     t <= 120, but 7.6e-13 at lam = 5, n = 10, the overlaps' own rounding.
@@ -342,30 +347,51 @@ def _eta_weights(depth: int, head: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return log_base, deriv, weights
 
 
-def _eta_sums(s_values, derivative: bool = False, coeffs=None) -> tuple:
+def _weight_rows(s: np.ndarray, coeffs=None, t_top: float = 0.0) -> tuple:
+    """The read-only rows (log(k+1), derivative weights, value and settle
+    columns) that sum the batch s in _eta_sums and _eta_line.
+
+    Borwein's (_borwein_rows) where his bound is proved, c_k = 1 with every
+    sigma >= 1/2, at the order of the larger of the batch's highest |t|
+    and t_top.  Euler's (_eta_weights) elsewhere: a coefficient row at its
+    own length, eta left of the critical line at _eta_depth, both after
+    _HEAD_LEVELS levels where some sigma < 1/2.
+    """
+    head = _HEAD_LEVELS if float(s.real.min()) < 0.5 else 0
+    if coeffs is not None:
+        return _eta_weights(len(coeffs) - 1, head)
+    if head:
+        return _eta_weights(_eta_depth(s), head)
+    return _borwein_rows(_borwein_order(max(float(np.abs(s.imag).max()), t_top)))
+
+
+def _eta_sums(s_values, derivative: bool = False, coeffs=None, t_top: float = 0.0) -> tuple:
     """sum_k (-1)^k c_k (k+1)^{-s} on a batch, and d/ds of it if asked (else None).
 
-    coeffs None is c_k = 1, eta at depth D = _eta_depth; a real row
-    c_0 .. c_D sets D by its length (the weight form holds for any
-    alternating series: Cohen, Rodriguez Villegas and Zagier).  With
-    a_k = c_k (k+1)^{-s} and (nabla a)_k = a_k - a_{k+1} the truncated
-    double sum is sum_{m<=D} 2^{-(m+1)} (nabla^m a)_0.  If a point has
-    sigma < 1/2, the first h = _HEAD_LEVELS levels are summed as they stand
-    and the rest is the same sum at depth D - h on b = nabla^h a; h = 0
-    gives the weight form of eta_grid.  One product yields the value and
-    the levels m = D-5 .. D for the settle check; the derivative
-    -sum_k (-1)^k w_k log(k+1) a_k is taken before the differencing.
+    coeffs None is c_k = 1, eta: with every sigma >= 1/2 Borwein's order-n
+    sum, n = _borwein_order of the larger of the highest |t| and t_top (a
+    scan sizes every batch of one window for its top, so the window takes
+    one weight table); otherwise Euler's at depth D = _eta_depth.  A real
+    row c_0 .. c_D takes Euler's weights at the depth its length sets (the
+    weight form holds for any alternating series: Cohen, Rodriguez
+    Villegas and Zagier).  With a_k = c_k (k+1)^{-s} and
+    (nabla a)_k = a_k - a_{k+1} Euler's truncated double sum is
+    sum_{m<=D} 2^{-(m+1)} (nabla^m a)_0.  If a point has sigma < 1/2, the
+    first h = _HEAD_LEVELS levels are summed as they stand and the rest is
+    the same sum at depth D - h on b = nabla^h a; h = 0 gives the weight
+    form of eta_grid.  One product yields the value and the six settle
+    columns (_settled); the derivative -sum_k (-1)^k w_k log(k+1) a_k is
+    taken before the differencing.
     """
     arr = np.asarray(s_values if isinstance(s_values, np.ndarray) else list(s_values), dtype=complex)
     if not np.isfinite(arr).all():
         raise DomainError("eta requires finite s")
     if arr.size == 0:
         return arr, (arr if derivative else None)
-    depth = _eta_depth(arr) if coeffs is None else len(coeffs) - 1
+    log_base, deriv_weights, weights = _weight_rows(arr, coeffs, t_top)
+    depth = log_base.size - 1
     sigma = arr.real
     sigma_lo, sigma_hi = float(sigma.min()), float(sigma.max())
-    head = _HEAD_LEVELS if sigma_lo < 0.5 else 0
-    log_base, deriv_weights, weights = _eta_weights(depth, head)
     # (k+1)^{-s} built in place, the modulus by a real power (exact
     # integers at integer s); a batch on one vertical line takes its one
     # row of moduli from a cache
@@ -377,12 +403,12 @@ def _eta_sums(s_values, derivative: bool = False, coeffs=None) -> tuple:
     if coeffs is not None:
         terms *= np.asarray(coeffs, dtype=float)
     deriv = terms @ deriv_weights if derivative else None
-    for level in range(head):
+    for level in range(_HEAD_LEVELS if sigma_lo < 0.5 else 0):
         terms[:, level + 1 :] = terms[:, level:-1] - terms[:, level + 1 :]
     return _settled(terms @ weights, depth), deriv
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=128)
 def _moduli(depth: int, sigma: float) -> np.ndarray:
     """Read-only row (k+1)^{-sigma}, k <= depth: the moduli of a batch on one vertical line."""
     row = np.power(np.arange(1.0, depth + 2.0), -sigma)
@@ -418,6 +444,9 @@ def _settled(sums: np.ndarray, depth: int) -> np.ndarray:
 
 # Borwein's bound (see _borwein_order) falls by this factor per term
 _BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))
+# Most terms of Borwein's sum one point may take, checked before any work:
+# 130 serve the scans' t <= 120, and 512 reach |t| ~ 548
+_MAX_BORWEIN_ORDER = 512
 
 
 def _borwein_order(t: float) -> int:
@@ -426,10 +455,16 @@ def _borwein_order(t: float) -> int:
     P. Borwein (CMS Conf. Proc. 27, 2000) bounds the error of the order-n
     sum for sigma >= 1/2 by 3 (1 + 2|t|) e^{pi |t| / 2} / (3 + sqrt 8)^n:
     36 terms at t = 16 and 130 at t = 120, against 101 and 341 binomial
-    terms (_eta_depth).
+    terms (_eta_depth).  A height that needs more than _MAX_BORWEIN_ORDER
+    terms (|t| past about 548, or not finite) raises NonConvergenceError.
     """
     t = abs(t)
-    return math.ceil((0.5 * math.pi * t + math.log(1.0 + 2.0 * t) + 34.5) / _BORWEIN_RATE)
+    order = (0.5 * math.pi * t + math.log(1.0 + 2.0 * t) + 34.5) / _BORWEIN_RATE
+    if not order <= _MAX_BORWEIN_ORDER:
+        raise NonConvergenceError(
+            f"eta at |t| = {t:g} needs more than {_MAX_BORWEIN_ORDER} terms of Borwein's sum"
+        )
+    return math.ceil(order)
 
 
 def _borwein_tails(n: int) -> np.ndarray:
@@ -444,7 +479,6 @@ def _borwein_tails(n: int) -> np.ndarray:
     return _log_space_tails(np.log(4.0 * (n + i) * (n - i) / ((2.0 * i + 2.0) * (2.0 * i + 1.0))))[1][1:]
 
 
-@functools.lru_cache(maxsize=64)
 def _borwein_weights(n: int) -> np.ndarray:
     """Read-only n x 7 columns of Borwein's eta sum in the shape of _eta_weights:
     column 0 is the order-n sum, columns 1-6 its differences from orders
@@ -466,18 +500,31 @@ def _borwein_weights(n: int) -> np.ndarray:
     return weights
 
 
-def _eta_line(t_lo: float, step: float, count: int, coeffs=None, t_top: float | None = None) -> np.ndarray:
+# one table per order a scan can take (20 .. 130) and room to spare
+@functools.lru_cache(maxsize=128)
+def _borwein_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only rows of _eta_sums for Borwein's order-n sum, in the shape of
+    _eta_weights: log(k+1), the derivative weights -(-1)^k w_k log(k+1) and
+    the columns of _borwein_weights, k < n.
+    """
+    weights = _borwein_weights(n)
+    log_base = np.log(np.arange(1.0, n + 1.0))
+    deriv = -log_base * weights[:, 0]
+    for row in (log_base, deriv):
+        row.setflags(write=False)
+    return log_base, deriv, weights
+
+
+def _eta_line(t_lo: float, step: float, count: int, coeffs=None, t_top: float = 0.0) -> np.ndarray:
     """The alternating series sum_k (-1)^k c_k (k+1)^{-s} at s = 1/2 + i t_j on
     the evenly spaced heights t_j = t_lo + j step, j < count, without the
     count x (D+1) matrix of powers.
 
-    A row c_0 .. c_D takes the binomial weights of _eta_weights(D, 0):
-    _eta_sums(1/2 + i t_j, coeffs=coeffs)[0] to rounding.  coeffs None is
-    eta (c_k = 1), the limit scan's grid, where sigma = 1/2 and Borwein's
-    bound holds: the n = _borwein_order(t_top) columns of _borwein_weights,
-    about 20 + 0.9 t terms against 64 + 2.3 t, where t_top is the top of
-    the window the grid serves.  One point takes exact powers at eta's
-    depth.
+    The weights are _eta_sums' (see _weight_rows) for a point at t_top,
+    the top of the window the grid serves: a row c_0 .. c_D takes Euler's
+    weights of _eta_weights(D, 0), and eta (coeffs None) the
+    n = _borwein_order(t_top) columns of Borwein's, about 20 + 0.9 t terms
+    against 64 + 2.3 t.  One point takes exact powers.
 
     Odlyzko and Schonhage (Trans. AMS 309, 1988) evaluate one Dirichlet sum
     at many evenly spaced heights from the fact that its rows of powers are
@@ -490,20 +537,17 @@ def _eta_line(t_lo: float, step: float, count: int, coeffs=None, t_top: float | 
     columns are one complex product (seeds * weight column) @ offsets^T,
     with the settle check of _eta_sums.  A point stands at t_{qa} + b step,
     off t_j by the rounding of that sum, a few ulp of t: measured within
-    2e-13 (1 + |f|) of exact binomial powers for t <= 120, with either
-    weights.  Used only on scan grids.
+    2e-13 (1 + |f|) of exact powers for t <= 120, with either weights.
+    Used only on scan grids.
     """
     if count == 1:
-        return _eta_sums([complex(0.5, t_lo)], coeffs=coeffs)[0]
+        return _eta_sums([complex(0.5, t_lo)], coeffs=coeffs, t_top=t_top)[0]
+    log_base, _, weights = _weight_rows(np.array([complex(0.5, t_top)]), coeffs)
+    terms = log_base.size
     if coeffs is None:
-        weights = _borwein_weights(_borwein_order(t_top))
-        moduli = _moduli(weights.shape[0] - 1, 0.5)
+        moduli = _moduli(terms - 1, 0.5)
     else:
-        coeffs = np.asarray(coeffs, dtype=float)
-        weights = _eta_weights(coeffs.size - 1, 0)[2]
-        moduli = np.power(np.arange(1.0, coeffs.size + 1.0), -0.5) * coeffs
-    terms = weights.shape[0]
-    log_base = np.log(np.arange(1.0, terms + 1.0))
+        moduli = np.power(np.arange(1.0, terms + 1.0), -0.5) * np.asarray(coeffs, dtype=float)
     q = math.isqrt(count - 1) + 1
     seeds = _phasors(t_lo + step * (q * np.arange(-(-count // q))), log_base)
     offsets = _phasors(step * np.arange(q), log_base)
@@ -517,7 +561,8 @@ def eta(s: complex) -> complex:
 
     Relative error <= 1e-10 on the contract region (sigma in [-2, 3],
     |t| <= 60); accuracy degrades gracefully outside.  Non-finite s raises
-    DomainError.
+    DomainError; sigma >= 1/2 past |t| ~ 548 raises NonConvergenceError
+    (see _borwein_order).
     """
     return complex(eta_grid([complex(s)])[0])
 
@@ -525,17 +570,19 @@ def eta(s: complex) -> complex:
 def eta_grid(s_values) -> np.ndarray:
     """Dirichlet eta on a batch of points through one weighted sum.
 
-    The globally convergent double sum
+    eta(s) = sum_k (-1)^k w_k (k+1)^{-s} for one of two weight rows (see
+    _weight_rows).  With every sigma >= 1/2 the batch takes Borwein's
+    order-n weights w_k = (d_n - d_k) / d_n (_borwein_weights), n sized
+    for its highest |t|.  Otherwise the globally convergent double sum
     eta(s) = sum_{m>=0} 2^{-(m+1)} sum_{k<=m} (-1)^k C(m,k) (k+1)^{-s},
     truncated at the calibrated depth D (the largest of the batch), regroups
-    into sum_{k<=D} (-1)^k w_k (k+1)^{-s} with
-    w_k = sum_{m=k}^{D} 2^{-(m+1)} C(m,k) = P(Bin(D+1, 1/2) >= k+1), since
-    2^{-(m+1)} C(m,k) is the chance that the (k+1)-th head of a fair coin
-    comes on toss m+1.  This is Euler's transform as a weight vector (Cohen,
-    Rodriguez Villegas and Zagier, Experiment. Math. 9, 2000): O(D) per
-    point and one matrix product per batch (a batch with sigma < 1/2 first
-    splits off three levels, see _eta_sums).  Raises NonConvergenceError
-    when none of the last six levels of the double sum settled below
+    into w_k = sum_{m=k}^{D} 2^{-(m+1)} C(m,k) = P(Bin(D+1, 1/2) >= k+1),
+    since 2^{-(m+1)} C(m,k) is the chance that the (k+1)-th head of a fair
+    coin comes on toss m+1.  This is Euler's transform as a weight vector
+    (Cohen, Rodriguez Villegas and Zagier, Experiment. Math. 9, 2000; the
+    batch first splits off three levels, see _eta_sums).  Either way O(n)
+    per point and one matrix product per batch.  Raises
+    NonConvergenceError when none of the six settle columns fell below
     1e-10 (1 + |eta|).
     """
     return _eta_sums(s_values)[0]

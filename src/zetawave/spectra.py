@@ -18,7 +18,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from .errors import DomainError, OverflowRangeError
-from .specfun import _TINY, _eta_depth, _eta_line, _eta_sums
+from .specfun import _TINY, _borwein_order, _eta_depth, _eta_line, _eta_sums
 from .waveform import (
     ORIGINAL,
     TILDE,
@@ -116,8 +116,8 @@ def _line_grid(coeffs, step: float) -> Callable[[np.ndarray], np.ndarray]:
     """f at s = 1/2 + i t of the _eta_sums series with this coefficient row
     (eta for None) on a scan grid ts, t_lo + j step with the window top
     appended when it falls off the lattice: the lattice by _eta_line's
-    factorized phases (eta with Borwein's weights sized for the window
-    top), the appended top by exact powers.
+    factorized phases, the appended top by exact powers, both with the
+    weights sized for the window top ts[-1].
     """
     def grid(ts: np.ndarray) -> np.ndarray:
         count = ts.size - int(ts[-1] != ts[0] + step * (ts.size - 1))
@@ -127,10 +127,16 @@ def _line_grid(coeffs, step: float) -> Callable[[np.ndarray], np.ndarray]:
     return grid
 
 
-def _line_newton(coeffs=None) -> Callable[[np.ndarray], tuple]:
-    """(f, df/dt = i f'(s)) at s = 1/2 + i t of the _eta_sums series, eta for None."""
+def _line_newton(coeffs=None, t_top: float = 0.0) -> Callable[[np.ndarray], tuple]:
+    """(f, df/dt = i f'(s)) at s = 1/2 + i t of the _eta_sums series at exact
+    powers, eta for None.
+
+    A coefficient row takes Euler's weights at its own depth; eta takes
+    Borwein's, sized for the larger of t_top and the batch's highest t, so
+    every round of a window sized for its top shares the grid's table.
+    """
     def newton(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values, deriv = _eta_sums(0.5 + 1j * ts, derivative=True, coeffs=coeffs)
+        values, deriv = _eta_sums(0.5 + 1j * ts, derivative=True, coeffs=coeffs, t_top=t_top)
         return values, 1j * deriv
 
     return newton
@@ -186,10 +192,11 @@ def _refine_all(
     ]
 
 
-# Work preflight: grid points times terms per point, checked before any
-# array is built.  The grid never holds that many elements at once (see
-# specfun._eta_line), so this bounds the work of the settle products,
-# 7 complex multiply-adds per element, not memory.
+# Work preflight: grid points times the terms summed per point (Borwein's
+# order in limit mode, the binomial depth + 1 in finite mode), checked
+# before any array is built.  The grid never holds that many elements at
+# once (see specfun._eta_line), so this bounds the work of the settle
+# products, 7 complex multiply-adds per element, not memory.
 _MAX_SCAN_ELEMENTS = 2**24
 
 
@@ -206,17 +213,20 @@ def scan_zeros(
 
     The grid t_lo + j step (with t_hi appended when it falls off it) is
     evaluated by specfun._eta_line's factorized phases, within 2e-13
-    (1 + |f|) of exact powers; in limit mode its lattice sums eta with
-    Borwein's weights, about 20 + 0.9 t_hi terms where the binomial depth
-    takes 64 + 2.3 t_hi.  Grid values only choose the candidates.
+    (1 + |f|) of exact powers; in limit mode it sums eta with Borwein's
+    weights, about 20 + 0.9 t_hi terms where the binomial depth takes
+    64 + 2.3 t_hi.  Grid values only choose the candidates.
     Grid minima of the normalized modulus qualify as candidates when they
     fall below 0.1 times the window median (robust against shallow dips
     between zeros); all candidates are Newton-refined together, each inside
     its bracket, with the analytic derivative of the objective at exact
-    powers and binomial weights.  Unconverged candidates are flagged, never
-    dropped.  Records come back sorted by t.  A grid whose points times
-    binomial terms per point (64 + 2.3 t_hi, in both modes) exceeds
-    _MAX_SCAN_ELEMENTS is refused with DomainError before any work.
+    powers and the grid's weights: Borwein's sized for the window top in
+    limit mode, the coefficient row's binomial ones in finite mode.
+    Unconverged candidates are flagged, never dropped.  Records come back
+    sorted by t.  A grid whose points times terms summed per point
+    (Borwein's order in limit mode, 65 + 2.3 t_hi binomial terms in
+    finite mode) exceeds _MAX_SCAN_ELEMENTS is refused with DomainError
+    before any work.
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
         raise DomainError("scan range must be finite")
@@ -238,7 +248,10 @@ def scan_zeros(
     SqueezeParameter(float(lam))
 
     count = int(math.floor((t_hi - t_lo) / step + 1e-9)) + 1
-    terms = _eta_depth(np.array([0.5 + 1j * t_hi])) + 1
+    if mode == "limit":
+        terms = _borwein_order(t_hi)
+    else:
+        terms = _eta_depth(np.array([0.5 + 1j * t_hi])) + 1
     if (count + 1) * terms > _MAX_SCAN_ELEMENTS:
         raise DomainError(
             f"scan grid of {count} points x {terms} terms exceeds the work limit of "
@@ -249,7 +262,7 @@ def scan_zeros(
         ts = np.append(ts, t_hi)
 
     if mode == "limit":
-        newton, fgrid = _line_newton(), _line_grid(None, step)
+        newton, fgrid = _line_newton(t_top=float(ts[-1])), _line_grid(None, step)
     else:
         newton, fgrid = _finite_series_tools(int(n), float(lam), float(t_hi), step)
     fgrid_vals = fgrid(ts)

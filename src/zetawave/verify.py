@@ -23,6 +23,8 @@ from .quad import (
     tail_cutoff_for,
 )
 from .specfun import (
+    _eta_depth,
+    _eta_sums,
     chi,
     eta,
     gamma_complex,
@@ -114,8 +116,15 @@ def _check_eta_alternating_agreement() -> tuple[float, str]:
         terms = signs * np.exp(-s * np.log1p(m))
         reference, _ = euler_naive(terms)
         accelerated, _ = _euler_accelerated(terms)
-        worst = max(worst, abs(eta(s) - reference), abs(accelerated - reference))
-    return worst, "binomial-sum eta and weighted Euler transform vs iterated-averaging oracle"
+        # eta takes Borwein's weights at sigma >= 1/2; a unit coefficient
+        # row at eta's binomial depth takes Euler's
+        binomial = _eta_sums([s], coeffs=np.ones(_eta_depth(np.array([s])) + 1))[0][0]
+        for value in (eta(s), binomial, accelerated):
+            worst = max(worst, abs(value - reference))
+    return worst, (
+        "Borwein-weight eta, binomial-sum eta and weighted Euler transform "
+        "vs iterated-averaging oracle"
+    )
 
 
 def _check_gamma_functional() -> tuple[float, str]:

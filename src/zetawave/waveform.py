@@ -86,6 +86,10 @@ _ABS_NOISE = 4e-16
 # residual.
 _BOUNDARY_TOL_RULE = (1e-9, 30.0)
 _EXPANSION_TOL_RULE = (1e-11, 10.0)
+# Largest first-order term e^{-lam} (2n + 1 + y/2) of the tilde expansion
+# (relative to its zero order) at which the expansion is taken: past it the
+# remainder is not small against the term it corrects
+_EXPANSION_REACH = 0.1
 
 
 @dataclass(frozen=True)
@@ -648,6 +652,8 @@ def psi_boundary_batch(
     psi_boundary (this batch at one point); its exact inner integral K does
     not involve s, so a scan grid costs one phase sum per point on top of a
     single evaluation.  varphi_zero is applied by Python complex products.
+    A value that is not a normal double (it underflowed, as at y = 1e300)
+    raises OverflowRangeError.
     """
     _check_boundary_args(y, n, lam, variant)
     arr = np.asarray(list(s_values), dtype=complex)
@@ -657,6 +663,11 @@ def psi_boundary_batch(
         arr, float(y), int(n), [float(lam)], variant, target_tol, _BOUNDARY_TOL_RULE
     )
     values = [varphi_zero(z) * complex(v) for z, v in zip(arr, vals[0])]
+    for z, value in zip(arr, values):
+        if not _TINY <= abs(value) < math.inf:
+            raise OverflowRangeError(
+                f"|psi_boundary| = {abs(value):.3g} at s = {z} is not a normal double"
+            )
     return np.array(values, dtype=complex), float(errs[0])
 
 
@@ -748,7 +759,8 @@ def tilde_expansion_check(
     2 varphi_zero(s) (eta(s) - 2 eta(s-1)); residual = |exact -
     first_order| is expected to scale like e^{-2 lam}.  target_tol None
     picks max(1e-11, 10x the rounding floor) on the eta-normalized scale
-    (see _eta_scale_floor).
+    (see _eta_scale_floor).  A first-order term e^{-lam} (2n + 1 + y/2)
+    past 0.1 is outside the expansion's regime and raises DomainError.
     """
     return _tilde_expansions(y, complex(s), n, [lam], target_tol)[0]
 
@@ -764,10 +776,18 @@ def _tilde_expansions(
 
     One _boundary_squeezes call gives the exact values, so Gamma(s) and
     the grids are shared as there; varphi_zero(s), eta(s) and eta(s-1)
-    are evaluated once for all squeezes.
+    are evaluated once for all squeezes.  A first-order term
+    e^{-lam} (2n + 1 + y/2) past _EXPANSION_REACH at the smallest lam
+    raises DomainError before any work.
     """
     if any(lam < 5.0 for lam in lams):
         raise DomainError("expansion regime needs lam >= 5")
+    reach = math.exp(-min(lams)) * (2.0 * n + 1.0 + 0.5 * y)
+    if reach > _EXPANSION_REACH:
+        raise DomainError(
+            f"expansion regime needs e^-lambda (2n + 1 + y/2) <= {_EXPANSION_REACH:g}; "
+            f"it is {reach:.3g} at lambda = {min(lams):g}"
+        )
     exact = _boundary_squeezes(z, y, n, lams, TILDE, target_tol, _EXPANSION_TOL_RULE)
     pref = 2.0 * varphi_zero(z)
     eta_s = eta(z)

@@ -28,7 +28,9 @@ from zetawave import (
     xi_aux,
     zeta,
 )
+from zetawave import specfun
 from zetawave.specfun import (
+    _MAX_BORWEIN_ORDER,
     _binomial_weights,
     _borwein_order,
     _borwein_tails,
@@ -245,6 +247,54 @@ def test_eta_derivative_against_mpmath(sigma, t):
     assert abs(derivs[0] - want) <= 1e-9 * abs(want)
 
 
+@given(st.floats(0.5, 3.0), st.floats(-120.0, 120.0))
+@example(0.5, 120.0)
+@example(0.5, -120.0)
+@example(0.5, 0.0)
+@example(3.0, 117.3)
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+def test_borwein_derivative_row_against_mpmath(sigma, t):
+    # at sigma >= 1/2 eta and its derivative take Borwein's weights,
+    # -(-1)^k w_k log(k+1) for the derivative; same bounds as eta's
+    # derivative test, with the value test's floor where eta' is small
+    s = complex(sigma, t)
+    values, derivs = _eta_sums([s], derivative=True)
+    assert values[0] == eta(s)
+    want = complex(mp.diff(mp.altzeta, mp.mpc(sigma, t)))
+    assert abs(derivs[0] - want) <= 1e-9 * max(abs(want), 1e-3)
+
+
+def test_borwein_batch_takes_its_highest_point(monkeypatch):
+    # one table per batch, sized for its highest |t| or for t_top if higher
+    orders = []
+    build = specfun._borwein_rows
+    monkeypatch.setattr(specfun, "_borwein_rows", lambda n: orders.append(n) or build(n))
+    s = np.array([0.5 + 3.0j, 1.5 - 40.0j, 0.5 + 100.0j])
+    _eta_sums(s, derivative=True)
+    _eta_sums(s[:1], t_top=100.0)
+    _eta_sums(s[:1])
+    _eta_sums(s, t_top=1.0)
+    assert orders == [_borwein_order(100.0)] * 2 + [_borwein_order(3.0), _borwein_order(100.0)]
+
+
+def test_eta_at_the_borwein_order_cap():
+    assert _borwein_order(120.0) == 130 <= _MAX_BORWEIN_ORDER
+    # |t| = 500 takes 470 terms, under the cap of 512
+    want = complex(mp.altzeta(mp.mpc(0.5, 500.0)))
+    assert abs(eta(0.5 + 500.0j) - want) <= 1e-10 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("t", [1e4, -1e4, 1e300, 1e308, math.inf, -math.inf])
+def test_eta_past_the_borwein_order_cap_raises(t):
+    # refused before any array is built: numpy's own ValueError
+    # ("Maximum allowed dimension exceeded") would otherwise surface
+    for s_values in ([complex(0.5, t)], [0.5 + 1.0j, complex(2.0, t)]):
+        with pytest.raises((NonConvergenceError, DomainError)):
+            _eta_sums(s_values, derivative=True)
+    with pytest.raises((NonConvergenceError, DomainError)):
+        eta(complex(0.5, t))
+
+
 def _numpy_depth(s: np.ndarray) -> int:
     """_eta_depth as one numpy expression per point: the reference the scalar form must equal."""
     with np.errstate(over="ignore"):  # 2.3 t overflows to inf past t ~ 7.8e307: depth 420
@@ -271,10 +321,21 @@ def test_eta_depth_equals_its_numpy_form(points):
 
 @pytest.mark.parametrize("s", [0.5 + 14.134725j, -1.5 + 7.0j, 3.0 + 60.0j])
 def test_eta_sums_unit_row_is_eta(s):
+    # left of the critical line eta takes Euler's weights, so a unit row at
+    # its depth is eta bitwise; at sigma >= 1/2 eta takes Borwein's, and the
+    # unit row (Euler's weights) meets it through mpmath
     depth = _eta_depth(np.array([s]))
     values, derivs = _eta_sums([s], derivative=True, coeffs=np.ones(depth + 1))
     want_values, want_derivs = _eta_sums([s], derivative=True)
-    assert values[0] == want_values[0] and derivs[0] == want_derivs[0]
+    if s.real < 0.5:
+        assert values[0] == want_values[0] and derivs[0] == want_derivs[0]
+    else:
+        want = complex(mp.altzeta(mp.mpc(s.real, s.imag)))
+        want_deriv = complex(mp.diff(mp.altzeta, mp.mpc(s.real, s.imag)))
+        for got in (values[0], want_values[0]):
+            assert abs(got - want) / max(abs(want), 1e-3) <= 1e-10
+        for got in (derivs[0], want_derivs[0]):
+            assert abs(got - want_deriv) <= 1e-9 * abs(want_deriv)
 
 
 @pytest.mark.parametrize("s", [0.5 + 10.0j, 0.3 + 10.0j])
@@ -330,7 +391,9 @@ def test_eta_line_matches_exact_powers(line, kind):
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
     if count == 1:
-        assert got[0] == want[0]
+        # one point is _eta_sums at exact powers, with the same weights
+        exact = _eta_sums(0.5 + 1j * ts)[0] if kind == "borwein" else want
+        assert got[0] == exact[0]
 
 
 def test_eta_line_keeps_the_settle_check():

@@ -28,7 +28,7 @@ from zetawave import (
     varphi_zero,
 )
 from zetawave.oracles import euler_naive
-from zetawave import quad, spectra, waveform
+from zetawave import quad, specfun, spectra, waveform
 from zetawave.specfun import _eta_depth, _eta_sums
 from zetawave.spectra import _MAX_NEWTON, SCAN_MODES
 from zetawave.waveform import ORIGINAL, TILDE, _bare_overlaps, _eta_scale_floor
@@ -189,6 +189,30 @@ def test_scan_records_match_an_exact_power_grid(monkeypatch):
     assert factorized == exact
 
 
+def _weight_work():
+    """(calls of Euler's weight caches, tables built by the c_k = 1 caches)."""
+    euler = sum(f.cache_info().hits + f.cache_info().misses
+                for f in (specfun._eta_weights, specfun._binomial_weights))
+    built = specfun._borwein_rows.cache_info().misses + specfun._moduli.cache_info().misses
+    return euler, built
+
+
+@pytest.mark.parametrize("window", [(0.1, 120.0, 0.05), (13.0, 16.0, 0.05), (20.0, 26.0, 0.1)])
+def test_limit_scan_work_counts(window):
+    # a limit scan sums eta with Borwein's weights only (grid, appended top
+    # and Newton), from one table sized for the window top; a warm repeat
+    # builds no table at all
+    lo, hi, step = window
+    specfun._borwein_rows.cache_clear()
+    euler, _ = _weight_work()
+    cold = scan_zeros(lo, hi, step=step)
+    assert cold and specfun._borwein_rows.cache_info().currsize == 1
+    after_cold = _weight_work()
+    assert after_cold[0] == euler
+    assert scan_zeros(lo, hi, step=step) == cold
+    assert _weight_work() == after_cold
+
+
 def test_scan_grid_never_holds_the_term_matrix():
     # 2,398 points x 341 terms took 13.1 MB at the peak as one complex
     # matrix; the factorized grid holds about 2 sqrt(points) rows of it
@@ -250,9 +274,11 @@ def test_scan_guards():
         with pytest.raises(DomainError, match="finite"):
             scan_zeros(13.0, 16.0, refine_tol=bad)
     for mode in SCAN_MODES:
-        # 119,901 points x 341 or 357 terms: past the 2^24-element limit
+        # 239,801 points x 130 Borwein terms (limit) or 341 binomial terms
+        # (finite): past the 2^24-element limit.  At step 1e-3 the limit
+        # grid, 119,901 points x 130 terms, fits under it.
         with pytest.raises(DomainError, match="work limit"):
-            scan_zeros(0.1, 120.0, step=1e-3, mode=mode)
+            scan_zeros(0.1, 120.0, step=5e-4, mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -712,6 +712,13 @@ def test_boundary_guards():
         psi_boundary(0.0, -0.5 + 2j, 0, 1.0)
 
 
+@pytest.mark.parametrize("y, variant", [(1e300, "original"), (1e308, "tilde")])
+def test_boundary_value_below_the_normal_range_raises(y, variant):
+    # the value underflowed to 0 and came back as one, with a small error
+    with pytest.raises(OverflowRangeError, match="not a normal double"):
+        psi_boundary(y, 0.5 + 5j, 0, 12.0, variant=variant)
+
+
 def test_boundary_explicit_tolerance_is_met():
     # 1e-9 at t = 10 used to be raised to 3x the rounding floor, 6.3e-9,
     # and the sample came back with error 1.27e-9; the refusals are
@@ -871,6 +878,11 @@ def test_tilde_slope_linear_in_level():
 def test_tilde_needs_expansion_regime():
     with pytest.raises(DomainError):
         tilde_expansion_check(0.0, 0.5 + 5j, 0, 3.0)
+    # the first-order term e^{-lam} (2n + 1 + y/2) must stay below 0.1:
+    # at y = 1e300 every value was 0 against a first-order term of 1e296
+    for y, n, lam in ((1e300, 0, 8.0), (0.0, 149, 8.0)):  # 1.7e296 and 0.1003
+        with pytest.raises(DomainError, match="expansion regime"):
+            tilde_expansion_check(y, 0.5 + 5j, n, lam)
 
 
 # ---------------------------------------------------------------------------
