@@ -25,9 +25,12 @@ from .quad import (
 from .specfun import (
     _eta_depth,
     _eta_sums,
+    _laguerre_recurrence,
     chi,
     eta,
     gamma_complex,
+    # not called here, but perfbench/tracer.py wraps verify.laguerre by
+    # name and tests/test_benchmark_surface.py asserts that the name exists
     laguerre,
     zeta,
 )
@@ -67,8 +70,9 @@ class CheckResult:
 def _check_laguerre_recurrence() -> tuple[float, str]:
     # sum_n chi_n(y) z^n = e^{-y/2} e^{-yz/(1-z)} / (1-z) for |z| < 1; with
     # |chi_n| <= 1 the terms past n = 50 add at most |z|^51/(1-|z|) < 2e-27.
+    # One recurrence gives every order; its row n is bitwise laguerre(n, ys).
     ys = np.linspace(0.0, 50.0, 101)
-    rows = np.array([laguerre(n, ys) for n in range(51)]) * np.exp(-0.5 * ys)
+    rows = _laguerre_recurrence(50, ys, np.ones_like(ys), all_orders=True) * np.exp(-0.5 * ys)
     zs = np.array([0.3, -0.3, 0.3j, -0.2 + 0.2j])[:, None]
     powers = zs ** np.arange(51)
     series = powers @ rows
@@ -187,7 +191,14 @@ def _check_quad_tail_honesty() -> tuple[float, str]:
 # ---------------------------------------------------------------------------
 
 
+def _squared_norm(psi: Callable, cutoff: float, panels: int) -> float:
+    nodes, weights = _gauss_panels(0.0, cutoff, panels)
+    return math.fsum(np.abs(psi(nodes)) ** 2 * weights)
+
+
 def _check_squeeze_unitarity() -> tuple[float, str]:
+    # each norm on one fixed Gauss grid, cut where e^{-rate x} falls to
+    # 1e-14, at about one panel per 4 units of x and at least 64 panels
     tests = [
         (lambda x: np.exp(-x), 2.0),
         (lambda x: x * np.exp(-x), 2.0),
@@ -197,20 +208,11 @@ def _check_squeeze_unitarity() -> tuple[float, str]:
     ]
     worst = 0.0
     for psi, rate in tests:
+        norm0 = _squared_norm(psi, tail_cutoff_for(rate, 1e-13), 64)
         for lam in (0.0, 1.0, 5.0):
-            squeezed = squeeze_apply(psi, lam)
-            scaled_rate = rate * math.exp(-lam)
-            base_spec = QuadratureSpec(
-                panels=64, tail_cutoff=tail_cutoff_for(rate, 1e-13), target_tol=1e-11
-            )
-            sq_spec = QuadratureSpec(
-                panels=max(64, int(tail_cutoff_for(scaled_rate, 1e-13) / 4.0)),
-                tail_cutoff=tail_cutoff_for(scaled_rate, 1e-13),
-                target_tol=1e-11,
-            )
-            norm0 = integrate_halfline(lambda x: np.abs(psi(x)) ** 2, base_spec).value
-            norm1 = integrate_halfline(lambda x: np.abs(squeezed(x)) ** 2, sq_spec).value
-            worst = max(worst, abs(norm1 - norm0) / abs(norm0))
+            cutoff = tail_cutoff_for(rate * math.exp(-lam), 1e-13)
+            norm1 = _squared_norm(squeeze_apply(psi, lam), cutoff, max(64, int(cutoff / 4.0)))
+            worst = max(worst, abs(norm1 - norm0) / norm0)
     return worst, "L2 norm before vs after squeezing, 5 functions x 3 lambdas"
 
 
@@ -398,11 +400,13 @@ def run_checks(
     """Run the invariant suite, optionally filtered by substring.
 
     tol_override replaces every default tolerance (useful to demonstrate
-    failure reporting) and must be finite.  Unknown filters raise
-    DomainError so typos do not masquerade as a green empty run.
+    failure reporting) and must be finite and nonnegative: no measured
+    value is below 0, so a negative one would fail every check for a bad
+    configuration.  Unknown filters raise DomainError so typos do not
+    masquerade as a green empty run.
     """
-    if tol_override is not None and not math.isfinite(tol_override):
-        raise DomainError(f"tol_override must be finite, got {tol_override}")
+    if tol_override is not None and not (math.isfinite(tol_override) and tol_override >= 0.0):
+        raise DomainError(f"tol_override must be finite and nonnegative, got {tol_override}")
     selected = [
         entry for entry in _REGISTRY if only is None or only in entry[0]
     ]

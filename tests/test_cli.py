@@ -360,6 +360,7 @@ def test_overflow_regime_exits_3(capsys):
     ("boundary", "--t", "5", "--y", "inf", "--variant", "limit"),
     ("verify", "--tol", "nan"),
     ("verify", "--tol", "inf"),
+    ("verify", "--tol", "-1"),  # failed every check and exited 1
 ])
 def test_non_finite_input_exits_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
