@@ -46,7 +46,6 @@ from .waveform import (
     SqueezeParameter,
     TildeExpansion,
     WaveSample,
-    boundary_levels,
     mehler_closed,
     mehler_series,
     overlap_s1,

@@ -37,8 +37,9 @@ __all__ = ["main"]
 _FORMATS = ("csv", "records")
 _BOUNDARY_VARIANTS = (ORIGINAL, TILDE, LIMIT)
 # Most rows one boundary command may ask for: the product of its t, lambda,
-# y and x list lengths.  Each x = 0 row runs its own boundary quadrature, so
-# the work grows with that product and is refused (exit 2) before it starts.
+# y and x list lengths.  Each x = 0 row runs its own level sum or boundary
+# quadrature, so the work grows with that product and is refused (exit 2)
+# before it starts.
 MAX_BOUNDARY_ROWS = 4096
 
 # A runner's report: CSV header (also the records keys), rows of cell
@@ -243,7 +244,7 @@ _COMMANDS = {
         "lambda": _Param(_numbers, "12", "squeeze, single value or comma list"),
         "n": _Param(_integer, "0", "level index"),
         "variant": _Param(_text, ORIGINAL, "original, tilde or limit", _BOUNDARY_VARIANTS),
-        "tol": _Param(_number, None, "quadrature tolerance on the eta-normalized scale"),
+        "tol": _Param(_number, None, "tolerance on the eta-normalized scale"),
     }),
     "converge": _Command("squeeze-convergence study", _run_converge, {
         **_COMMON,

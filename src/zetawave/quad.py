@@ -4,18 +4,17 @@ Smooth exponentially decaying integrands go to integrate_halfline, which
 applies the panels directly and reports an a posteriori error from panel
 halving plus an explicit bound for the discarded tail.  Mellin integrals
 (1/scale) int_0^inf u^{s-1} g(u)/(e^u - 1) du go to integrate_singular_log,
-the one engine behind every boundary value: the substitution u = e^v turns
-the algebraic endpoint into a pure Fourier mode e^{s v} times an envelope
-that does not involve s, on a finite v-interval whose grid doubles each
-round, for a whole batch of s in double precision; several integrands
-with the same cut ride one grid and one set of phases as rows.
+the engine behind every boundary value at y > 0: the substitution u = e^v
+turns the algebraic endpoint into a pure Fourier mode e^{s v} times an
+envelope that does not involve s, on a finite v-interval whose grid
+doubles each round, for a whole batch of s in double precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -180,11 +179,11 @@ def integrate_halfline(f: Callable, spec: QuadratureSpec) -> QuadResult:
 def integrate_singular_log(
     g: Callable,
     s_values: np.ndarray,
-    head: float | Sequence[float],
+    head: float,
     scale: np.ndarray,
     tols: np.ndarray,
     envelope: float = 1.0,
-) -> tuple[np.ndarray, float | np.ndarray]:
+) -> tuple[np.ndarray, float]:
     """(1/scale) int_0^inf u^{s-1} g(u)/(e^u - 1) du for a batch of s.
 
     Returns (values, err), err the largest change of the last doubling.
@@ -205,28 +204,13 @@ def integrate_singular_log(
     discards less than min(tols) min|scale| / 10, the raw tolerance, for
     every point.  scale is a nonzero value or array that broadcasts
     against s_values, such as Gamma(s).
-
-    Rows: with a sequence of K heads, g returns K rows, a (K, nodes) array
-    or K arrays, one integrand per head, and the call returns values of
-    shape (K, len(s_values)) with an array of K errors.  The rows share
-    the grid and the phases e^{s v}; each row is summed by its own
-    phase @ row, so in the order a one-row call sums it, and is frozen at
-    the first doubling where its own points move by at most their
-    tolerances.  The first row still moving when the rounds run out
-    raises with its own discrepancy.  So each row's value, error and
-    error message are bitwise those of a one-row call with its head; only
-    the envelope, and with it the cut, is shared.
     """
     s = np.asarray(s_values, dtype=complex).reshape(-1)
     scale = np.asarray(scale, dtype=complex)
     tols = np.asarray(tols, dtype=float)
     moduli = np.abs(scale)
-    single = np.isscalar(head)
-    heads = [head] if single else list(head)
     if s.size == 0:
         raise DomainError("Mellin integral needs at least one point s")
-    if not heads:
-        raise DomainError("Mellin integral needs at least one head")
     # NaN fails every comparison below, so these checks also reject it
     sig_min, t_max = float(s.real.min()), float(np.abs(s.imag).max())
     if not (sig_min > 0.0 and s.real.max() < math.inf and t_max < math.inf):
@@ -247,49 +231,25 @@ def integrate_singular_log(
         raise DomainError(
             f"Mellin tolerance {tol_min:.3g} is too loose: its lower cut passes u = 45"
         )
-    phase_lo = np.exp(s * v_lo)
-    head_terms = [h * phase_lo / s for h in heads]
+    head_term = head * np.exp(s * v_lo) / s
     panels = max(24, int(math.ceil((1.0 + t_max) * (v_hi - v_lo) / 6.0)))
-    values = [None] * len(heads)
-    errs = [math.inf] * len(heads)
-    prev = [None] * len(heads)
-    live = list(range(len(heads)))
+    prev, err = None, math.inf
     for _ in range(_MAX_BOUNDARY_ROUNDS + 1):
         if panels * _ORDER > _MAX_OUTER_NODES:
             break
         v, w = _gauss_panels(v_lo, v_hi, panels)
         u = np.exp(v)
-        rows = (g(u),) if single else g(u)
-        if len(rows) != len(heads):
-            raise DomainError("integrand must return one row per head")
-        em1 = np.expm1(u)
-        kernels = [w * rows[k] / em1 for k in live]
-        # Rows and phases are freed as soon as they are used: holding them
-        # raised the peak memory of a many-row call and measurably slowed
-        # small batches, which would otherwise build the next grid's
-        # phases beside this one's.
-        del rows, em1
-        sums = [np.empty(s.size, dtype=complex) for _ in live]
+        kernel = w * g(u) / np.expm1(u)
+        raw = np.empty(s.size, dtype=complex)
+        # phases in blocks of 128 points, each freed before the next is built
         for lo in range(0, s.size, 128):
-            phase = np.exp(np.multiply.outer(s[lo : lo + 128], v))
-            for kernel, out in zip(kernels, sums):
-                out[lo : lo + 128] = phase @ kernel
-            del phase
-        moving = []
-        for k, raw in zip(live, sums):
-            vals = (raw + head_terms[k]) / scale
-            if prev[k] is not None:
-                diffs = np.abs(vals - prev[k])
-                errs[k] = float(np.max(diffs))
-                if np.all(diffs <= tols):
-                    values[k] = vals
-                    continue
-            prev[k] = vals
-            moving.append(k)
-        live = moving
-        if not live:
-            if single:
-                return values[0], errs[0]
-            return np.array(values), np.array(errs)
+            raw[lo : lo + 128] = np.exp(np.multiply.outer(s[lo : lo + 128], v)) @ kernel
+        vals = (raw + head_term) / scale
+        if prev is not None:
+            diffs = np.abs(vals - prev)
+            err = float(np.max(diffs))
+            if np.all(diffs <= tols):
+                return vals, err
+        prev = vals
         panels *= 2
-    raise NonConvergenceError(f"Mellin quadrature stalled at discrepancy {errs[live[0]]:.3g}")
+    raise NonConvergenceError(f"Mellin quadrature stalled at discrepancy {err:.3g}")

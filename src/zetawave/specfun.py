@@ -15,7 +15,7 @@ points all have sigma >= 1/2, where his error bound is proved: about
 Euler's weights, the Bin(n, 1/2) tails of _binomial_weights, serve the
 rest at the one depth rule _eta_depth: eta left of the critical line and
 every coefficient row (the y = 0 level sums of the squeezed boundary
-value, see waveform.boundary_levels).  Euler's transform of
+value, see waveform._level_sums).  Euler's transform of
 sum_k (-1)^k a_k regroups exactly into the weighted sum derived in
 eta_grid, and the iterated averaging of waveform._euler_accelerated is
 the same identity on partial sums.  A scan grid, evenly spaced heights on
@@ -303,12 +303,12 @@ def _eta_depth(s: np.ndarray) -> int:
 
     It sizes Euler's weights: eta left of the critical line, and the
     coefficient rows whose length sets their depth (the finite scan and
-    waveform.boundary_levels).  Calibrated against extended-precision
-    references over sigma in [-2, 3], |t| <= 60; worst observed error
-    ~5e-13.  The level sums of the squeezed
-    boundary value run at the same depth: against 176 more levels they
-    differ by <= 1.6e-14 (1 + |f|) over lam in {5, 8, 12, 14, 16}, n <= 300,
-    t <= 120, but 7.6e-13 at lam = 5, n = 10, the overlaps' own rounding.
+    every y = 0 boundary value, waveform._level_sums).  Calibrated against
+    extended-precision references over sigma in [-2, 3], |t| <= 60; worst
+    observed error ~5e-13, the truncation waveform._level_sums states.  The
+    level sums of the squeezed boundary value run at the same depth:
+    against 176 more levels they differ by <= 1.6e-14 (1 + |f|) over lam in
+    {5, 8, 12, 14, 16}, n <= 300, t <= 120.
     ceil is monotone, so the deepest point of each side of sigma = 1/2 is
     the one with the largest |t| there: two scalar ceilings, not one per
     point (the cap is applied first, so an infinite t gives 420).

@@ -6,7 +6,9 @@ Newton step projected back to the line.  In limit mode the objective is
 the eta function itself; in finite-squeeze mode it is the y = 0 boundary
 value in its level-sum form divided by 2 varphi_zero, which sits on the
 same O(1) scale as eta at every height (the raw boundary value collapses
-like e^{-pi t/2} and would starve detection of dynamic range).
+like e^{-pi t/2} and would starve detection of dynamic range).  Studies
+at y = 0 take the same level sum, one coefficient row per squeeze; at
+y > 0 they take the Mellin quadrature.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .waveform import (
     TILDE,
     QuantumNumber,
     SqueezeParameter,
-    _bare_overlaps,
     _boundary_squeezes,
+    _level_coefficients,
     _tilde_expansions,
     psi_boundary_limit,
 )
@@ -33,7 +35,7 @@ from .waveform import (
 # Unused here, but the benchmark tracer (perfbench/tracer.py) wraps these
 # names in this module, so they must stay importable from it.
 from .specfun import eta, eta_grid  # noqa: F401
-from .waveform import _euler_accelerated, _euler_accelerated_rows  # noqa: F401
+from .waveform import _bare_overlaps, _euler_accelerated, _euler_accelerated_rows  # noqa: F401
 from .waveform import psi_boundary, tilde_expansion_check  # noqa: F401
 
 __all__ = [
@@ -101,14 +103,14 @@ def _finite_series_tools(
     The y = 0 boundary value factorizes as varphi_zero(s) times
     sum_m A_m (m+1)^{-s} with squeeze-only overlaps A_m, so one overlap
     pass serves the whole scan.  Divided by 2 varphi_zero it lands on the
-    eta scale: sum_m (-1)^m c_m (m+1)^{-s} with c_m = (-1)^m A_m / 2, which
-    eta's kernel renders at the depth of the window top, with its settle
-    check (NonConvergenceError).  The Newton evaluator takes (f, df/dt) on
+    eta scale: sum_m (-1)^m c_m (m+1)^{-s} with c_m = (-1)^m A_m / 2, half
+    the boundary value's coefficient row (waveform._level_coefficients) at
+    the depth of the window top, which eta's kernel renders with its
+    settle check (NonConvergenceError).  The Newton evaluator takes (f, df/dt) on
     an array of heights by exact powers, df/dt = i f'(s); the grid
     evaluator keeps f on a scan grid of the given step (see _line_grid).
     """
-    coeffs = 0.5 * _bare_overlaps(n, _eta_depth(np.array([0.5 + 1j * t_max])), lam)
-    coeffs[1::2] *= -1.0
+    coeffs = 0.5 * _level_coefficients(n, np.array([0.5 + 1j * t_max]), lam)
     return _line_newton(coeffs), _line_grid(coeffs, step)
 
 
@@ -301,12 +303,10 @@ def convergence_study(
     remainder as slope -2.  An abs_error that is not a positive normal
     double has no logarithm to fit, and raises OverflowRangeError.
 
-    Every lambda is checked before any work.  Gamma(s), varphi_zero(s) and
-    eta(s) (with eta(s-1) for 'tilde-corrected') are evaluated once per
-    study.  At y = 0 all squeezes share the quadrature's envelope 1 + Y,
-    Y = e^{+-lambda} y = 0, and the study runs on one grid; at y > 0 each
-    lambda has its own.  Each record is bitwise the per-lambda
-    psi_boundary (or tilde_expansion_check) value.
+    Every lambda is checked before any work; the limit is evaluated once
+    per study.  Each record is bitwise the per-lambda psi_boundary (or
+    tilde_expansion_check) value: the level sum at y = 0, the Mellin
+    quadrature at y > 0.
     """
     z = complex(s)
     if variant not in STUDY_VARIANTS:

@@ -250,7 +250,7 @@ def _check_boundary_factorization() -> tuple[float, str]:
     devs_arr = np.vstack(devs)
     if np.any(np.diff(devs_arr, axis=0) > 0.0):
         return math.inf, "ratio deviation failed to shrink with lambda"
-    return float(np.max(devs_arr[-1])), "quadrature/limit ratio vs 1 at lambda = 14"
+    return float(np.max(devs_arr[-1])), "level-sum/limit ratio vs 1 at lambda = 14"
 
 
 def _check_confined_boundary() -> tuple[float, str]:

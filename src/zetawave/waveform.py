@@ -5,12 +5,15 @@ overlaps, the Mehler kernel in closed and series form, the full
 position-space wave function, the boundary integral with its large-squeeze
 limit, and the confined one-dimensional profile.
 
-The boundary integral is a quadrature over the Mehler parameter u with an
-oscillatory algebraic endpoint, through the log substitution of the quad
-module; the inner transverse integral is exact, an exponential times a
-Laguerre polynomial (see _inner_profile).  It does not involve the spectral
-parameter, so batches of spectral points share its values; at y = 0 the
-squeezes of a convergence study share the quadrature grid as well.
+The boundary value takes one route per regime.  At y = 0 it is the level
+sum varphi_zero(s) sum_m A_m (m+1)^{-s} over the bare overlaps A_m, which
+come from their three-term recurrence (_bare_overlaps) and are summed by
+eta's kernel, with relative accuracy at every height.  At y > 0 it is a
+quadrature over the Mehler parameter u with an oscillatory algebraic
+endpoint, through the log substitution of the quad module; the inner
+transverse integral is exact, an exponential times a Laguerre polynomial
+(see _inner_profile).  Neither the overlaps nor the inner integral involve
+the spectral parameter, so batches of spectral points share them.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ __all__ = [
     "psi_boundary",
     "psi_boundary_batch",
     "psi_boundary_limit",
-    "boundary_levels",
     "phi_confined",
     "tilde_expansion_check",
 ]
@@ -74,7 +76,8 @@ _VARIANTS = (ORIGINAL, TILDE, LIMIT)
 # Mehler exponent range is exhausted and the quadrature loses error control.
 MAX_LAMBDA = 25.0
 
-# Largest level index; work grows with n, and here a t = 10 boundary value takes ~2 s.
+# Largest level index; work grows with n, and here a t = 10 boundary value at
+# y > 0 takes ~0.3 s.
 MAX_LEVEL = 10_000
 
 # Absolute rounding floor of the outer oscillatory integral.  The integral
@@ -83,9 +86,12 @@ MAX_LEVEL = 10_000
 _ABS_NOISE = 4e-16
 # Default tolerances on that scale, (minimum, multiple of the floor): the
 # boundary value's, and tilde_expansion_check's, tighter for its e^{-2 lam}
-# residual.
+# residual.  The y = 0 level sum has no such floor and takes the minimum.
 _BOUNDARY_TOL_RULE = (1e-9, 30.0)
 _EXPANSION_TOL_RULE = (1e-11, 10.0)
+# Truncation of the level sum at _eta_depth, relative to 1 + |value|: the
+# depth rule's calibrated worst case (see specfun._eta_depth)
+_LEVEL_TRUNCATION = 5e-13
 # Largest first-order term e^{-lam} (2n + 1 + y/2) of the tilde expansion
 # (relative to its zero order) at which the expansion is taken: past it the
 # remainder is not small against the term it corrects
@@ -120,9 +126,10 @@ class QuantumNumber:
 class WaveSample:
     """One complex wave-function value with the parameters that made it.
 
-    error is a diagnostic from the producing operation: psi_boundary's
-    quadrature estimate on the eta-normalized scale it controlled, or
-    psi_full's rounding bound on the value.
+    error is a diagnostic from the producing operation, on the scale it
+    controlled: psi_boundary's eta-normalized one, the level sum's stated
+    bound at y = 0 and the quadrature's estimate at y > 0; psi_full's
+    rounding bound on the value.
     """
 
     x: float
@@ -223,64 +230,106 @@ def squeeze_apply(psi: Callable, lam: float) -> Callable:
     return squeezed
 
 
-def _bare_overlaps(n: int, m_max: int, lam: float) -> np.ndarray:
-    """Half-line integrals of chi_n(e^{-lam} y) chi_m(y) for m = 0..m_max.
+def _log_rho(lam: float) -> float:
+    """ln tanh(lam/2), from lam = 1 on as -2 atanh(e^{-lam}): no log of a number near 1."""
+    return math.log(math.tanh(0.5 * lam)) if lam < 1.0 else -2.0 * math.atanh(math.exp(-lam))
 
-    The generating function of these integrals over m is 2 B^n / A^{n+1}
-    with A = (1+eps) + t(1-eps), B = (1-eps) + t(1+eps), eps = e^{-lam}.
-    Writing B = (A - 4 eps/(1+eps)) (1+eps)/(1-eps) expands the coefficient
-    as a short sum over powers of 1/A, which keeps every summand on the
-    scale of the answer instead of cancelling across binomials.  That sum
-    still alternates in k, and for large n at a small squeeze (n = 20 at
-    lam = 0.3, n = 40 at lam = 2) its rounding, up to (n+1) 2^-52 times the
-    summed magnitudes, swamps the answer, which Cauchy-Schwarz bounds by
-    |A_m| <= e^{lam/2}; NonConvergenceError is raised once that rounding
-    could exceed 1e-10 e^{lam/2}.
+
+def _overlap_rounding(n: int, m, lam: float):
+    """Rounding bound of _bare_overlaps(n, ., lam)[m] relative to the row's largest entry.
+
+    4 (n |ln rho| + m + 1) 2^-52 for an int or array m: rho^n = e^{n ln rho}
+    carries the rounding of n ln rho, and each step adds about one unit.
+    Over 466 rows against mpmath's double sum (n <= 400, m <= 600, lam in
+    [0.001, 24]) the worst level came to 1.09 of it without the factor 4.
+    """
+    if math.exp(-lam) == 1.0:
+        return 0.0 * np.asarray(m)
+    return 4.0 * (n * -_log_rho(lam) + np.asarray(m) + 1.0) * 2.0**-52
+
+
+def _bare_overlaps(n: int, m_max: int, lam: float) -> np.ndarray:
+    """Half-line integrals A_m of chi_n(e^{-lam} y) chi_m(y) for m = 0..m_max.
+
+    Their generating function 2 B^n / A^{n+1}, A = (1+eps) + t(1-eps),
+    B = (1-eps) + t(1+eps), eps = e^{-lam}, solves
+    A B G' = [n(1+eps) A - (n+1)(1-eps) B] G, so with q = 1 - eps^2
+    q(m+1) A_{m+1} = [n(1+eps)^2 - (n+1)(1-eps)^2 - 2(1+eps^2) m] A_m - q m A_{m-1}
+    from A_0 = 2 rho^n/(1+eps), rho = (1-eps)/(1+eps) (Gautschi, SIAM Rev.
+    9, 1967).  The wanted solution dominates below eps n, both roots have
+    unit modulus up to n/eps, and past it the wanted one is minimal.  So
+    n = 0 is the closed form 2 (-rho)^m/(1+eps); up to n/eps the recurrence
+    runs forward on B_m = (-1)^m A_m and its steps D_m = B_m - B_{m-1},
+    q(m+1) D_{m+1} = (4 eps^2 m - 4 n eps - 2 eps(1-eps)) B_m + q m D_m,
+    whose O(eps) coefficients keep the digits the plain form lost where the
+    roots crowd -1 (1e-12 by m = 300 at lam = 6); past n/eps the same steps
+    run backward (Miller) from where the other solution is e^{-40} below,
+    matched to the two last forward levels by least squares.  A
+    power-of-two scale keeps rho^n and the growth in range.  An e^{-lam}
+    that rounds to 1 gives the identity A_m = delta_{mn}.  A row whose
+    _overlap_rounding at m_max passes 1e-10 raises NonConvergenceError.
     """
     m_count = m_max + 1
-    if lam == 0.0:
+    eps = math.exp(-lam)
+    if eps == 1.0:
         out = np.zeros(m_count)
         if n <= m_max:
             out[n] = 1.0
         return out
-    eps = math.exp(-lam)
-    ln_a0 = math.log1p(eps)
-    ln_beta = math.log1p(eps) - math.log1p(-eps)
-    ln_gam = math.log(4.0) - lam - math.log1p(-eps)
-    ln_rho = math.log1p(-eps) - math.log1p(eps)
-    m = np.arange(m_count, dtype=float)
-    logs = np.empty((n + 1, m_count))
-    # log C(m+j, j) = sum_{i <= j} log((m+i)/i), accumulated as j = n - k
-    # steps up.
-    log_cmj = np.zeros(m_count)
-    for j in range(n + 1):
-        if j > 0:
-            log_cmj += np.log(m + j) - math.log(j)
-        k = n - j
-        log_cnk = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(j + 1)
-        logs[k] = log_cnk + k * ln_beta + j * ln_gam + (k - n - 1) * ln_a0 + log_cmj
-    signs = np.array([(-1.0) ** (n - k) for k in range(n + 1)])[:, None]
-    peak = np.max(logs, axis=0)
-    summands = np.exp(logs - peak[None, :])
-    reduced = np.sum(signs * summands, axis=0)
-    # the rounding bound is compared in log space: the envelope of a refused
-    # call can pass the float range
-    ln_lost = math.log((n + 1) * 2.0**-52) + float(
-        np.max(peak + m * ln_rho + np.log(2.0 * np.sum(summands, axis=0)))
-    )
-    if not ln_lost <= math.log(1e-10) + 0.5 * lam:
-        if ln_lost < 709.0:
-            bound = f"{math.exp(ln_lost):.3g}"
-        else:
-            decade = int(ln_lost / math.log(10.0))
-            bound = f"{math.exp(ln_lost - decade * math.log(10.0)):.3g}e+{decade}"
-        raise NonConvergenceError(
-            f"bare overlaps of level {n} at lambda {lam:g}: rounding bound {bound} "
-            f"exceeds 1e-10 of their Cauchy-Schwarz bound e^(lambda/2)"
-        )
-    envelope = 2.0 * np.exp(peak + m * ln_rho)
-    parity = np.where(np.arange(m_count) % 2 == 0, 1.0, -1.0)
-    return parity * envelope * reduced
+    bound = float(_overlap_rounding(n, m_max, lam))
+    if not bound <= 1e-10:
+        raise NonConvergenceError(f"bare overlaps of level {n} at lambda {lam:g} to m = {m_max}: "
+                                  f"rounding bound {bound:.3g} of their largest entry exceeds 1e-10")
+    one_minus = -math.expm1(-lam)
+    ln_rho = _log_rho(lam)
+    ln_start = math.log(2.0 / (1.0 + eps)) + n * ln_rho
+    if n == 0:
+        m = np.arange(m_count)
+        return np.where(m % 2 == 0, 1.0, -1.0) * np.exp(ln_start + m * ln_rho)
+    q = one_minus * (1.0 + eps)
+    # D's coefficient as 4 eps (k - n) - 2 eps (1-eps)(2k + 1), which cancels
+    # only where it is small itself; entries are values * 2^twos
+    grow, shrink = 4.0 * eps, 2.0 * eps * one_minus
+    last = m_max if m_max < n / eps else math.ceil(n / eps)
+    values = np.empty(m_count)
+    twos = np.empty(m_count, dtype=int)
+    b, d, two = 1.0, 0.0, 0
+    values[0], twos[0] = b, two
+    for k in range(last):
+        d = ((grow * (k - n) - shrink * (2 * k + 1)) * b + q * k * d) / (q * (k + 1))
+        b += d
+        if abs(b) > 2.0**300:
+            b, d, two = math.ldexp(b, -300), math.ldexp(d, -300), two + 300
+        values[k + 1], twos[k + 1] = b, two
+    if last < m_max:
+        match = slice(last - 1, last + 1)
+        forward = np.ldexp(values[match], twos[match] - twos[last])
+        two_forward = twos[last]
+        # Miller's start: 40 of the roots' local log ratio 2 acosh(x_k) past
+        # m_max, x_k = |A_k's coefficient| / (2 q sqrt(k (k+1))); it tends
+        # to -2 ln rho but near n/eps is far smaller
+        top, gap = m_max, 0.0
+        while gap < 40.0:
+            top += 1
+            x = abs(grow * (top - n) - shrink * (2 * top + 1) + q * (2 * top + 1))
+            gap += 2.0 * math.acosh(max(1.0, x / (2.0 * q * math.sqrt(top * (top + 1.0)))))
+        # D_k from D_{k+1}, B_{k-1} = B_k - D_k, from B_{top+1} = 0, B_top = 1
+        b, d, two = 1.0, -1.0, 0
+        for k in range(top, last - 1, -1):
+            d = (q * (k + 1) * d - (grow * (k - n) - shrink * (2 * k + 1)) * b) / (q * k)
+            b -= d
+            if abs(b) > 2.0**300:
+                b, d, two = math.ldexp(b, -300), math.ldexp(d, -300), two + 300
+            if k <= m_count:
+                values[k - 1], twos[k - 1] = b, two
+        twos[last - 1 :] -= twos[last]
+        backward = np.ldexp(values[match], twos[match])
+        values[last - 1 :] *= (forward @ backward) / (backward @ backward)
+        twos[last - 1 :] += two_forward
+    values[1::2] *= -1.0
+    # times e^{ln_start} = e^{frac} 2^{whole}: an entry underflows only if it is tiny
+    whole = math.floor(ln_start / math.log(2.0))
+    return np.ldexp(values * math.exp(ln_start - whole * math.log(2.0)), twos + whole)
 
 
 def overlap_s1(m: int, n: int, lam: float, *, bare: bool = False) -> float:
@@ -494,60 +543,82 @@ def _eta_scale_floor(s, gamma):
     return _ABS_NOISE * (1.0 + np.abs(np.imag(s)) / 10.0) / np.abs(gamma)
 
 
-def _boundary_eta_scale(
-    s_values: np.ndarray,
-    y: float,
-    n: int,
-    lams: Sequence[float],
-    variant: str,
-    target_tol: Optional[float],
-    tol_rule: tuple[float, float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary integrals divided by Gamma(s), one row per squeeze in lams.
+def _boundary_eta_scale(s_values, y, n, lam, variant, target_tol, tol_rule) -> tuple:
+    """Boundary integrals at y > 0 divided by Gamma(s), and their error estimate.
 
-    Returns (values, errs) of shapes (len(lams), len(s_values)) and
-    (len(lams),).  The integrand u^{s-1} e^{-u}/(1-e^{-u}) times the exact
-    _inner_profile goes to quad.integrate_singular_log, whose grid in
-    v = log u doubles each round; the inner values do not involve s, so
-    each point costs one phase sum.  Gamma(s) is evaluated once per point.
-    At y = 0 every squeeze has Y = 0, so all share one engine call and its
-    grids; at y > 0 each has its own Y, envelope and grid.  Convergence is
-    controlled on this eta-normalized scale, which is O(1) uniformly in t.
-    target_tol None gives each point max(minimum, multiple x its
-    double-precision floor), tol_rule = (minimum, multiple); the floor
-    grows like e^{pi t/2} because the raw integral is O(|Gamma(s)|).  An
-    explicit target_tol is passed to the engine as given, so it is met or
-    refused.
+    u^{s-1} e^{-u}/(1-e^{-u}) times the exact _inner_profile goes to
+    quad.integrate_singular_log; the inner values do not involve s, so each
+    point costs one phase sum.  Convergence is controlled on this
+    eta-normalized scale, O(1) uniformly in t.  target_tol None gives each
+    point max(minimum, multiple x its double-precision floor), tol_rule =
+    (minimum, multiple); the floor grows like e^{pi t/2} because the raw
+    integral is O(|Gamma(s)|).  An explicit target_tol is met or refused.
     """
-    if not np.all(np.isfinite(s_values)):
-        raise DomainError("boundary integral requires finite s")
-    if target_tol is not None and not (math.isfinite(target_tol) and target_tol > 0.0):
-        raise DomainError("boundary tolerance must be positive and finite")
     gammas = np.array([gamma_complex(z) for z in s_values])
     if target_tol is None:
         minimum, multiple = tol_rule
         tols = np.maximum(minimum, multiple * _eta_scale_floor(s_values, gammas))
     else:
         tols = float(target_tol)
+    Y = (math.exp(lam) if variant == ORIGINAL else math.exp(-lam)) * y
+    # Near u = 0 the integrand is u^{s-1} [J(0) + O(u) + O(Y u)], where
+    # J(0) = chi_n(eps Y) is the limit of the inner profile over e^u - 1.
+    return integrate_singular_log(
+        lambda u: _inner_profile(u, Y, lam, n), s_values,
+        float(chi(n, math.exp(-lam) * Y)), gammas, tols, envelope=1.0 + Y,
+    )
+
+
+def _level_coefficients(n: int, s_values: np.ndarray, lam: float) -> np.ndarray:
+    """The level sum's row (-1)^m A_m, m <= _eta_depth(s_values), for _eta_sums."""
+    coeffs = _bare_overlaps(n, _eta_depth(s_values), lam)
+    coeffs[1::2] *= -1.0
+    return coeffs
+
+
+def _level_sums(s_values: np.ndarray, n: int, lam: float, tol: float) -> tuple[np.ndarray, float]:
+    """Boundary values at y = 0 divided by varphi_zero(s), and their stated bound.
+
+    sum_m A_m (m+1)^{-s}: the overlaps do not involve s, so one row serves
+    the batch, summed by specfun._eta_sums with its settle check; it keeps
+    relative accuracy at any height.  The bound is the overlaps' rounding
+    (_overlap_rounding times the largest |A_m|) under Euler's weights
+    P(Bin(D+1, 1/2) > k) (for either head split) times (k+1)^{-sigma},
+    plus _LEVEL_TRUNCATION (1 + |value|), at the worst point; past tol it
+    raises NonConvergenceError.
+    """
+    coeffs = _level_coefficients(n, s_values, lam)
+    values = _eta_sums(s_values, coeffs=coeffs)[0]
+    levels = np.arange(coeffs.size)
+    weights = _binomial_weights(coeffs.size)[1][1:] * (levels + 1.0) ** -float(s_values.real.min())
+    rounding = float(weights @ _overlap_rounding(n, levels, lam)) * float(np.max(np.abs(coeffs)))
+    error = rounding + _LEVEL_TRUNCATION * (1.0 + float(np.max(np.abs(values))))
+    if not error <= tol:
+        raise NonConvergenceError(f"level sum bound {error:.3g} exceeds the tolerance {tol:.3g}")
+    return values, error
+
+
+def _boundary_batch(s_values, y, n, lam, variant, target_tol, tol_rule) -> tuple[list, float]:
+    """Boundary values at a batch of s for one squeeze, and the worst eta-scale error.
+
+    One route per regime: at y = 0, where the variants coincide, the level
+    sum at target_tol or the minimum of tol_rule, after Re s > 0 and
+    varphi_zero(s) are checked; at y > 0 the Mellin quadrature.
+    """
+    if not np.all(np.isfinite(s_values)):
+        raise DomainError("boundary integral requires finite s")
+    if target_tol is not None and not (math.isfinite(target_tol) and target_tol > 0.0):
+        raise DomainError("boundary tolerance must be positive and finite")
     if y == 0.0:
-        # Y = 0 for every squeeze, so they share the cut and one engine
-        # call; the head J(0) = chi_n(0) = L_n(0) is 1, exactly as chi's
-        # recurrence gives it
-        return integrate_singular_log(
-            lambda u: [_inner_profile(u, 0.0, lam, n) for lam in lams],
-            s_values, [1.0] * len(lams), gammas, tols,
-        )
-    rows = []
-    for lam in lams:
-        Y = (math.exp(lam) if variant == ORIGINAL else math.exp(-lam)) * y
-        # Near u = 0 the integrand is u^{s-1} [J(0) + O(u) + O(Y u)], where
-        # J(0) = chi_n(eps Y) is the limit of the inner profile over e^u - 1.
-        rows.append(integrate_singular_log(
-            lambda u: [_inner_profile(u, Y, lam, n)], s_values,
-            [float(chi(n, math.exp(-lam) * Y))], gammas, tols, envelope=1.0 + Y,
-        ))
-    values, errs = zip(*rows)
-    return np.concatenate(values), np.concatenate(errs)
+        if float(s_values.real.min()) <= 0.0:
+            raise DomainError("boundary value at y = 0 requires Re s > 0")
+        phis = [varphi_zero(z) for z in s_values]
+        tol = tol_rule[0] if target_tol is None else target_tol
+        sums, err = _level_sums(s_values, n, lam, tol)
+    else:
+        sums, err = _boundary_eta_scale(s_values, y, n, lam, variant, target_tol, tol_rule)
+        phis = [varphi_zero(z) for z in s_values]
+    return [phi * complex(v) for phi, v in zip(phis, sums)], float(err)
 
 
 def _check_boundary_args(y: float, n: int, lam: float, variant: str) -> None:
@@ -577,21 +648,13 @@ def _boundary_squeezes(
     target_tol: Optional[float] = None,
     tol_rule: tuple[float, float] = _BOUNDARY_TOL_RULE,
 ) -> list:
-    """psi_boundary(y, z, n, lam, variant, target_tol).value for every lam in lams.
-
-    Every squeeze is checked before any work; Gamma(z) and varphi_zero(z)
-    are evaluated once for all of them, and at y = 0 they share one grid
-    (see _boundary_eta_scale).  Each value is bitwise the one-squeeze
-    call's.
-    """
+    """psi_boundary(y, z, n, lam, variant, target_tol).value for every lam in lams,
+    bitwise; every squeeze is checked before any work."""
     lams = [float(lam) for lam in lams]
     for lam in lams:
         _check_boundary_args(y, n, lam, variant)
-    vals, _ = _boundary_eta_scale(
-        np.array([z]), float(y), int(n), lams, variant, target_tol, tol_rule
-    )
-    phi = varphi_zero(z)
-    return [phi * complex(row[0]) for row in vals]
+    batch, y, n = np.array([z]), float(y), int(n)
+    return [_boundary_batch(batch, y, n, lam, variant, target_tol, tol_rule)[0][0] for lam in lams]
 
 
 def psi_boundary(
@@ -602,7 +665,8 @@ def psi_boundary(
     variant: str = ORIGINAL,
     target_tol: Optional[float] = None,
 ) -> WaveSample:
-    """Boundary wave function as a quadrature over the Mehler parameter.
+    """Boundary wave function at x = 0, from the level sum at y = 0 and the
+    Mellin quadrature at y > 0.
 
     The one-point psi_boundary_batch, bitwise, wrapped in a WaveSample.
 
@@ -612,15 +676,17 @@ def psi_boundary(
     the Laguerre generating function and the Laplace transform of I0 (see
     _inner_profile), K = exp(-Y((1-t) + eps(1+t))/(2 d1)) (2/d1) (d2/d1)^n
     L_n(4 eps Y t/(d1 d2)) with t = e^{-u}, eps = e^{-lam},
-    d1 = (1+eps) + t(1-eps), d2 = (1-eps) + t(1+eps).
+    d1 = (1+eps) + t(1-eps), d2 = (1-eps) + t(1+eps).  At y = 0 (Y = 0: the
+    variants agree) K is sum_m A_m e^{-mu} over the bare overlaps, and the
+    integral is the level sum sum_m A_m (m+1)^{-s} (_level_sums).
 
-    target_tol is an absolute tolerance on the eta-normalized value
-    psi / varphi_zero.  None picks a tolerance 30x above the rounding
-    floor, which grows like e^{pi t/2} (see _eta_scale_floor).  An
-    explicit value is met or refused: NonConvergenceError if the
-    quadrature stalls above it, DomainError if it is not positive and
-    finite or so loose that the quadrature's lower cut passes ln 45.  The
-    achieved estimate is reported in the sample's error field.
+    target_tol, absolute on psi / varphi_zero, is met or refused:
+    NonConvergenceError if the level sum's stated bound (y = 0) or the
+    quadrature's discrepancy (y > 0) stays above it, DomainError if it is
+    not positive and finite or, at y > 0, so loose that the quadrature's
+    lower cut passes ln 45.  None is 1e-9 at y = 0, and at y > 0 30x the
+    quadrature's rounding floor, which grows like e^{pi t/2}.  The bound
+    or estimate is the sample's error.
 
     Approach to the limit: for y > 0 the original variant tends to 0 as
     varphi_zero(s) chi_n(y) (4 e^{-lam}/y)^s, with a relative correction
@@ -646,57 +712,24 @@ def psi_boundary_batch(
     variant: str = ORIGINAL,
     target_tol: Optional[float] = None,
 ) -> tuple[np.ndarray, float]:
-    """Boundary values for many spectral points on one shared grid.
+    """psi_boundary's values at many spectral points, and the worst eta-scale error.
 
-    Returns (values, worst eta-normalized error).  The integral is that of
-    psi_boundary (this batch at one point); its exact inner integral K does
-    not involve s, so a scan grid costs one phase sum per point on top of a
-    single evaluation.  varphi_zero is applied by Python complex products.
-    A value that is not a normal double (it underflowed, as at y = 1e300)
-    raises OverflowRangeError.
+    One row of overlaps (y = 0) or one inner integral K per grid (y > 0)
+    serves the batch.  A value that is not a normal double (it underflowed,
+    as at y = 1e300) raises OverflowRangeError.
     """
     _check_boundary_args(y, n, lam, variant)
     arr = np.asarray(list(s_values), dtype=complex)
     if arr.size == 0:
         return np.empty(0, dtype=complex), 0.0
-    vals, errs = _boundary_eta_scale(
-        arr, float(y), int(n), [float(lam)], variant, target_tol, _BOUNDARY_TOL_RULE
-    )
-    values = [varphi_zero(z) * complex(v) for z, v in zip(arr, vals[0])]
+    rule = _BOUNDARY_TOL_RULE
+    values, err = _boundary_batch(arr, float(y), int(n), float(lam), variant, target_tol, rule)
     for z, value in zip(arr, values):
         if not _TINY <= abs(value) < math.inf:
             raise OverflowRangeError(
                 f"|psi_boundary| = {abs(value):.3g} at s = {z} is not a normal double"
             )
-    return np.array(values, dtype=complex), float(errs[0])
-
-
-def boundary_levels(s_values: Sequence[complex], n: int, lam: float) -> np.ndarray:
-    """Boundary values at y = 0 through the level-sum route.
-
-    The y = 0 boundary value equals varphi_zero(s) times
-    sum_m A_m (m+1)^{-s}, where A_m is the bare overlap of level m with
-    the squeezed level n; the overlaps do not involve s, so one overlap
-    pass serves any number of spectral points.  The alternating sum runs
-    on eta's kernel, specfun._eta_sums, with the coefficients (-1)^m A_m at
-    eta's depth and its settle check (NonConvergenceError); it keeps
-    *relative* accuracy at any height t, unlike the real-axis quadrature
-    whose absolute floor ~4e-16 swamps the O(|Gamma(s)|) integral beyond
-    t ~ 17.  Cross-checked against psi_boundary in the test suite on their
-    common turf.
-    """
-    arr = np.asarray(list(s_values), dtype=complex)
-    if arr.size == 0:
-        return np.empty(0, dtype=complex)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("level route requires finite s")
-    if any(z.real <= 0.0 for z in arr):
-        raise DomainError("level route requires Re s > 0")
-    QuantumNumber(int(n))
-    SqueezeParameter(float(lam))
-    coeffs = _bare_overlaps(int(n), _eta_depth(arr), float(lam))
-    coeffs[1::2] *= -1.0  # (-1)^m A_m, which tend to 2 as the squeeze grows
-    return np.array([varphi_zero(z) for z in arr]) * _eta_sums(arr, coeffs=coeffs)[0]
+    return np.array(values, dtype=complex), err
 
 
 def psi_boundary_limit(s: complex, y: float = 0.0) -> complex:
@@ -758,9 +791,10 @@ def tilde_expansion_check(
     with coefficient (2n + 1 + y/2) times
     2 varphi_zero(s) (eta(s) - 2 eta(s-1)); residual = |exact -
     first_order| is expected to scale like e^{-2 lam}.  target_tol None
-    picks max(1e-11, 10x the rounding floor) on the eta-normalized scale
-    (see _eta_scale_floor).  A first-order term e^{-lam} (2n + 1 + y/2)
-    past 0.1 is outside the expansion's regime and raises DomainError.
+    picks 1e-11 on the eta-normalized scale at y = 0, and max(1e-11, 10x
+    the quadrature's rounding floor) at y > 0 (see _eta_scale_floor).  A
+    first-order term e^{-lam} (2n + 1 + y/2) past 0.1 is outside the
+    expansion's regime and raises DomainError.
     """
     return _tilde_expansions(y, complex(s), n, [lam], target_tol)[0]
 
@@ -774,10 +808,9 @@ def _tilde_expansions(
 ) -> list:
     """tilde_expansion_check at every squeeze in lams.
 
-    One _boundary_squeezes call gives the exact values, so Gamma(s) and
-    the grids are shared as there; varphi_zero(s), eta(s) and eta(s-1)
-    are evaluated once for all squeezes.  A first-order term
-    e^{-lam} (2n + 1 + y/2) past _EXPANSION_REACH at the smallest lam
+    One _boundary_squeezes call gives the exact values; the expansion's
+    varphi_zero(s), eta(s) and eta(s-1) are evaluated once.  A first-order
+    term e^{-lam} (2n + 1 + y/2) past _EXPANSION_REACH at the smallest lam
     raises DomainError before any work.
     """
     if any(lam < 5.0 for lam in lams):

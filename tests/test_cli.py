@@ -370,17 +370,36 @@ def test_non_finite_input_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("t, tol, code", [
-    ("5", "1e300", 2),  # printed |psi| = 7.06e92 with exit 0
-    ("5", "1e20", 2),  # printed 0.328, where the value is 5.31e-7
+    ("5", "1e300", 2),  # at y = 0 printed |psi| = 7.06e92 with exit 0
+    ("5", "1e20", 2),  # at y = 0 printed 0.328, where the value is 5.31e-7
     ("5", "0", 2),  # both were replaced by 3x the rounding floor
     ("5", "-1", 2),
     ("20", "1e-9", 3),  # was loosened to 3x the floor, 0.063
 ])
 def test_explicit_boundary_tolerance_is_met_or_refused(capsys, t, tol, code):
-    rc, out, err = run_cli(capsys, "boundary", "--t", t, "--tol", tol)
+    # the quadrature's contract, at y > 0; y = 0 is the level sum's (below)
+    rc, out, err = run_cli(capsys, "boundary", "--t", t, "--y", "0.5", "--tol", tol)
     assert rc == code
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tol, code", [
+    ("1e-9", 0),  # the quadrature stalled here at discrepancy 4.6e-3
+    ("1e300", 0),  # the level sum has no lower cut to pass
+    ("1e-15", 3),  # below the stated bound, 3.2e-12
+    ("nan", 2),
+    ("0", 2),
+])
+def test_level_sum_tolerance_is_met_or_refused(capsys, tol, code):
+    rc, out, err = run_cli(capsys, "boundary", "--t", "20", "--tol", tol)
+    assert rc == code
+    if code:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert err == ""
+        assert csv_rows(out, BOUNDARY_HEADER)[0][8] == "1.76974782113035e-27"
 
 
 @pytest.mark.parametrize("t", ["500", "1e308"])
@@ -439,12 +458,15 @@ def test_cancelled_level_sum_exits_3(capsys):
                          "--n", "30", "--lambda", "0.3")
     assert rc == 0
     assert csv_rows(out, BOUNDARY_HEADER)[0][8] == "0.398942280401433"
-    # the finite scan still sums them, and refuses
+    # the finite scan sums the overlaps of level 40 at lambda 2, which the
+    # old log-space binomial sum refused (exit 3); their recurrence delivers
+    # them, and the objective |sum_m A_m (m+1)^{-s}| / 2 stays above 0.05 on
+    # the window, so no grid minimum qualifies and the scan reports none
     rc, out, err = run_cli(capsys, "scan", "--t", "1:30", "--mode", "finite",
                            "--lambda", "2", "--n", "40")
-    assert rc == 3
-    assert out == ""
-    assert err.startswith("error: ") and "rounding" in err
+    assert rc == 0
+    assert err == ""
+    assert csv_rows(out, SCAN_HEADER) == []
 
 
 def test_off_axis_value_past_the_oscillation_edge(capsys):

@@ -18,19 +18,19 @@ from hypothesis import strategies as st
 
 from zetawave import (
     DomainError,
-    boundary_levels,
     convergence_study,
     eta,
     gamma_complex,
     psi_boundary,
+    psi_boundary_batch,
     psi_boundary_limit,
     scan_zeros,
     varphi_zero,
 )
 from zetawave.oracles import euler_naive
-from zetawave import quad, specfun, spectra, waveform
+from zetawave import specfun, spectra, waveform
 from zetawave.specfun import _eta_depth, _eta_sums
-from zetawave.spectra import _MAX_NEWTON, SCAN_MODES
+from zetawave.spectra import _MAX_NEWTON, SCAN_MODES, STUDY_VARIANTS
 from zetawave.waveform import ORIGINAL, TILDE, _bare_overlaps, _eta_scale_floor
 
 mp.mp.dps = 40
@@ -44,7 +44,7 @@ FIRST_THREE = (
 
 # ---------------------------------------------------------------------------
 # the boundary objectives the scans chase, times 2 varphi_zero(s): the limit
-# value psi_boundary_limit and the finite-squeeze level route boundary_levels
+# value psi_boundary_limit and the finite-squeeze y = 0 value psi_boundary_batch
 
 
 def test_objective_limit_nonzero_off_zero():
@@ -56,21 +56,23 @@ def test_objective_limit_nonzero_off_zero():
 
 
 def test_objective_finite_mode_keeps_suppression():
-    at_zero, off_zero = np.abs(boundary_levels([complex(0.5, 14.134725), 0.5 + 10j], 0, 12.0))
+    values, _ = psi_boundary_batch([complex(0.5, 14.134725), 0.5 + 10j], 0.0, 0, 12.0)
+    at_zero, off_zero = np.abs(values)
     assert at_zero <= 1e-3 * off_zero
 
 
 @pytest.mark.parametrize("t", [20.0, 30.0, 60.0])
 def test_objective_finite_mode_is_the_level_sum(t):
-    # the finite objective is 2 varphi_zero(s) times sum_m A_m (m+1)^{-s} / 2;
-    # the y = 0 quadrature of psi_boundary is off by 1.5e-3 relative at
-    # t = 20 and by 1.4e24 at t = 60 (ROADMAP item 1)
+    # the finite objective is 2 varphi_zero(s) times sum_m A_m (m+1)^{-s} / 2,
+    # the y = 0 boundary value; the oracle averages its partial sums level
+    # by level (the real-axis quadrature it replaced was off by 1.5e-3
+    # relative at t = 20 and by 1.4e24 at t = 60)
     s = complex(0.5, t)
     count = 120 + int(2.5 * t)
     overlaps = _bare_overlaps(0, count - 1, 12.0)
     half_sum, _ = euler_naive(0.5 * overlaps * np.exp(-s * np.log1p(np.arange(count))))
     want = 2.0 * varphi_zero(s) * half_sum
-    got = boundary_levels([s], 0, 12.0)[0]
+    got = psi_boundary_batch([s], 0.0, 0, 12.0)[0][0]
     assert abs(got - want) <= 1e-10 * abs(want)
 
 
@@ -366,23 +368,21 @@ def test_study_equals_the_per_lambda_route_bitwise(t, n, lams, variant, y):
     assert [r.lam for r in study.records] == squeezes
 
 
-@pytest.mark.parametrize("variant,etas", [("original", 1), ("tilde", 1), ("tilde-corrected", 2)])
-def test_study_at_y0_builds_one_grid_pair(monkeypatch, variant, etas):
-    # y = 0: every squeeze shares the cut, so the study's quadrature is one
-    # engine call (a grid and its one doubling here, where the per-lambda
-    # route built six); Gamma is evaluated for Gamma(s) and varphi_zero
-    calls = {"grids": 0, "gamma": 0, "eta": 0}
+@pytest.mark.parametrize("variant", STUDY_VARIANTS)
+def test_study_at_y0_makes_no_mellin_call(monkeypatch, variant):
+    # y = 0 takes the level sum, so the Mellin engine is never reached; the
+    # limit's eta (with eta(s-1) when corrected) is evaluated once per study
+    calls = {"eta": 0}
 
-    def counted(key, fn):
-        def wrapped(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def refused(*args, **kwargs):
+        raise AssertionError("a y = 0 study reached the Mellin engine")
 
-    monkeypatch.setattr(quad, "_gauss_panels", counted("grids", quad._gauss_panels))
-    monkeypatch.setattr(waveform, "gamma_complex", counted("gamma", waveform.gamma_complex))
-    monkeypatch.setattr(waveform, "eta", counted("eta", waveform.eta))
-    convergence_study(0.5 + 10j, 0, [8.0, 10.0, 12.0], variant=variant)
-    assert calls["grids"] == 2
-    assert calls["gamma"] <= 3
-    assert calls["eta"] == etas
+    def counted(*args, **kwargs):
+        calls["eta"] += 1
+        return eta(*args, **kwargs)
+
+    monkeypatch.setattr(waveform, "integrate_singular_log", refused)
+    monkeypatch.setattr(waveform, "eta", counted)
+    study = convergence_study(0.5 + 10j, 0, [8.0, 10.0, 12.0], variant=variant)
+    assert len(study.records) == 3
+    assert calls["eta"] == (2 if variant == "tilde-corrected" else 1)

@@ -23,8 +23,8 @@ from zetawave import (
     QuantumNumber,
     SqueezeParameter,
     WaveSample,
-    boundary_levels,
     chi,
+    convergence_study,
     default_spec,
     eta,
     integrate_halfline,
@@ -34,6 +34,7 @@ from zetawave import (
     phi_confined,
     phi_s,
     psi_boundary,
+    psi_boundary_batch,
     psi_boundary_limit,
     psi_full,
     scan_zeros,
@@ -48,6 +49,7 @@ from zetawave.waveform import (
     _euler_accelerated,
     _euler_accelerated_rows,
     _inner_profile,
+    _overlap_rounding,
 )
 
 mp.mp.dps = 40
@@ -227,14 +229,83 @@ def test_overlap_guards():
         overlap_s1(0, 0, -0.5)
 
 
+def _overlap_double_sum(n: int, lam: float, m_max: int) -> np.ndarray:
+    """A_m = 2 (1+eps)^{-n-1} sum_k C(n,k) (1-eps)^{n-k} (1+eps)^k C(n+m-k, m-k) (-rho)^{m-k}.
+
+    The coefficients of 2 B^n / A^{n+1} as the product of the expansions of
+    B^n and A^{-n-1}, in mpmath at 80 + 2n digits, which carry the
+    cancellation across k; the factor in k and the one in j = m - k are
+    built once each.
+    """
+    with mp.workdps(80 + 2 * n):
+        eps = mp.exp(-mp.mpf(lam))
+        rho = (1 - eps) / (1 + eps)
+        outer = [mp.binomial(n, k) * (1 - eps) ** (n - k) * (1 + eps) ** k for k in range(n + 1)]
+        inner = [mp.binomial(n + j, j) * (-rho) ** j for j in range(m_max + 1)]
+        scale = 2 / (1 + eps) ** (n + 1)
+        return np.array([
+            float(scale * mp.fdot(outer[: min(n, m) + 1], inner[m::-1][: min(n, m) + 1]))
+            for m in range(m_max + 1)
+        ])
+
+
+@pytest.mark.parametrize("n,lam,m_max", [
+    (20, 0.3, 60), (20, 2.0, 80), (40, 2.0, 120), (100, 0.5, 300), (100, 5.0, 400),
+    (400, 0.3, 600), (7, 2.0, 200), (3, 6.0, 300), (200, 12.0, 400),
+])
+def test_bare_overlaps_recurrence_against_double_sum(n, lam, m_max):
+    # the log-space binomial sum refused the first six (up to 3e7 of
+    # rounding at (40, 2)) and lost 1.4e-12 at (7, 2); the plain forward
+    # recurrence lost 1.3e-12 at (3, 6) in the band where its roots crowd -1
+    want = _overlap_double_sum(n, lam, m_max)
+    got = _bare_overlaps(n, m_max, lam)
+    err = np.max(np.abs(got - want))
+    assert err <= 1e-12
+    assert err <= _overlap_rounding(n, m_max, lam) * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("lam", [0.3, 2.0, 12.0, 25.0])
+def test_bare_overlaps_ground_row_closed_form(lam):
+    # n = 0: 2 (-rho)^m / (1+eps); Miller's start would sit 40/(-2 ln rho)
+    # levels out, about 1.6 million at lambda = 12
+    with mp.workdps(40):
+        eps = mp.exp(-mp.mpf(lam))
+        rho = (1 - eps) / (1 + eps)
+        want = np.array([float(2 * (-rho) ** m / (1 + eps)) for m in range(301)])
+    got = _bare_overlaps(0, 300, lam)
+    assert np.max(np.abs(got - want)) <= _overlap_rounding(0, 300, lam) * np.max(np.abs(want))
+
+
+@given(
+    n=st.integers(0, 30),
+    m=st.integers(0, 40),
+    lam=st.floats(0.01, 20.0),
+)
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+def test_bare_overlaps_match_quadrature_overlaps(n, m, lam):
+    # overlap_s1 integrates chi_n(e^{-lam} y) chi_m(y) by Gauss panels; the
+    # recurrence never sees a node
+    assert abs(_bare_overlaps(n, m, lam)[m] - overlap_s1(m, n, lam, bare=True)) <= 5e-12
+
+
 @pytest.mark.parametrize("n,lam", [(20, 0.3), (12, 0.3), (20, 2.0), (40, 2.0), (1000, 0.5)])
 def test_bare_overlaps_refuse_cancelled_sum(n, lam):
-    # the sum over k cancels beyond double precision here: at (20, 0.3) it
-    # returned -3.4e6 for A_0, where the quadrature gives -1.5e-16 and
-    # |A_m| <= e^{lam/2}; at (1000, 0.5) the envelope itself overflows, and
-    # the refusal still names a finite bound without a numpy warning
-    with pytest.raises(NonConvergenceError, match=r"rounding bound [0-9.]+(e[+-][0-9]+)? "):
-        _bare_overlaps(n, 40, lam)
+    # the log-space binomial sum cancelled beyond double precision here and
+    # refused: at (20, 0.3) it returned -3.4e6 for A_0 before the refusal
+    # was added, and at (1000, 0.5) its envelope overflowed; the recurrence
+    # delivers them
+    want = _overlap_double_sum(n, lam, 40)
+    assert np.max(np.abs(_bare_overlaps(n, 40, lam) - want)) <= 1e-12
+
+
+def test_bare_overlaps_refuse_past_their_rounding_bound():
+    # 4 (n |ln rho| + m_max + 1) 2^-52 passes 1e-10 only for rows far longer
+    # than any sum takes; the refusal comes before any work
+    assert _overlap_rounding(10, 10**6, 1e-3) > 1e-10
+    with pytest.raises(NonConvergenceError, match=r"rounding bound [0-9.]+e-10 "):
+        _bare_overlaps(10, 10**6, 1e-3)
+    assert _overlap_rounding(3, 40, 0.0) == 0.0
+    assert np.array_equal(_bare_overlaps(3, 5, 0.0), [0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -675,19 +746,79 @@ def test_boundary_offpoint_decays_with_squeeze():
 
 
 def test_boundary_plumbing_point():
+    # lambda = 0 leaves the overlaps the identity, so the level sum is 1^{-s}
+    # and the value is varphi_zero(1/2) = Gamma(1/2) / sqrt(2 pi) = 1/sqrt(2)
     sample = psi_boundary(0.0, 0.5, 0, 0.0)
-    assert abs(sample.value.imag) <= 1e-12
-    assert sample.value.real > 0.0
-    level = boundary_levels([0.5], 0, 0.0)[0]
-    assert abs(sample.value - level) <= 1e-12
+    assert sample.value == varphi_zero(0.5)
+    assert abs(sample.value - 1.0 / math.sqrt(2.0)) <= 1e-15
+
+
+def _rising_coefficients(d: int) -> list:
+    """c_p with k (k+1) ... (k+d-1) = sum_p c_p k^p."""
+    coef = [mp.mpf(1)]
+    for i in range(d):
+        nxt = [mp.mpf(0)] * (len(coef) + 1)
+        for p, c in enumerate(coef):
+            nxt[p + 1] += c
+            nxt[p] += i * c
+        coef = nxt
+    return coef
+
+
+def _level_sum_closed(s: complex, n: int, lam: float) -> complex:
+    """sum_m A_m (m+1)^{-s}, the y = 0 boundary value over varphi_zero, by polylogs.
+
+    2 B^n / A^{n+1} = 2 sum_j c_j A^{-j} with A = (1+eps)(1 + rho t), and
+    A^{-j} has coefficients C(m+j-1, j-1) (-rho)^m / (1+eps)^j, a
+    polynomial in k = m + 1; each power k^p sums to -Li_{s-p}(-rho)/rho.
+    mpmath at 20 digits.
+    """
+    with mp.workdps(20):
+        s = mp.mpc(s)
+        eps = mp.exp(-mp.mpf(lam))
+        rho = (1 - eps) / (1 + eps)
+        alpha = (1 + eps) / (1 - eps)
+        beta = -4 * eps / (1 - eps)
+        polylogs = [mp.polylog(s - p, -rho) for p in range(n + 1)]
+        total = mp.mpc(0)
+        for j in range(1, n + 2):
+            cj = mp.binomial(n, n + 1 - j) * alpha ** (n + 1 - j) * beta ** (j - 1) / (1 + eps) ** j
+            inner = mp.fsum(c * polylogs[p] for p, c in enumerate(_rising_coefficients(j - 1)))
+            total += cj * inner * (-1 / rho) / mp.factorial(j - 1)
+        return complex(2 * total)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7])
 @pytest.mark.parametrize("sv,lam", [(0.5 + 5j, 10.0), (0.5 + 12j, 12.0)])
 def test_boundary_two_routes_agree(sv, lam, n):
-    quad_route = psi_boundary(0.0, sv, n, lam).value
-    level_route = boundary_levels([sv], n, lam)[0]
-    assert abs(quad_route - level_route) <= 1e-7 * abs(level_route)
+    # the level sum against its polylog closed form; the real-axis
+    # quadrature it replaced at y = 0 held this 1e-7 too
+    want = varphi_zero(sv) * _level_sum_closed(sv, n, lam)
+    assert abs(psi_boundary(0.0, sv, n, lam).value - want) <= 1e-7 * abs(want)
+
+
+def test_boundary_at_the_first_zero_against_mpmath():
+    # boundary --t 14.134725 --lambda 12: the quadrature was off by 3.9e-7
+    # on the eta scale, its own estimate 9.8e-7; n = 0 has the closed form
+    # sum_m 2 (-rho)^m (m+1)^{-s} / (1+eps) = -2 Li_s(-rho) / (rho (1+eps))
+    s = complex(0.5, 14.134725)
+    sample = psi_boundary(0.0, s, 0, 12.0)
+    with mp.workdps(30):
+        eps = mp.exp(-12)
+        rho = (1 - eps) / (1 + eps)
+        want = complex(-2 * mp.polylog(mp.mpc(s), -rho) / (rho * (1 + eps)))
+    assert abs(sample.value / varphi_zero(s) - want) <= 1e-10
+    assert sample.error <= 1e-10
+
+
+@pytest.mark.parametrize("t", [FIRST_ORDINATE, 49.7738324776723])
+def test_tilde_corrected_slope_at_zeta_zeros(t):
+    # the e^{-2 lambda} remainder of the tilde expansion at the first and
+    # tenth zeros: the quadrature fitted -0.92 at the first and 0.002 at
+    # the tenth, where it printed values near 2.4e-50 against 1e-69
+    study = convergence_study(complex(0.5, t), 0, [6.0, 8.0, 10.0, 12.0, 14.0],
+                              variant="tilde-corrected")
+    assert abs(study.slope + 2.0) <= 0.05
 
 
 def test_boundary_factorization_trend():
@@ -763,26 +894,26 @@ def test_boundary_limit_rejects_bad_y(y):
 @pytest.mark.parametrize("n", [0, 3])
 @pytest.mark.parametrize("lam", [5.0, 12.0])
 def test_boundary_levels_against_iterated_averaging(sigma, n, lam):
-    # boundary_levels / varphi_zero is sum_m A_m (m+1)^{-s}; the oracle
-    # averages its partial sums level by level over more terms than the
-    # level route keeps (sigma < 1/2 takes the route's head split)
+    # the y = 0 boundary value over varphi_zero is sum_m A_m (m+1)^{-s};
+    # the oracle averages its partial sums level by level over more terms
+    # than the level route keeps (sigma < 1/2 takes the route's head split)
     for t in (0.0, 7.3, 41.0, 100.0):
         s = complex(sigma, t)
         count = 120 + int(2.5 * t)
         overlaps = _bare_overlaps(n, count - 1, lam)
         want, _ = euler_naive(overlaps * np.exp(-s * np.log1p(np.arange(count))))
-        got = boundary_levels([s], n, lam)[0] / varphi_zero(s)
+        got = psi_boundary_batch([s], 0.0, n, lam)[0][0] / varphi_zero(s)
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (t, got, want)
 
 
 def test_boundary_levels_guards():
-    assert boundary_levels([], 0, 1.0).size == 0
+    assert psi_boundary_batch([], 0.0, 0, 1.0)[0].size == 0
     with pytest.raises(DomainError):
-        boundary_levels([-1.0 + 2j], 0, 1.0)
+        psi_boundary_batch([-1.0 + 2j], 0.0, 0, 1.0)
     # a NaN height reached the depth rule and raised a bare ValueError
     for bad in (complex(0.5, math.nan), complex(math.nan, 2.0), complex(0.5, math.inf)):
         with pytest.raises(DomainError, match="finite"):
-            boundary_levels([0.5 + 3j, bad], 0, 12.0)
+            psi_boundary_batch([0.5 + 3j, bad], 0.0, 0, 12.0)
 
 
 # ---------------------------------------------------------------------------
