@@ -1,7 +1,10 @@
 """Brute-force reference implementations for the verification suites.
 
 Deliberately different algorithms from the production modules: raw
-alternating partial sums instead of binomial acceleration, iterated
+alternating partial sums instead of binomial acceleration (their powers
+n^{-s} by complete multiplicativity, one exponential per prime and every
+composite as p(n)^{-s} (n/p(n))^{-s} from a cached smallest-prime-factor
+table, where production takes moduli and phases per term), iterated
 averaging level by level instead of binomial weights, composite
 Simpson instead of adaptive Gauss panels, finite differences instead of
 closed-form eigen-identities.  Agreement between the two families is
@@ -14,6 +17,7 @@ past e^lam y = 800, as its levels lose digits to underflow from e^lam y = 1416.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,6 +36,48 @@ __all__ = [
 ]
 
 LEVEL_SUM_REACH = 800.0  # largest e^lam y psi_level_sum sums
+MAX_NAIVE_TERMS = 2_000_000  # largest eta_naive series; its factor table is cached
+
+
+@functools.lru_cache(maxsize=2)
+def _factor_table(terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smallest prime factor p(n), cofactor n/p(n) and the primes, n <= terms.
+
+    Read-only int64 arrays indexed by n (p(1) = cofactor(1) = 1, entry 0
+    unused): the table of Gries and Misra's linear sieve (CACM 21, 1978),
+    marked here prime by prime up to sqrt(terms), one slice per prime.
+    """
+    spf = np.zeros(terms + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(terms) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    primes = np.flatnonzero(spf == 0)[2:]
+    spf[primes] = primes
+    spf[:2] = 1
+    cof = np.arange(terms + 1) // spf
+    for table in (spf, cof, primes):
+        table.setflags(write=False)
+    return spf, cof, primes
+
+
+def _powers(z: complex, terms: int) -> np.ndarray:
+    """n^{-z} for n = 1..terms by complete multiplicativity.
+
+    Only the primes take an exponential; each dyadic block [2^j, 2^{j+1})
+    is then one gather-multiply a[p(n)] a[n/p(n)] of entries below it (a
+    prime times a[1] = 1, exactly).
+    """
+    spf, cof, primes = _factor_table(terms)
+    a = np.empty(terms + 1, dtype=complex)
+    a[1] = 1.0
+    a[primes] = np.exp(-z * np.log(primes))
+    lo = 2
+    while lo <= terms:
+        hi = min(2 * lo, terms + 1)
+        a[lo:hi] = a[spf[lo:hi]] * a[cof[lo:hi]]
+        lo = hi
+    return a[1:]
 
 
 def eta_naive(s: complex, terms: int = 200_000) -> complex:
@@ -40,15 +86,19 @@ def eta_naive(s: complex, terms: int = 200_000) -> complex:
     Returns the mean of the last two partial sums, which cancels the
     leading tail oscillation; the remaining error is about
     |s| terms^{-(sigma+1)} / 4.  Requires sigma > 0 and an even number of
-    terms (so the average straddles one sign pair).
+    terms (so the average straddles one sign pair), at most MAX_NAIVE_TERMS.
+    The powers take one exponential per prime and every composite as
+    p(n)^{-s} (n/p(n))^{-s} (_powers), on the factor table cached for the
+    last two term counts.
     """
     z = complex(s)
     if z.real <= 0.0:
         raise DomainError("raw series needs Re s > 0")
     if terms < 2 or terms % 2 != 0:
         raise DomainError("terms must be even and at least 2")
-    m = np.arange(terms)
-    a = np.exp(-z * np.log1p(m))
+    if terms > MAX_NAIVE_TERMS:
+        raise DomainError(f"terms must be at most {MAX_NAIVE_TERMS:,}")
+    a = _powers(z, int(terms))
     a[1::2] *= -1.0
     total = complex(np.sum(a))
     return total - complex(a[-1]) / 2.0

@@ -248,6 +248,29 @@ def _overlap_rounding(n: int, m, lam: float):
     return 4.0 * (n * -_log_rho(lam) + np.asarray(m) + 1.0) * 2.0**-52
 
 
+def _miller_top(n: int, m_max: int, grow: float, shrink: float, q: float) -> int:
+    """Miller's start for _bare_overlaps: 40 of the roots' local log ratio past m_max.
+
+    The ratio at level k is 2 acosh(x_k), x_k = |A_k's coefficient| /
+    (2 q sqrt(k (k+1))) (at least 1); it tends to -2 ln rho but near n/eps
+    is far smaller.  Returns the first k > m_max at which the running sum
+    of the ratios from m_max + 1 reaches 40.  The levels go in numpy chunks
+    that double in length, each summed by one cumsum carried over from the
+    last: the same additions in the same order as one level at a time.
+    """
+    top, gap, size = m_max, 0.0, 64
+    while True:
+        k = np.arange(top + 1, top + size + 1)
+        x = np.abs(grow * (k - n) - shrink * (2 * k + 1) + q * (2 * k + 1))
+        steps = 2.0 * np.arccosh(np.maximum(1.0, x / (2.0 * q * np.sqrt(k * (k + 1.0)))))
+        steps[0] += gap
+        sums = np.cumsum(steps)
+        past = np.flatnonzero(sums >= 40.0)
+        if past.size:
+            return top + 1 + int(past[0])
+        top, gap, size = top + size, float(sums[-1]), 2 * size
+
+
 def _bare_overlaps(n: int, m_max: int, lam: float) -> np.ndarray:
     """Half-line integrals A_m of chi_n(e^{-lam} y) chi_m(y) for m = 0..m_max.
 
@@ -305,14 +328,7 @@ def _bare_overlaps(n: int, m_max: int, lam: float) -> np.ndarray:
         match = slice(last - 1, last + 1)
         forward = np.ldexp(values[match], twos[match] - twos[last])
         two_forward = twos[last]
-        # Miller's start: 40 of the roots' local log ratio 2 acosh(x_k) past
-        # m_max, x_k = |A_k's coefficient| / (2 q sqrt(k (k+1))); it tends
-        # to -2 ln rho but near n/eps is far smaller
-        top, gap = m_max, 0.0
-        while gap < 40.0:
-            top += 1
-            x = abs(grow * (top - n) - shrink * (2 * top + 1) + q * (2 * top + 1))
-            gap += 2.0 * math.acosh(max(1.0, x / (2.0 * q * math.sqrt(top * (top + 1.0)))))
+        top = _miller_top(n, m_max, grow, shrink, q)
         # D_k from D_{k+1}, B_{k-1} = B_k - D_k, from B_{top+1} = 0, B_top = 1
         b, d, two = 1.0, -1.0, 0
         for k in range(top, last - 1, -1):

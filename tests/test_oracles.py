@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from zetawave import oracles
 from zetawave import (
     DomainError,
     StepSizeError,
@@ -40,6 +42,58 @@ def test_eta_naive_guards():
         eta_naive(complex(-0.5, 3.0), 1000)
     with pytest.raises(DomainError):
         eta_naive(2.0, 999)
+    # bounded before the factor table is built or looked up
+    before = oracles._factor_table.cache_info()
+    with pytest.raises(DomainError):
+        eta_naive(2.0, oracles.MAX_NAIVE_TERMS + 2)
+    assert oracles._factor_table.cache_info() == before
+
+
+CHECK_POINTS = (2.0 + 0.0j, 0.5 + 14.134725j, 0.75 + 30.0j, 1.5 + 7.0j)
+
+
+def test_factor_table_invariants():
+    terms = 200_000
+    spf, cof, primes = oracles._factor_table(terms)
+    flags = bytearray([1]) * (terms + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(terms) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, terms + 1, p)))
+    is_prime = np.frombuffer(bytes(flags), dtype=np.uint8)
+    reference = np.flatnonzero(is_prime)
+    # one exponential per prime: pi(200,000) = 17,984 per point of the check
+    assert primes.size == 17_984
+    assert np.array_equal(primes, reference)
+    n = np.arange(2, terms + 1)
+    p, c = spf[2:], cof[2:]
+    assert np.all(p * c == n)
+    assert np.all(is_prime[p] == 1)
+    # the smallest prime factor: none of the cofactor's is smaller
+    assert np.all(spf[c] >= np.where(c > 1, p, 1))
+    composite = c > 1
+    assert np.all(p[composite] ** 2 <= n[composite])
+    assert spf[1] == cof[1] == 1
+    assert not (spf.flags.writeable or cof.flags.writeable or primes.flags.writeable)
+
+
+@pytest.mark.parametrize("s", CHECK_POINTS)
+def test_multiplicative_powers_match_mpmath(s):
+    values = oracles._powers(s, 2_000)
+    z = mpmath.mpc(s.real, s.imag)
+    for k, value in enumerate(values, start=1):
+        exact = complex(mpmath.power(k, -z))
+        assert abs(value - exact) <= 1e-13 * abs(exact), (k, value, exact)
+
+
+@pytest.mark.parametrize("s", [0.5 + 14.134725j, 0.75 + 30.0j])
+def test_eta_naive_matches_exact_partial_sum(s):
+    terms = 20_000
+    z = mpmath.mpc(s.real, s.imag)
+    with mpmath.workdps(30):
+        total = mpmath.fsum((-1) ** (k - 1) * mpmath.power(k, -z) for k in range(1, terms + 1))
+        exact = complex(total + mpmath.power(terms, -z) / 2)
+    assert abs(eta_naive(s, terms) - exact) <= 1e-13
 
 
 def test_eta_naive_matches_eta_within_own_estimate():

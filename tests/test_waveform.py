@@ -49,6 +49,7 @@ from zetawave.waveform import (
     _euler_accelerated,
     _euler_accelerated_rows,
     _inner_profile,
+    _miller_top,
     _overlap_rounding,
 )
 
@@ -274,6 +275,32 @@ def test_bare_overlaps_ground_row_closed_form(lam):
         want = np.array([float(2 * (-rho) ** m / (1 + eps)) for m in range(301)])
     got = _bare_overlaps(0, 300, lam)
     assert np.max(np.abs(got - want)) <= _overlap_rounding(0, 300, lam) * np.max(np.abs(want))
+
+
+def _miller_top_loop(n, m_max, grow, shrink, q):
+    """The start search one level at a time, as _bare_overlaps ran it."""
+    top, gap = m_max, 0.0
+    while gap < 40.0:
+        top += 1
+        x = abs(grow * (top - n) - shrink * (2 * top + 1) + q * (2 * top + 1))
+        gap += 2.0 * math.acosh(max(1.0, x / (2.0 * q * math.sqrt(top * (top + 1.0)))))
+    return top
+
+
+def test_miller_top_matches_level_by_level_search():
+    swept = 0
+    for lam in np.linspace(0.05, 12.0, 60):
+        eps = math.exp(-lam)
+        one_minus = -math.expm1(-lam)
+        coefficients = (4.0 * eps, 2.0 * eps * one_minus, one_minus * (1.0 + eps))
+        for n in range(1, 51):
+            for m_max in (100, 420):
+                if math.ceil(n / eps) >= m_max:
+                    continue  # the forward recurrence reaches m_max: no Miller start
+                want = _miller_top_loop(n, m_max, *coefficients)
+                assert _miller_top(n, m_max, *coefficients) == want, (n, m_max, lam)
+                swept += 1
+    assert swept > 1000
 
 
 @given(
