@@ -45,13 +45,21 @@ def _factor_table(terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Read-only int64 arrays indexed by n (p(1) = cofactor(1) = 1, entry 0
     unused): the table of Gries and Misra's linear sieve (CACM 21, 1978),
-    marked here prime by prime up to sqrt(terms), one slice per prime.
+    written here by one slice assignment spf[p^2::p] = p per prime p up to
+    sqrt(terms), those primes taken from a small Eratosthenes sieve.  A
+    composite n has its smallest prime factor p <= sqrt(n) and lies in p's
+    slice; the primes go in descending order, so the smallest one writes
+    last.  The entries left 0 from 2 on are the primes.
     """
+    root = math.isqrt(terms)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
     spf = np.zeros(terms + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(terms) + 1):
-        if spf[p] == 0:
-            multiples = spf[p * p :: p]
-            multiples[multiples == 0] = p
+    for p in np.flatnonzero(small)[::-1].tolist():
+        spf[p * p :: p] = p
     primes = np.flatnonzero(spf == 0)[2:]
     spf[primes] = primes
     spf[:2] = 1

@@ -202,6 +202,21 @@ def _refine_all(
 _MAX_SCAN_ELEMENTS = 2**24
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty array of finite floats, bitwise.
+
+    The middle entry for odd n, the two middle ones as (a + b) / 2.0 for
+    even n, the sum and divide np.mean does; np.median itself imports
+    numpy.ma on its first call, which would cost a first scan more than
+    its arithmetic.
+    """
+    half = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, half)[half])
+    low, high = np.partition(values, (half - 1, half))[half - 1 : half + 1]
+    return float((low + high) / 2.0)
+
+
 def scan_zeros(
     t_lo: float,
     t_hi: float,
@@ -270,7 +285,8 @@ def scan_zeros(
     fgrid_vals = fgrid(ts)
 
     mags = np.abs(fgrid_vals)
-    threshold = 0.1 * float(np.median(mags))
+    # finite: _settled has refused any grid value that is not
+    threshold = 0.1 * _median(mags)
     inner = mags[1:-1]
     candidates = 1 + np.flatnonzero((inner <= mags[:-2]) & (inner <= mags[2:]) & (inner < threshold))
 

@@ -200,6 +200,9 @@ def psi_full(x: float, y: float, s: complex, n: int, lam: float) -> WaveSample:
     domain.  error is the rounding bound (|s ln x| + n + 2) 2^-52 |phi_s(x)|:
     phi_s carries the rounding of s ln x, and the chi_n recurrence, bounded
     by 1, adds about one unit per step (under 0.32 (n+1) for n <= 300).
+    A value that is not a normal double (chi_n(y) underflows past its
+    turning point 4n + 2, as at n = 0, y = 3000) raises OverflowRangeError,
+    as the x = 0 rows do (psi_boundary_batch).
     """
     z = complex(s)
     p = SqueezeParameter(float(lam))
@@ -211,10 +214,16 @@ def psi_full(x: float, y: float, s: complex, n: int, lam: float) -> WaveSample:
         raise DomainError("y must be finite and >= 0")
     QuantumNumber(int(n))
     profile = phi_s(x, z)
+    value = profile * chi(int(n), y)
+    if not _TINY <= abs(value) < math.inf:
+        raise OverflowRangeError(
+            f"|psi_full| = {abs(value):.3g} at x = {x:g}, y = {y:g}, s = {z} "
+            "is not a normal double"
+        )
     error = (abs(z * math.log(x)) + n + 2.0) * 2.0**-52 * abs(profile)
     return WaveSample(
         x=float(x), y=float(y), s=z, n=int(n), lam=p.lam,
-        value=profile * chi(int(n), y), variant=ORIGINAL, error=error,
+        value=value, variant=ORIGINAL, error=error,
     )
 
 

@@ -15,6 +15,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -271,6 +272,39 @@ def test_subprocess_runs_byte_identical():
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"# config ")
+
+
+# numpy submodules a first request would otherwise pay for: np.median
+# imports numpy.ma (10-12 ms), np.random.default_rng numpy.random with
+# hashlib and secrets (about 11 ms), np.polynomial's Gauss rule
+# numpy.polynomial (4-5 ms)
+_LAZY_NUMPY = ("numpy.ma", "numpy.random", "numpy.polynomial")
+_FIRST_REQUESTS = {
+    "scan-limit": ["scan", "--t", "0.1:50"],
+    "scan-finite": ["scan", "--t", "13:16", "--mode", "finite", "--lambda", "12"],
+    "boundary-y0": ["boundary", "--t", "5", "--lambda", "8"],
+    "boundary-ypos": ["boundary", "--t", "10", "--y", "0.5", "--lambda", "12"],
+    "boundary-xpos": ["boundary", "--t", "5", "--x", "1", "--y", "0.25", "--n", "2"],
+    "converge-tilde-corrected": ["converge", "--t", "5", "--y", "0.5",
+                                 "--variant", "tilde-corrected"],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("argv", _FIRST_REQUESTS.values(), ids=_FIRST_REQUESTS.keys())
+def test_first_request_loads_no_lazy_numpy_submodule(argv):
+    # one command per fresh process, as a user runs it
+    code = (
+        "import sys\n"
+        "from zetawave.cli import main\n"
+        f"rc = main({argv!r})\n"
+        f"print(rc, [m for m in {_LAZY_NUMPY!r} if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 # ---------------------------------------------------------------------------

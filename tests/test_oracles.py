@@ -77,6 +77,19 @@ def test_factor_table_invariants():
     assert not (spf.flags.writeable or cof.flags.writeable or primes.flags.writeable)
 
 
+@pytest.mark.parametrize("terms", [2, 3, 4, 9, 10, 25, 97, 1000])
+def test_factor_table_small_sizes_by_trial_division(terms):
+    # among them sizes whose small sieve holds no prime (2, 3) and sizes
+    # whose last entry is a prime square (4, 9, 25)
+    spf, cof, primes = oracles._factor_table(terms)
+    n = range(2, terms + 1)
+    smallest = [min(p for p in range(2, k + 1) if k % p == 0) for k in n]
+    assert spf[2:].tolist() == smallest
+    assert (spf[2:] * cof[2:]).tolist() == list(n)
+    assert spf[1] == cof[1] == 1
+    assert primes.tolist() == [k for k, p in zip(n, smallest) if k == p]
+
+
 @pytest.mark.parametrize("s", CHECK_POINTS)
 def test_multiplicative_powers_match_mpmath(s):
     values = oracles._powers(s, 2_000)

@@ -1,10 +1,6 @@
 """Half-line quadrature engine: pinned integrals, invariants, guards."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +19,6 @@ from zetawave import (
     tail_cutoff_for,
 )
 from zetawave.quad import NODE_BUDGET, _GAUSS_NODES, _GAUSS_WEIGHTS, _gauss_panels
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_spec(**kw):
@@ -215,20 +209,3 @@ def test_gauss_panels_integrate_polynomials():
         got = float(np.sum(weights * nodes**k))
         assert abs(got - want) <= 1e-14 * want, k
 
-
-def test_boundary_request_does_not_import_numpy_polynomial():
-    # the Gauss rule is a constant, so a cold boundary request pays for no
-    # numpy.polynomial import (4-5 ms)
-    code = (
-        "import sys\n"
-        "from zetawave.cli import main\n"
-        "main(['boundary', '--t', '5', '--lambda', '8'])\n"
-        "print('numpy.polynomial' in sys.modules)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
-        text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"

@@ -3,7 +3,8 @@
 A check that compares a kernel with itself passes whatever the kernel
 does; each test here breaks one kernel, as verify looks it up, and asserts
 that its check reports the fault.  The rest pin what a check runs on:
-the grids it integrates over, and how often it calls its kernel.
+the grids it integrates over, the seeded points it takes, and how often
+it calls its kernel.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from zetawave import specfun
+from zetawave import specfun, verify
 from zetawave.quad import _gauss_panels, integrate_halfline
 from zetawave.specfun import laguerre
 from zetawave.verify import run_checks
@@ -118,3 +119,25 @@ def test_chi_gram_refuses_an_unresolved_halving(monkeypatch):
     (res,) = run_checks(only="chi-orthonormality")
     assert res.measured == math.inf and not res.passed
     assert "halving" in res.detail
+
+
+def test_seeded_tables_are_the_generator_draws():
+    # the draws the two checks took from numpy.random.default_rng(_SEED), in
+    # the order they took them: sigma then t per gamma point, and the bk
+    # heights from a fresh generator
+    rng = np.random.default_rng(verify._SEED)
+    gamma = [rng.uniform(*bounds) for _ in range(100) for bounds in ((-2.0, 3.0), (-60.0, 60.0))]
+    rng = np.random.default_rng(verify._SEED)
+    heights = [rng.uniform(0.5, 10.0) for _ in range(20)]
+    for table, draws in ((verify._GAMMA_POINTS, gamma), (verify._BK_HEIGHTS, heights)):
+        assert type(table) is tuple and all(type(v) is float for v in table)
+        assert [v.hex() for v in table] == [float(v).hex() for v in draws]
+
+
+def test_gamma_points_keep_clear_of_the_poles():
+    # the draw loop used to skip such a point; none of the table is one
+    pairs = list(zip(verify._GAMMA_POINTS[::2], verify._GAMMA_POINTS[1::2]))
+    assert len(pairs) == 100
+    for sigma, t in pairs:
+        if sigma <= 0.6:
+            assert min(abs(complex(sigma, t) - k) for k in range(-3, 2)) >= 0.15

@@ -641,6 +641,20 @@ def test_psi_full_guards():
         psi_full(1.0, 1.0, 0.5 + 2j, 0, 26.0)
 
 
+@pytest.mark.parametrize("y", [1420.0, 3000.0])
+def test_psi_full_value_below_the_normal_range_raises(y):
+    # |phi_s(1)| chi_0(y) = e^{-y/2} / sqrt(2 pi): a subnormal (1.8e-309)
+    # at y = 1420 and 0 at y = 3000, both returned as values before
+    with pytest.raises(OverflowRangeError, match="not a normal double"):
+        psi_full(1.0, y, 0.5 + 10j, 0, 12.0)
+
+
+def test_psi_full_just_inside_the_normal_range():
+    sample = psi_full(1.0, 1400.0, 0.5 + 10j, 0, 12.0)
+    assert abs(sample.value) == pytest.approx(math.exp(-700.0) / math.sqrt(2.0 * math.pi),
+                                              rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # boundary integral and its limit
 # ---------------------------------------------------------------------------
