@@ -202,7 +202,9 @@ def psi_full(x: float, y: float, s: complex, n: int, lam: float) -> WaveSample:
     by 1, adds about one unit per step (under 0.32 (n+1) for n <= 300).
     A value that is not a normal double (chi_n(y) underflows past its
     turning point 4n + 2, as at n = 0, y = 3000) raises OverflowRangeError,
-    as the x = 0 rows do (psi_boundary_batch).
+    as the x = 0 rows do (psi_boundary_batch).  An exact zero of chi_n from
+    a normal seed e^{-y/2} is a node, not an underflow (chi_1(1) = 0), and
+    is returned as the value 0.
     """
     z = complex(s)
     p = SqueezeParameter(float(lam))
@@ -214,8 +216,10 @@ def psi_full(x: float, y: float, s: complex, n: int, lam: float) -> WaveSample:
         raise DomainError("y must be finite and >= 0")
     QuantumNumber(int(n))
     profile = phi_s(x, z)
-    value = profile * chi(int(n), y)
-    if not _TINY <= abs(value) < math.inf:
+    level = chi(int(n), y)
+    value = profile * level
+    node = level == 0.0 and math.exp(-0.5 * y) >= _TINY
+    if not (node or _TINY <= abs(value) < math.inf):
         raise OverflowRangeError(
             f"|psi_full| = {abs(value):.3g} at x = {x:g}, y = {y:g}, s = {z} "
             "is not a normal double"

@@ -649,6 +649,18 @@ def test_psi_full_value_below_the_normal_range_raises(y):
         psi_full(1.0, y, 0.5 + 10j, 0, 12.0)
 
 
+def test_psi_full_at_a_node_is_zero_not_an_underflow():
+    # chi_1(y) = (1 - y) e^{-y/2} vanishes exactly at y = 1, from a normal seed
+    sample = psi_full(1.0, 1.0, 0.5 + 5j, 1, 12.0)
+    assert sample.value == 0.0
+
+
+def test_psi_full_profile_underflow_still_raises():
+    # |phi_s(1e300)| = 1e-600 / sqrt(2 pi) rounds to 0 while chi_0(1) does not
+    with pytest.raises(OverflowRangeError, match="not a normal double"):
+        psi_full(1e300, 1.0, 2.0 + 0j, 0, 12.0)
+
+
 def test_psi_full_just_inside_the_normal_range():
     sample = psi_full(1.0, 1400.0, 0.5 + 10j, 0, 12.0)
     assert abs(sample.value) == pytest.approx(math.exp(-700.0) / math.sqrt(2.0 * math.pi),
