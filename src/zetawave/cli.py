@@ -3,11 +3,12 @@
 Output is deterministic by construction: fixed evaluation order, no
 timestamps, 15-significant-digit formatting with '.' decimal separator,
 manual CSV assembly.  Each command's parameters are declared once, in
-_COMMANDS, which builds the flags, checks config-file keys and values and
-writes the echo.  The effective configuration (defaults, overridden by an
-optional flat key=value config file, overridden by flags) is echoed as a
-'#' comment line at the top of every report; fed back as a config file,
-that line reproduces the report.
+_COMMANDS, from which the command line is read, flags and config-file
+entries are checked alike, the help is written and the echo is made.  The
+effective configuration (defaults, overridden by an optional flat
+key=value config file, overridden by flags) is echoed as a '#' comment
+line at the top of every report; fed back as a config file, that line
+reproduces the report.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 3 numerical non-convergence.
@@ -15,7 +16,6 @@ Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -35,6 +35,7 @@ from .waveform import (
 __all__ = ["main"]
 
 _FORMATS = ("csv", "records")
+_HELP_FLAGS = ("-h", "--help")
 _BOUNDARY_VARIANTS = (ORIGINAL, TILDE, LIMIT)
 # Most rows one boundary command may ask for: the product of its t, lambda,
 # y and x list lengths.  Each x = 0 row runs its own level sum or boundary
@@ -205,7 +206,7 @@ def _run_converge(conf: Dict[str, object]) -> _Report:
 
 
 # ---------------------------------------------------------------------------
-# the parameter table and the one parser built from it
+# the parameter table, and the command line read from it
 # ---------------------------------------------------------------------------
 
 
@@ -257,24 +258,6 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zetawave",
-        description="Critical-line laboratory: verification suites, zero scans, "
-        "boundary evaluation, squeeze-convergence studies.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("--config", help="flat key=value config file")
-        for key, param in command.params.items():
-            p.add_argument(f"--{key}", choices=param.choices, help=param.help)
-    return parser
-
-
-_PARSER = _build_parser()
-
-
 def _read_config_file(path: str) -> Dict[str, str]:
     try:
         text = Path(path).read_text()
@@ -292,22 +275,91 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return data
 
 
-def _configure(args: argparse.Namespace) -> Dict[str, object]:
+def _split_argv(argv: Sequence[str]) -> Tuple[Optional[str], Optional[Dict[str, str]]]:
+    """The command and its flags (key -> last value given), from argv.
+
+    A flag is --key value or --key=value.  (None, None) asks for the
+    overall help and (command, None) for the command's; a malformed line
+    raises DomainError.  Whether each key is the command's is left to
+    _configure.
+    """
+    if argv and argv[0] in _HELP_FLAGS:
+        return None, None
+    commands = ", ".join(_COMMANDS)
+    if not argv:
+        raise DomainError(f"no command given; choose one of {commands}")
+    command, *rest = argv
+    if command not in _COMMANDS:
+        raise DomainError(f"unknown command {command!r}; choose one of {commands}")
+    flags: Dict[str, str] = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP_FLAGS:
+            return command, None
+        if not token.startswith("--"):
+            raise DomainError(f"unexpected argument {token!r}; flags are --key value")
+        key, eq, value = token[2:].partition("=")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise DomainError(f"flag --{key} needs a value")
+        flags[key] = value
+    return command, flags
+
+
+def _columns(entries: Sequence[Tuple[str, str]]) -> List[str]:
+    width = max(len(left) for left, _ in entries)
+    return [f"  {left:<{width}}  {right}" for left, right in entries]
+
+
+def _help(command: Optional[str]) -> str:
+    """The help text of one command, or of the program for command None."""
+    usage = f"usage: zetawave {command or 'COMMAND'} [--KEY VALUE | --KEY=VALUE ...]"
+    if command is None:
+        lines = [
+            usage, "",
+            "Critical-line laboratory: verification suites, zero scans, "
+            "boundary evaluation, squeeze-convergence studies.", "",
+            "commands:", *_columns([(name, cmd.help) for name, cmd in _COMMANDS.items()]), "",
+            "'zetawave COMMAND --help' lists its flags.",
+        ]
+    else:
+        flags = [("--config PATH", "flat key=value config file; flags override it")] + [
+            (f"--{key} " + ("{" + ",".join(p.choices) + "}" if p.choices else key.upper()), p.help)
+            for key, p in _COMMANDS[command].params.items()
+        ]
+        lines = [
+            usage, "", _COMMANDS[command].help, "",
+            "flags (exact names; the last of a repeated flag wins):", *_columns(flags),
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def _override(
+    raw: Dict[str, Optional[str]], pairs: Dict[str, str], command: str, what: str
+) -> None:
+    """raw updated by pairs, each of whose keys must be one of the command's;
+    what, formatted with the key, names a refused one."""
+    for key, value in pairs.items():
+        if key not in raw:
+            raise DomainError(what.format(key=key) + f" is not valid for the {command} command")
+        raw[key] = value
+
+
+def _configure(command: str, flags: Dict[str, str]) -> Dict[str, object]:
     """Each key's value: its flag, else its config-file entry, else its default.
 
-    Keys with none of the three are left out.
+    Config-file keys and flags are checked alike: each must be one of the
+    command's keys, and each value is checked by its parameter.  Keys with
+    none of the three are left out.
     """
-    params = _COMMANDS[args.command].params
+    params = _COMMANDS[command].params
     raw = {key: param.default for key, param in params.items()}
-    if args.config:
-        for key, value in _read_config_file(args.config).items():
-            if key not in params:
-                raise DomainError(
-                    f"config key {key!r} is not valid for the {args.command} command"
-                )
-            raw[key] = value
-    flags = vars(args)
-    raw.update((key, flags[key]) for key in params if flags[key] is not None)
+    flags = dict(flags)
+    config = flags.pop("config", None)
+    if config:
+        _override(raw, _read_config_file(config), command, "config key {key!r}")
+    _override(raw, flags, command, "flag --{key}")
     return {key: params[key].value(text, key) for key, text in raw.items() if text is not None}
 
 
@@ -330,11 +382,14 @@ def _render(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
-        conf = _configure(args)
-        header, rows, trailer, failed = _COMMANDS[args.command].run(conf)
-        text = _render(args.command, conf, header, rows, trailer)
+        command, flags = _split_argv(sys.argv[1:] if argv is None else argv)
+        if flags is None:
+            sys.stdout.write(_help(command))
+            return 0
+        conf = _configure(command, flags)
+        header, rows, trailer, failed = _COMMANDS[command].run(conf)
+        text = _render(command, conf, header, rows, trailer)
         out_path = conf.get("out")
         if out_path:
             try:

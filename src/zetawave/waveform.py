@@ -632,7 +632,9 @@ def _boundary_batch(s_values, y, n, lam, variant, target_tol, tol_rule) -> tuple
 
     One route per regime: at y = 0, where the variants coincide, the level
     sum at target_tol or the minimum of tol_rule, after Re s > 0 and
-    varphi_zero(s) are checked; at y > 0 the Mellin quadrature.
+    varphi_zero(s) are checked; at y > 0 the Mellin quadrature, whose
+    error estimate must stay below each value's eta-scale modulus
+    (NonConvergenceError otherwise).
     """
     if not np.all(np.isfinite(s_values)):
         raise DomainError("boundary integral requires finite s")
@@ -647,6 +649,13 @@ def _boundary_batch(s_values, y, n, lam, variant, target_tol, tol_rule) -> tuple
     else:
         sums, err = _boundary_eta_scale(s_values, y, n, lam, variant, target_tol, tol_rule)
         phis = [varphi_zero(z) for z in s_values]
+        for z, phi, v in zip(s_values, phis, sums):
+            # a value that underflowed is left to its caller's normal-double check
+            if not err < abs(v) and abs(phi * v) >= _TINY:
+                raise NonConvergenceError(
+                    f"|psi_boundary / varphi_zero| = {abs(v):.3g} at s = {z} is not above "
+                    f"its error estimate {err:.3g}"
+                )
     return [phi * complex(v) for phi, v in zip(phis, sums)], float(err)
 
 
@@ -715,7 +724,9 @@ def psi_boundary(
     not positive and finite or, at y > 0, so loose that the quadrature's
     lower cut passes ln 45.  None is 1e-9 at y = 0, and at y > 0 30x the
     quadrature's rounding floor, which grows like e^{pi t/2}.  The bound
-    or estimate is the sample's error.
+    or estimate is the sample's error; at y > 0 an estimate that is not
+    below |psi / varphi_zero| raises NonConvergenceError, since the value
+    would be all error (as from t ~ 23 at y = 0.5, lambda = 10).
 
     Approach to the limit: for y > 0 the original variant tends to 0 as
     varphi_zero(s) chi_n(y) (4 e^{-lam}/y)^s, with a relative correction

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetawave.cli import main
+from zetawave.cli import _COMMANDS, main
 
 SCAN_HEADER = "t,residual,bracket_lo,bracket_hi,iterations,energy,converged"
 BOUNDARY_HEADER = "x,y,t,lambda,n,variant,re,im,abs"
@@ -266,6 +266,20 @@ def test_scan_header_replays_its_report(lo, step, tol):
     assert replay == report
 
 
+def test_both_flag_forms_give_one_report(capsys):
+    spaced = ["boundary", "--t", "10,14.134725", "--y", "0,0.5", "--lambda", "8",
+              "--variant", "original", "--format", "records"]
+    joined = [spaced[0]] + [f"{key}={value}" for key, value in zip(spaced[1::2], spaced[2::2])]
+    first = run_cli(capsys, *spaced)
+    assert first[0] == 0
+    assert run_cli(capsys, *joined) == first
+
+
+def test_last_of_a_repeated_flag_wins(capsys):
+    first = run_cli(capsys, "scan", "--t", "13:16")
+    assert run_cli(capsys, "scan", "--t", "2:5", "--t=13:16") == first
+
+
 def test_subprocess_runs_byte_identical():
     argv = [sys.executable, "-m", "zetawave", "scan", "--t", "13:16"]
     first = subprocess.run(argv, capture_output=True, check=True)
@@ -274,11 +288,21 @@ def test_subprocess_runs_byte_identical():
     assert first.stdout.startswith(b"# config ")
 
 
-# numpy submodules a first request would otherwise pay for: np.median
-# imports numpy.ma (10-12 ms), np.random.default_rng numpy.random with
-# hashlib and secrets (about 11 ms), np.polynomial's Gauss rule
-# numpy.polynomial (4-5 ms)
-_LAZY_NUMPY = ("numpy.ma", "numpy.random", "numpy.polynomial")
+def test_subprocess_malformed_command_line_exits_2():
+    done = subprocess.run([sys.executable, "-m", "zetawave", "bogus"], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "error: unknown command 'bogus'; choose one of verify, scan, boundary, converge"
+    ]
+
+
+# modules a first request would otherwise pay for: np.median imports
+# numpy.ma (10-12 ms), np.random.default_rng numpy.random with hashlib and
+# secrets (about 11 ms), np.polynomial's Gauss rule numpy.polynomial
+# (4-5 ms), and an argparse command line argparse (2-3 ms)
+_LAZY_MODULES = ("numpy.ma", "numpy.random", "numpy.polynomial", "argparse")
 _FIRST_REQUESTS = {
     "scan-limit": ["scan", "--t", "0.1:50"],
     "scan-finite": ["scan", "--t", "13:16", "--mode", "finite", "--lambda", "12"],
@@ -298,13 +322,38 @@ def test_first_request_loads_no_lazy_numpy_submodule(argv):
         "import sys\n"
         "from zetawave.cli import main\n"
         f"rc = main({argv!r})\n"
-        f"print(rc, [m for m in {_LAZY_NUMPY!r} if m in sys.modules])\n"
+        f"print(rc, [m for m in {_LAZY_MODULES!r} if m in sys.modules])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+# ---------------------------------------------------------------------------
+# help, from the parameter table
+
+
+def test_help_lists_every_command(capsys):
+    for flag in ("--help", "-h"):
+        rc, out, err = run_cli(capsys, flag)
+        assert (rc, err) == (0, "")
+        for name, command in _COMMANDS.items():
+            assert f"  {name}  " in out and command.help in out
+
+
+@pytest.mark.parametrize("name", _COMMANDS)
+def test_command_help_lists_every_key(capsys, name):
+    rc, out, err = run_cli(capsys, name, "--t", "5", "--help")
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert any(line.lstrip().startswith("--config PATH ") for line in lines)
+    for key, param in _COMMANDS[name].params.items():
+        line = next(line for line in lines if line.lstrip().startswith(f"--{key} "))
+        assert param.help in line
+        if param.choices:
+            assert "{" + ",".join(param.choices) + "}" in line
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +384,7 @@ def test_config_file_value_is_checked_like_its_flag(capsys, tmp_path):
     assert rc == 2
     assert out == ""
     assert err == "error: format must be one of ('csv', 'records')\n"
+    assert run_cli(capsys, "scan", "--t", "13:16", "--format", "json") == (rc, out, err)
 
 
 def test_config_file_rejects_unknown_key(capsys, tmp_path):

@@ -903,6 +903,18 @@ def test_boundary_value_below_the_normal_range_raises(y, variant):
         psi_boundary(y, 0.5 + 5j, 0, 12.0, variant=variant)
 
 
+def test_boundary_value_not_above_its_error_estimate_raises():
+    # y = 0.5, lambda = 10: at t = 25 the stated eta-scale error 0.35 passes
+    # the modulus 0.246, and |psi| = 1.91e-35 came back with exit 0; at
+    # t = 20 the error 5.9e-4 stays below the modulus 1.49e-2
+    with pytest.raises(NonConvergenceError, match="error estimate"):
+        psi_boundary(0.5, 0.5 + 25j, 0, 10.0)
+    with pytest.raises(NonConvergenceError, match="error estimate"):
+        convergence_study(0.5 + 25j, 0, [8.0, 10.0, 12.0], variant="original", y=0.5)
+    sample = psi_boundary(0.5, 0.5 + 20j, 0, 10.0)
+    assert 0.0 < sample.error < abs(sample.value / varphi_zero(sample.s))
+
+
 def test_boundary_explicit_tolerance_is_met():
     # 1e-9 at t = 10 used to be raised to 3x the rounding floor, 6.3e-9,
     # and the sample came back with error 1.27e-9; the refusals are
