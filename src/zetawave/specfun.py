@@ -14,8 +14,8 @@ points all have sigma >= 1/2, where his error bound is proved: about
 20 + 0.9 |t| terms, 2.6 times fewer than Euler's for the same accuracy.
 Euler's weights, the Bin(n, 1/2) tails of _binomial_weights, serve the
 rest at the one depth rule _eta_depth: eta left of the critical line and
-every coefficient row (the y = 0 level sums of the squeezed boundary
-value, see waveform._level_sums).  Euler's transform of
+every coefficient row (the level sums of the squeezed boundary value,
+see waveform._level_sums).  Euler's transform of
 sum_k (-1)^k a_k regroups exactly into the weighted sum derived in
 eta_grid, and the iterated averaging of waveform._euler_accelerated is
 the same identity on partial sums.  A scan grid, evenly spaced heights on
@@ -302,12 +302,13 @@ def _eta_depth(s: np.ndarray) -> int:
     at most 420; a batch takes its deepest point.
 
     It sizes Euler's weights: eta left of the critical line, and the
-    coefficient rows whose length sets their depth (the finite scan and
-    every y = 0 boundary value, waveform._level_sums).  Calibrated against
-    extended-precision references over sigma in [-2, 3], |t| <= 60; worst
-    observed error ~5e-13, the truncation waveform._level_sums states.  The
-    level sums of the squeezed boundary value run at the same depth:
-    against 176 more levels they differ by <= 1.6e-14 (1 + |f|) over lam in
+    coefficient rows whose length sets their depth (the finite scan, the
+    level-sum boundary values, deeper where waveform._row_depth asks).
+    Calibrated against extended-precision references over sigma in [-2, 3],
+    |t| <= 60; worst observed error ~5e-13, the truncation
+    waveform._level_sums states.  At y = 0, lam >= 5 the boundary value's
+    level sums take this depth: against 176 more levels they differ by
+    <= 1.6e-14 (1 + |f|) over lam in
     {5, 8, 12, 14, 16}, n <= 300, t <= 120.
     ceil is monotone, so the deepest point of each side of sigma = 1/2 is
     the one with the largest |t| there: two scalar ceilings, not one per

@@ -7,8 +7,8 @@ the eta function itself; in finite-squeeze mode it is the y = 0 boundary
 value in its level-sum form divided by 2 varphi_zero, which sits on the
 same O(1) scale as eta at every height (the raw boundary value collapses
 like e^{-pi t/2} and would starve detection of dynamic range).  Studies
-at y = 0 take the same level sum, one coefficient row per squeeze; at
-y > 0 they take the Mellin quadrature.
+take the boundary value's route: up to Y = e^{+-lam} y = 356 the level
+sum, one row sum_m A_m chi_m(Y) per squeeze; past it the Mellin quadrature.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _finite_series_tools(
     an array of heights by exact powers, df/dt = i f'(s); the grid
     evaluator keeps f on a scan grid of the given step (see _line_grid).
     """
-    coeffs = 0.5 * _level_coefficients(n, np.array([0.5 + 1j * t_max]), lam)
+    coeffs = 0.5 * _level_coefficients(n, _eta_depth(np.array([0.5 + 1j * t_max])), lam)
     return _line_newton(coeffs), _line_grid(coeffs, step)
 
 
@@ -321,8 +321,8 @@ def convergence_study(
 
     Every lambda is checked before any work; the limit is evaluated once
     per study.  Each record is bitwise the per-lambda psi_boundary (or
-    tilde_expansion_check) value: the level sum at y = 0, the Mellin
-    quadrature at y > 0.
+    tilde_expansion_check) value: the level sum up to Y = 356, the Mellin
+    quadrature past it.
     """
     z = complex(s)
     if variant not in STUDY_VARIANTS:

@@ -5,15 +5,13 @@ overlaps, the Mehler kernel in closed and series form, the full
 position-space wave function, the boundary integral with its large-squeeze
 limit, and the confined one-dimensional profile.
 
-The boundary value takes one route per regime.  At y = 0 it is the level
-sum varphi_zero(s) sum_m A_m (m+1)^{-s} over the bare overlaps A_m, which
-come from their three-term recurrence (_bare_overlaps) and are summed by
-eta's kernel, with relative accuracy at every height.  At y > 0 it is a
-quadrature over the Mehler parameter u with an oscillatory algebraic
-endpoint, through the log substitution of the quad module; the inner
-transverse integral is exact, an exponential times a Laguerre polynomial
-(see _inner_profile).  Neither the overlaps nor the inner integral involve
-the spectral parameter, so batches of spectral points share them.
+The boundary value takes its route by the transverse argument Y = e^lam y
+(original variant) or e^-lam y (tilde).  Up to Y = 356 it is the level
+sum varphi_zero(s) sum_m A_m chi_m(Y) (m+1)^{-s} over the bare overlaps
+A_m (_bare_overlaps), summed by eta's kernel with relative accuracy at
+every height; past it (or the row's depth cap, _row_depth) a quadrature
+over the Mehler parameter u, whose inner integral is exact (_inner_profile).
+Neither involves the spectral parameter, so batches of points share them.
 """
 
 from __future__ import annotations
@@ -84,13 +82,12 @@ MAX_LEVEL = 10_000
 # itself is O(|Gamma(s)|), so the achievable accuracy on the eta-normalized
 # scale degrades like e^{pi t / 2}; default tolerances sit above it.
 _ABS_NOISE = 4e-16
-# Default tolerances on that scale, (minimum, multiple of the floor): the
-# boundary value's, and tilde_expansion_check's, tighter for its e^{-2 lam}
-# residual.  The y = 0 level sum has no such floor and takes the minimum.
+# Default tolerance on that scale, (minimum, floor multiple); the level sum takes the minimum
 _BOUNDARY_TOL_RULE = (1e-9, 30.0)
-_EXPANSION_TOL_RULE = (1e-11, 10.0)
-# Truncation of the level sum at _eta_depth, relative to 1 + |value|: the
-# depth rule's calibrated worst case (see specfun._eta_depth)
+# Deepest level-sum row (_eta_depth's cap); a deeper _row_depth takes the quadrature
+_LEVEL_DEPTH_CAP = 420
+# Truncation of the level sum at its depth, relative to 1 + |value|: the
+# depth rules' calibrated worst case (specfun._eta_depth, _row_depth)
 _LEVEL_TRUNCATION = 5e-13
 # Largest first-order term e^{-lam} (2n + 1 + y/2) of the tilde expansion
 # (relative to its zero order) at which the expansion is taken: past it the
@@ -128,7 +125,7 @@ class WaveSample:
 
     error is a diagnostic from the producing operation, on the scale it
     controlled: psi_boundary's eta-normalized one, the level sum's stated
-    bound at y = 0 and the quadrature's estimate at y > 0; psi_full's
+    bound up to Y = 356 and the quadrature's estimate past it; psi_full's
     rounding bound on the value.
     """
 
@@ -572,24 +569,23 @@ def _eta_scale_floor(s, gamma):
     return _ABS_NOISE * (1.0 + np.abs(np.imag(s)) / 10.0) / np.abs(gamma)
 
 
-def _boundary_eta_scale(s_values, y, n, lam, variant, target_tol, tol_rule) -> tuple:
-    """Boundary integrals at y > 0 divided by Gamma(s), and their error estimate.
+def _boundary_eta_scale(s_values, Y, n, lam, target_tol) -> tuple:
+    """Boundary integrals at Y > 0 divided by Gamma(s), and their error estimate.
 
     u^{s-1} e^{-u}/(1-e^{-u}) times the exact _inner_profile goes to
     quad.integrate_singular_log; the inner values do not involve s, so each
     point costs one phase sum.  Convergence is controlled on this
     eta-normalized scale, O(1) uniformly in t.  target_tol None gives each
-    point max(minimum, multiple x its double-precision floor), tol_rule =
-    (minimum, multiple); the floor grows like e^{pi t/2} because the raw
+    point max(minimum, multiple x its double-precision floor) by
+    _BOUNDARY_TOL_RULE; the floor grows like e^{pi t/2} because the raw
     integral is O(|Gamma(s)|).  An explicit target_tol is met or refused.
     """
     gammas = np.array([gamma_complex(z) for z in s_values])
     if target_tol is None:
-        minimum, multiple = tol_rule
+        minimum, multiple = _BOUNDARY_TOL_RULE
         tols = np.maximum(minimum, multiple * _eta_scale_floor(s_values, gammas))
     else:
         tols = float(target_tol)
-    Y = (math.exp(lam) if variant == ORIGINAL else math.exp(-lam)) * y
     # Near u = 0 the integrand is u^{s-1} [J(0) + O(u) + O(Y u)], where
     # J(0) = chi_n(eps Y) is the limit of the inner profile over e^u - 1.
     return integrate_singular_log(
@@ -598,56 +594,73 @@ def _boundary_eta_scale(s_values, y, n, lam, variant, target_tol, tol_rule) -> t
     )
 
 
-def _level_coefficients(n: int, s_values: np.ndarray, lam: float) -> np.ndarray:
-    """The level sum's row (-1)^m A_m, m <= _eta_depth(s_values), for _eta_sums."""
-    coeffs = _bare_overlaps(n, _eta_depth(s_values), lam)
+def _level_coefficients(n: int, depth: int, lam: float) -> np.ndarray:
+    """The y = 0 level sum's row (-1)^m A_m, m <= depth, for _eta_sums."""
+    coeffs = _bare_overlaps(n, depth, lam)
     coeffs[1::2] *= -1.0
     return coeffs
 
 
-def _level_sums(s_values: np.ndarray, n: int, lam: float, tol: float) -> tuple[np.ndarray, float]:
-    """Boundary values at y = 0 divided by varphi_zero(s), and their stated bound.
+def _row_depth(n: int, lam: float, Y: float) -> int:
+    """Depth the level sum's row needs besides the height's, 64 + ceil(Y + 2.4 n p
+    + 8 sqrt(n p)), p = 2/(1 + e^lam): Y for chi_m(Y), which alternates below
+    its turning point Y/4, and the rest for overlaps that peak near level n
+    at small lam.  Calibrated against depths 1200 and 1600 (CHANGES.md)."""
+    p = 2.0 / (1.0 + math.exp(lam))
+    return 64 + math.ceil(Y + 2.4 * n * p + 8.0 * math.sqrt(n * p))
 
-    sum_m A_m (m+1)^{-s}: the overlaps do not involve s, so one row serves
-    the batch, summed by specfun._eta_sums with its settle check; it keeps
-    relative accuracy at any height.  The bound is the overlaps' rounding
-    (_overlap_rounding times the largest |A_m|) under Euler's weights
-    P(Bin(D+1, 1/2) > k) (for either head split) times (k+1)^{-sigma},
-    plus _LEVEL_TRUNCATION (1 + |value|), at the worst point; past tol it
-    raises NonConvergenceError.
+
+def _level_sums(s_values: np.ndarray, n: int, lam: float, Y: float, tol: float) -> tuple:
+    """Boundary values at transverse argument Y divided by varphi_zero(s), and their bound.
+
+    sum_m A_m chi_m(Y) (m+1)^{-s} to depth D = max(_eta_depth, _row_depth) <=
+    420: one row serves the batch, summed by specfun._eta_sums with its
+    settle check, with relative accuracy at any height; chi_m(Y) is one
+    all-orders recurrence on floats, skipped at Y = 0 where it is 1.  The
+    bound is the row's rounding (_overlap_rounding, plus chi's (m+1) 2^-52
+    at Y > 0, times the largest |A_m|, as |chi_m| <= 1) under Euler's weights
+    P(Bin(D+1, 1/2) > k) (either head split) times (k+1)^{-sigma}, plus
+    _LEVEL_TRUNCATION (1 + |value|) at the worst point; past tol, NonConvergenceError.
     """
-    coeffs = _level_coefficients(n, s_values, lam)
+    depth = min(max(_eta_depth(s_values), _row_depth(n, lam, Y)), _LEVEL_DEPTH_CAP)
+    coeffs = _level_coefficients(n, depth, lam)
+    largest = float(np.max(np.abs(coeffs)))
+    levels = np.arange(depth + 1)
+    rounding = _overlap_rounding(n, levels, lam)
+    if Y > 0.0:
+        coeffs *= _laguerre_recurrence(depth, Y, math.exp(-0.5 * Y), all_orders=True)
+        rounding = rounding + (levels + 1.0) * 2.0**-52
     values = _eta_sums(s_values, coeffs=coeffs)[0]
-    levels = np.arange(coeffs.size)
-    weights = _binomial_weights(coeffs.size)[1][1:] * (levels + 1.0) ** -float(s_values.real.min())
-    rounding = float(weights @ _overlap_rounding(n, levels, lam)) * float(np.max(np.abs(coeffs)))
-    error = rounding + _LEVEL_TRUNCATION * (1.0 + float(np.max(np.abs(values))))
+    weights = _binomial_weights(depth + 1)[1][1:] * (levels + 1.0) ** -float(s_values.real.min())
+    error = float(weights @ rounding) * largest
+    error += _LEVEL_TRUNCATION * (1.0 + float(np.max(np.abs(values))))
     if not error <= tol:
         raise NonConvergenceError(f"level sum bound {error:.3g} exceeds the tolerance {tol:.3g}")
     return values, error
 
 
-def _boundary_batch(s_values, y, n, lam, variant, target_tol, tol_rule) -> tuple[list, float]:
+def _boundary_batch(s_values, y, n, lam, variant, target_tol) -> tuple[list, float]:
     """Boundary values at a batch of s for one squeeze, and the worst eta-scale error.
 
-    One route per regime: at y = 0, where the variants coincide, the level
-    sum at target_tol or the minimum of tol_rule, after Re s > 0 and
-    varphi_zero(s) are checked; at y > 0 the Mellin quadrature, whose
-    error estimate must stay below each value's eta-scale modulus
-    (NonConvergenceError otherwise).
+    One route per transverse argument Y = e^lam y (original) or e^-lam y
+    (tilde): where _row_depth fits the cap 420 (Y <= 356, Y = 0 included)
+    the level sum at target_tol or 1e-9, after Re s > 0 and varphi_zero(s)
+    are checked; past it the Mellin quadrature, whose error estimate must
+    stay below each value's eta-scale modulus (NonConvergenceError otherwise).
     """
     if not np.all(np.isfinite(s_values)):
         raise DomainError("boundary integral requires finite s")
     if target_tol is not None and not (math.isfinite(target_tol) and target_tol > 0.0):
         raise DomainError("boundary tolerance must be positive and finite")
-    if y == 0.0:
+    Y = (math.exp(lam) if variant == ORIGINAL else math.exp(-lam)) * y
+    if _row_depth(n, lam, Y) <= _LEVEL_DEPTH_CAP:
         if float(s_values.real.min()) <= 0.0:
-            raise DomainError("boundary value at y = 0 requires Re s > 0")
+            raise DomainError("boundary value by the level sum requires Re s > 0")
         phis = [varphi_zero(z) for z in s_values]
-        tol = tol_rule[0] if target_tol is None else target_tol
-        sums, err = _level_sums(s_values, n, lam, tol)
+        tol = _BOUNDARY_TOL_RULE[0] if target_tol is None else target_tol
+        sums, err = _level_sums(s_values, n, lam, Y, tol)
     else:
-        sums, err = _boundary_eta_scale(s_values, y, n, lam, variant, target_tol, tol_rule)
+        sums, err = _boundary_eta_scale(s_values, Y, n, lam, target_tol)
         phis = [varphi_zero(z) for z in s_values]
         for z, phi, v in zip(s_values, phis, sums):
             # a value that underflowed is left to its caller's normal-double check
@@ -677,22 +690,15 @@ def _check_boundary_args(y: float, n: int, lam: float, variant: str) -> None:
         )
 
 
-def _boundary_squeezes(
-    z: complex,
-    y: float,
-    n: int,
-    lams: Sequence[float],
-    variant: str,
-    target_tol: Optional[float] = None,
-    tol_rule: tuple[float, float] = _BOUNDARY_TOL_RULE,
-) -> list:
+def _boundary_squeezes(z: complex, y: float, n: int, lams: Sequence[float], variant: str,
+                       target_tol: Optional[float] = None) -> list:
     """psi_boundary(y, z, n, lam, variant, target_tol).value for every lam in lams,
     bitwise; every squeeze is checked before any work."""
     lams = [float(lam) for lam in lams]
     for lam in lams:
         _check_boundary_args(y, n, lam, variant)
     batch, y, n = np.array([z]), float(y), int(n)
-    return [_boundary_batch(batch, y, n, lam, variant, target_tol, tol_rule)[0][0] for lam in lams]
+    return [_boundary_batch(batch, y, n, lam, variant, target_tol)[0][0] for lam in lams]
 
 
 def psi_boundary(
@@ -703,8 +709,8 @@ def psi_boundary(
     variant: str = ORIGINAL,
     target_tol: Optional[float] = None,
 ) -> WaveSample:
-    """Boundary wave function at x = 0, from the level sum at y = 0 and the
-    Mellin quadrature at y > 0.
+    """Boundary wave function at x = 0, from the level sum up to Y = 356 and
+    the Mellin quadrature past it.
 
     The one-point psi_boundary_batch, bitwise, wrapped in a WaveSample.
 
@@ -714,19 +720,19 @@ def psi_boundary(
     the Laguerre generating function and the Laplace transform of I0 (see
     _inner_profile), K = exp(-Y((1-t) + eps(1+t))/(2 d1)) (2/d1) (d2/d1)^n
     L_n(4 eps Y t/(d1 d2)) with t = e^{-u}, eps = e^{-lam},
-    d1 = (1+eps) + t(1-eps), d2 = (1-eps) + t(1+eps).  At y = 0 (Y = 0: the
-    variants agree) K is sum_m A_m e^{-mu} over the bare overlaps, and the
-    integral is the level sum sum_m A_m (m+1)^{-s} (_level_sums).
+    d1 = (1+eps) + t(1-eps), d2 = (1-eps) + t(1+eps).  By Mehler's formula
+    K is also sum_m A_m chi_m(Y) e^{-mu}, so the integral is the level sum
+    sum_m A_m chi_m(Y) (m+1)^{-s} (_level_sums); it serves Y <= 356.
 
     target_tol, absolute on psi / varphi_zero, is met or refused:
-    NonConvergenceError if the level sum's stated bound (y = 0) or the
-    quadrature's discrepancy (y > 0) stays above it, DomainError if it is
-    not positive and finite or, at y > 0, so loose that the quadrature's
-    lower cut passes ln 45.  None is 1e-9 at y = 0, and at y > 0 30x the
-    quadrature's rounding floor, which grows like e^{pi t/2}.  The bound
-    or estimate is the sample's error; at y > 0 an estimate that is not
-    below |psi / varphi_zero| raises NonConvergenceError, since the value
-    would be all error (as from t ~ 23 at y = 0.5, lambda = 10).
+    NonConvergenceError if the level sum's stated bound or the
+    quadrature's discrepancy stays above it, DomainError if it is not
+    positive and finite or, on the quadrature, so loose that its lower cut
+    passes ln 45.  None is 1e-9 on the level sum, and on the quadrature 30x
+    its rounding floor, which grows like e^{pi t/2}.  The bound or
+    estimate is the sample's error; on the quadrature an estimate that is
+    not below |psi / varphi_zero| raises NonConvergenceError, since the
+    value would be all error (as from t ~ 23 at y = 0.5, lambda = 10).
 
     Approach to the limit: for y > 0 the original variant tends to 0 as
     varphi_zero(s) chi_n(y) (4 e^{-lam}/y)^s, with a relative correction
@@ -754,7 +760,7 @@ def psi_boundary_batch(
 ) -> tuple[np.ndarray, float]:
     """psi_boundary's values at many spectral points, and the worst eta-scale error.
 
-    One row of overlaps (y = 0) or one inner integral K per grid (y > 0)
+    One level-sum row (up to Y = 356) or one inner integral K per grid
     serves the batch.  A value that is not a normal double (it underflowed,
     as at y = 1e300) raises OverflowRangeError.
     """
@@ -762,8 +768,7 @@ def psi_boundary_batch(
     arr = np.asarray(list(s_values), dtype=complex)
     if arr.size == 0:
         return np.empty(0, dtype=complex), 0.0
-    rule = _BOUNDARY_TOL_RULE
-    values, err = _boundary_batch(arr, float(y), int(n), float(lam), variant, target_tol, rule)
+    values, err = _boundary_batch(arr, float(y), int(n), float(lam), variant, target_tol)
     for z, value in zip(arr, values):
         if not _TINY <= abs(value) < math.inf:
             raise OverflowRangeError(
@@ -831,25 +836,19 @@ def tilde_expansion_check(
     with coefficient (2n + 1 + y/2) times
     2 varphi_zero(s) (eta(s) - 2 eta(s-1)); residual = |exact -
     first_order| is expected to scale like e^{-2 lam}.  target_tol None
-    picks 1e-11 on the eta-normalized scale at y = 0, and max(1e-11, 10x
-    the quadrature's rounding floor) at y > 0 (see _eta_scale_floor).  A
-    first-order term e^{-lam} (2n + 1 + y/2) past 0.1 is outside the
-    expansion's regime and raises DomainError.
+    picks 1e-11 on the eta-normalized scale.  A first-order term
+    e^{-lam} (2n + 1 + y/2) past 0.1 is outside the expansion's regime and
+    raises DomainError.
     """
     return _tilde_expansions(y, complex(s), n, [lam], target_tol)[0]
 
 
-def _tilde_expansions(
-    y: float,
-    z: complex,
-    n: int,
-    lams: Sequence[float],
-    target_tol: Optional[float] = None,
-) -> list:
+def _tilde_expansions(y: float, z: complex, n: int, lams: Sequence[float],
+                      target_tol: Optional[float] = None) -> list:
     """tilde_expansion_check at every squeeze in lams.
 
-    One _boundary_squeezes call gives the exact values; the expansion's
-    varphi_zero(s), eta(s) and eta(s-1) are evaluated once.  A first-order
+    One _boundary_squeezes call gives the exact values, on the level sum as
+    the regime keeps Y <= 0.2; varphi_zero(s), eta(s), eta(s-1) are taken once.  A first-order
     term e^{-lam} (2n + 1 + y/2) past _EXPANSION_REACH at the smallest lam
     raises DomainError before any work.
     """
@@ -861,7 +860,7 @@ def _tilde_expansions(
             f"expansion regime needs e^-lambda (2n + 1 + y/2) <= {_EXPANSION_REACH:g}; "
             f"it is {reach:.3g} at lambda = {min(lams):g}"
         )
-    exact = _boundary_squeezes(z, y, n, lams, TILDE, target_tol, _EXPANSION_TOL_RULE)
+    exact = _boundary_squeezes(z, y, n, lams, TILDE, 1e-11 if target_tol is None else target_tol)
     pref = 2.0 * varphi_zero(z)
     eta_s = eta(z)
     zero_order = pref * eta_s

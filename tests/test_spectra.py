@@ -388,14 +388,13 @@ def test_study_equals_the_per_lambda_route_bitwise(t, n, lams, variant, y):
     assert [r.lam for r in study.records] == squeezes
 
 
-@pytest.mark.parametrize("variant", STUDY_VARIANTS)
-def test_study_at_y0_makes_no_mellin_call(monkeypatch, variant):
-    # y = 0 takes the level sum, so the Mellin engine is never reached; the
-    # limit's eta (with eta(s-1) when corrected) is evaluated once per study
+def _assert_study_makes_no_mellin_call(monkeypatch, variant, y):
+    # the limit's eta (with eta(s-1) when corrected) is evaluated once per
+    # study; at y > 0 the uncorrected limit is 0 and takes none
     calls = {"eta": 0}
 
     def refused(*args, **kwargs):
-        raise AssertionError("a y = 0 study reached the Mellin engine")
+        raise AssertionError(f"a y = {y} study reached the Mellin engine")
 
     def counted(*args, **kwargs):
         calls["eta"] += 1
@@ -403,6 +402,18 @@ def test_study_at_y0_makes_no_mellin_call(monkeypatch, variant):
 
     monkeypatch.setattr(waveform, "integrate_singular_log", refused)
     monkeypatch.setattr(waveform, "eta", counted)
-    study = convergence_study(0.5 + 10j, 0, [8.0, 10.0, 12.0], variant=variant)
+    study = convergence_study(0.5 + 10j, 0, [8.0, 10.0, 12.0], variant=variant, y=y)
     assert len(study.records) == 3
-    assert calls["eta"] == (2 if variant == "tilde-corrected" else 1)
+    assert calls["eta"] == (2 if variant == "tilde-corrected" else int(y == 0.0))
+
+
+@pytest.mark.parametrize("variant", STUDY_VARIANTS)
+def test_study_at_y0_makes_no_mellin_call(monkeypatch, variant):
+    # y = 0 takes the level sum, so the Mellin engine is never reached
+    _assert_study_makes_no_mellin_call(monkeypatch, variant, 0.0)
+
+
+@pytest.mark.parametrize("variant", ["tilde", "tilde-corrected"])
+def test_tilde_study_at_small_y_makes_no_mellin_call(monkeypatch, variant):
+    # Y = e^-lambda y is at most 1.7e-4 here, far inside the level sum's reach
+    _assert_study_makes_no_mellin_call(monkeypatch, variant, 0.5)

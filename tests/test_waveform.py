@@ -8,7 +8,9 @@ closed kernel); tolerances are the measured headroom, not wishes.
 """
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -43,12 +45,17 @@ from zetawave import (
     varphi_zero,
     zeta,
 )
+from zetawave import waveform
 from zetawave.oracles import euler_naive, psi_level_sum
+from zetawave.quad import integrate_singular_log
+from zetawave.specfun import _eta_sums, _laguerre_recurrence
 from zetawave.waveform import (
     _bare_overlaps,
+    _boundary_eta_scale,
     _euler_accelerated,
     _euler_accelerated_rows,
     _inner_profile,
+    _level_sums,
     _miller_top,
     _overlap_rounding,
 )
@@ -969,6 +976,105 @@ def test_boundary_levels_against_iterated_averaging(sigma, n, lam):
         want, _ = euler_naive(overlaps * np.exp(-s * np.log1p(np.arange(count))))
         got = psi_boundary_batch([s], 0.0, n, lam)[0][0] / varphi_zero(s)
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (t, got, want)
+
+
+LEVEL_SUM_REFERENCES = json.loads(
+    (Path(__file__).resolve().parent / "data" / "level_sum_references.json").read_text()
+)
+PERFBENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize("row", LEVEL_SUM_REFERENCES,
+                         ids=[f"y{r['y']}-t{r['t']:g}-n{r['n']}" for r in LEVEL_SUM_REFERENCES])
+def test_level_sum_at_y_against_mpmath(row):
+    # Y = e^8 y from 0.3 to 356: a row at eta's own depth settles at Y = 300,
+    # t = 2 on a value that is all error, so the depth must grow with Y
+    s = complex(0.5, row["t"])
+    sample = psi_boundary(float(row["y"]), s, row["n"], row["lam"])
+    want = complex(float(row["value"][0]), float(row["value"][1]))
+    assert abs(sample.value / varphi_zero(s) - want) <= sample.error, (row, sample)
+
+
+def test_transverse_row_is_one_at_y0_and_the_array_call_elsewhere():
+    # _level_sums skips the chi row at Y = 0, where it is exactly 1, so y = 0
+    # values keep their bits; elsewhere the float row is the array call's
+    assert np.array_equal(_laguerre_recurrence(420, 0.0, 1.0, all_orders=True), np.ones(421))
+    for big_y in (0.3, 30.0, 300.0):
+        arr = np.array([big_y])
+        want = _laguerre_recurrence(86, arr, np.exp(-0.5 * arr), all_orders=True)[:, 0]
+        got = _laguerre_recurrence(86, big_y, math.exp(-0.5 * big_y), all_orders=True)
+        assert np.array_equal(got, want)
+
+
+def _quadrature_calls(monkeypatch) -> list:
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args[1])
+        return integrate_singular_log(*args, **kwargs)
+
+    monkeypatch.setattr(waveform, "integrate_singular_log", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("big_y, quadrature", [(0.0, False), (355.5, False), (356.5, True)])
+def test_route_by_transverse_argument(monkeypatch, big_y, quadrature):
+    # the level sum serves Y up to 356, where its row depth 64 + ceil(Y)
+    # meets the cap 420; past it the quadrature, never a too-shallow row
+    calls = _quadrature_calls(monkeypatch)
+    for variant, lam in (("original", 8.0), ("tilde", 3.0)):
+        y = big_y * (math.exp(-lam) if variant == "original" else math.exp(lam))
+        psi_boundary(y, 0.5 + 2j, 0, lam, variant)
+    assert len(calls) == (2 if quadrature else 0)
+
+
+@pytest.mark.parametrize("n, lam, y", [(100, 0.5, 0.1), (40, 1.0, 0.3), (40, 0.5, 0.2)])
+def test_high_level_at_small_squeeze_against_the_quadrature(n, lam, y):
+    # the overlaps of a high level at small lam peak near level n: rows at
+    # eta's depth settled on 0 or refused; the deeper row agrees with the
+    # quadrature, called directly
+    s = 0.5 + 5j
+    big_y = math.exp(lam) * y
+    want, quad_err = _boundary_eta_scale(np.array([s]), big_y, n, lam, None)
+    sample = psi_boundary(y, s, n, lam)
+    assert abs(sample.value / varphi_zero(s) - want[0]) <= sample.error + quad_err
+
+
+@pytest.mark.parametrize("n, lam, t", [(300, 1.0, 5.0), (100, 0.5, 5.0), (100, 0.5, 0.01)])
+def test_high_level_at_small_squeeze_at_y0(n, lam, t):
+    # y = 0 too: n = 300, lambda = 1 printed 1e-38 (the row at eta's depth
+    # had not reached the peak), and n = 100, lambda = 0.5 was refused; a
+    # row of 1600 levels reaches past the peak into the geometric tail
+    s = complex(0.5, t)
+    want = _eta_sums(np.array([s]), coeffs=waveform._level_coefficients(n, 1600, lam))[0][0]
+    sample = psi_boundary(0.0, s, n, lam)
+    assert abs(sample.value / varphi_zero(s) - want) <= sample.error + 1e-12, (sample, want)
+
+
+@pytest.mark.parametrize("t", [2.0, 5.0, 10.0])
+@pytest.mark.parametrize("big_y", [355.5, 356.5])
+@pytest.mark.parametrize("n", [0, 2])
+def test_level_sum_and_quadrature_agree_at_the_reach(big_y, t, n):
+    # two independent engines on one point, each within its stated error
+    s = np.array([complex(0.5, t)])
+    level, level_err = _level_sums(s, n, 8.0, big_y, 1e-9)
+    quad, quad_err = _boundary_eta_scale(s, big_y, n, 8.0, None)
+    assert abs(level[0] - quad[0]) <= level_err + quad_err, (level, quad, level_err, quad_err)
+
+
+@pytest.mark.parametrize("ref", ["ypos-02", "ypos-05", "ypos-17", "ypos-18", "ypos-19"])
+def test_former_defect_entries_against_the_benchmark_reference(ref):
+    # tilde values at Y = 4e-11 to 2e-5 that the quadrature returned with
+    # eta-scale errors of 4.95e-6 to 2.48e-4 and exit 0
+    if not PERFBENCH_REFERENCE.is_file():
+        pytest.skip("perfbench/ is not part of this checkout")
+    entry = next(e for e in json.loads(PERFBENCH_REFERENCE.read_text())["boundary"]
+                 if e["id"] == ref)
+    (t,), (y,), (lam,) = entry["t"], entry["y"], entry["lambda"]
+    (row,) = entry["rows"]
+    got = psi_boundary(float(y), complex(0.5, float(t)), entry["n"], float(lam), "tilde").value
+    want = complex(float(row["value"][0]), float(row["value"][1]))
+    assert abs(got - want) <= 1e-12 * float(row["scale"]), (ref, got, want)
 
 
 def test_boundary_levels_guards():
