@@ -13,6 +13,9 @@ production use and none of it is imported by the production modules.
 
 psi_level_sum sums waveform.psi_full's level series term by term; it refuses
 past e^lam y = 800, as its levels lose digits to underflow from e^lam y = 1416.
+euler_naive also averages a batch of rows along the last axis, each row
+bitwise its own call, so a check with several series pays numpy's
+per-call overhead once.
 """
 
 from __future__ import annotations
@@ -112,25 +115,32 @@ def eta_naive(s: complex, terms: int = 200_000) -> complex:
     return total - complex(a[-1]) / 2.0
 
 
-def euler_naive(terms) -> tuple[complex, float]:
+def euler_naive(terms):
     """Euler transformation by literal iterated averaging of partial sums.
 
     Averages neighbouring partial sums level by level, O(N^2), until one
     value is left.  Returns it with the magnitude of the last correction
     (the final value minus the last entry of the level before; 0 for a
     single term).  The reference for the weighted transforms of the
-    production modules.
+    production modules.  A 2-D batch averages each row along its last
+    axis and returns an array of values and one of corrections, each row
+    bitwise its own 1-D call; the magnitudes are Python's abs (hypot), as
+    for one row.
     """
-    row = np.cumsum(np.asarray(terms, dtype=complex))
-    if row.size == 0:
+    row = np.cumsum(np.asarray(terms, dtype=complex), axis=-1)
+    count = row.shape[-1]
+    if count == 0:
         raise DomainError("need at least one term")
-    value = complex(row[-1])
-    change = 0.0
-    while row.size > 1:
-        row = 0.5 * (row[:-1] + row[1:])
-        change = abs(complex(row[-1]) - value)
-        value = complex(row[-1])
-    return value, change
+    while row.shape[-1] > 1:
+        before, row = row[..., -1], 0.5 * (row[..., :-1] + row[..., 1:])
+    values = row[..., 0]
+    if count == 1:
+        changes = [0.0] * values.size
+    else:
+        changes = [abs(d) for d in np.atleast_1d(values - before).tolist()]
+    if row.ndim == 1:
+        return complex(values), changes[0]
+    return values, np.array(changes)
 
 
 def apply_number_operator(n: int, y: float, h: float = 1e-4) -> float:
@@ -139,28 +149,28 @@ def apply_number_operator(n: int, y: float, h: float = 1e-4) -> float:
     Computes [-(1/2)(y chi'' + (y chi)'') + (y/4 - 1/2) chi] / chi at y
     with central second differences on chi and on the product y chi,
     then one Richardson step combining h and h/2.  The exact ratio is n.
+    chi takes the five points y, y -+ h, y -+ h/2 in one call.
     """
     if n < 0 or n != int(n):
         raise DomainError("n must be a nonnegative integer")
     if h <= 0.0 or y <= 2.0 * h:
         raise DomainError("need y > 2h > 0")
-    base = float(chi(n, y))
+    half = 0.5 * h
+    base, *sides = chi(n, np.array([y, y - h, y + h, y - half, y + half])).tolist()
     if abs(base) < 1e-6:
         raise StepSizeError(
             f"y = {y:g} is too close to a node of the level-{n} eigenfunction"
         )
 
-    def estimate(step: float) -> float:
+    def estimate(step: float, cm: float, cp: float) -> float:
         ym, yp = y - step, y + step
-        cm = float(chi(n, ym))
-        cp = float(chi(n, yp))
         d2_chi = (cp - 2.0 * base + cm) / (step * step)
         d2_ychi = (yp * cp - 2.0 * y * base + ym * cm) / (step * step)
         val = -0.5 * (y * d2_chi + d2_ychi) + (0.25 * y - 0.5) * base
         return val / base
 
-    e1 = estimate(h)
-    e2 = estimate(0.5 * h)
+    e1 = estimate(h, *sides[:2])
+    e2 = estimate(half, *sides[2:])
     return (4.0 * e2 - e1) / 3.0
 
 

@@ -74,6 +74,8 @@ _LANCZOS_C = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+_LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C))[1:]
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def gamma_complex(s: complex) -> complex:
@@ -98,10 +100,11 @@ def gamma_complex(s: complex) -> complex:
             raise OverflowRangeError("reflection factor overflows at this height")
         return cmath.pi / (sin_piz * gamma_complex(1.0 - z))
     acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (z - 1.0 + k)
+    shifted = z - 1.0
+    for k, c in _LANCZOS_TERMS:
+        acc += c / (shifted + k)
     w = z + _LANCZOS_G - 0.5
-    log_gamma = (z - 0.5) * cmath.log(w) - w + 0.5 * math.log(2.0 * math.pi) + cmath.log(acc)
+    log_gamma = (z - 0.5) * cmath.log(w) - w + _HALF_LOG_2PI + cmath.log(acc)
     if log_gamma.real > 709.0:
         raise OverflowRangeError("|Gamma(s)| exceeds double-precision range")
     if not (cmath.isfinite(log_gamma) and log_gamma.real >= -708.0):
@@ -146,7 +149,7 @@ def _laguerre_recurrence(
                 cur[big] *= 2.0**-_RESCALE_BITS
                 exponent[big] += _RESCALE_BITS
     if all_orders:
-        return np.stack(rows[: n + 1])
+        return np.array(rows[: n + 1])
     return cur if n > 0 else seed
 
 
@@ -159,7 +162,8 @@ def laguerre(n: int, y):
     return float(out[0]) if np.ndim(y) == 0 else out
 
 
-_TINY = np.finfo(float).tiny  # smallest normal double
+# smallest normal double, as a Python float so scalar comparisons stay off numpy
+_TINY = float(np.finfo(float).tiny)
 
 
 def chi(n: int, y):

@@ -19,15 +19,17 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .errors import DomainError, OverflowRangeError
+from .errors import DomainError, NonConvergenceError, OverflowRangeError
 from .specfun import _TINY, _borwein_order, _eta_depth, _eta_line, _eta_sums
 from .waveform import (
+    _LEVEL_DEPTH_CAP,
     ORIGINAL,
     TILDE,
     QuantumNumber,
     SqueezeParameter,
     _boundary_squeezes,
     _level_coefficients,
+    _row_depth,
     _tilde_expansions,
     psi_boundary_limit,
 )
@@ -105,13 +107,28 @@ def _finite_series_tools(
     pass serves the whole scan.  Divided by 2 varphi_zero it lands on the
     eta scale: sum_m (-1)^m c_m (m+1)^{-s} with c_m = (-1)^m A_m / 2, half
     the boundary value's coefficient row (waveform._level_coefficients) at
-    the depth of the window top, which eta's kernel renders with its
-    settle check (NonConvergenceError).  The Newton evaluator takes (f, df/dt) on
-    an array of heights by exact powers, df/dt = i f'(s); the grid
-    evaluator keeps f on a scan grid of the given step (see _line_grid).
+    the boundary value's depth (_finite_depth), which eta's kernel renders
+    with its settle check (NonConvergenceError).  A row deeper than
+    waveform._LEVEL_DEPTH_CAP raises NonConvergenceError before any work.
+    The Newton evaluator takes (f, df/dt) on an array of heights by exact
+    powers, df/dt = i f'(s); the grid evaluator keeps f on a scan grid of
+    the given step (see _line_grid).
     """
-    coeffs = 0.5 * _level_coefficients(n, _eta_depth(np.array([0.5 + 1j * t_max])), lam)
+    depth = _finite_depth(n, lam, t_max)
+    if depth > _LEVEL_DEPTH_CAP:
+        raise NonConvergenceError(
+            f"finite scan at n = {n}, lambda = {lam:g} needs a level row of depth {depth}, "
+            f"past {_LEVEL_DEPTH_CAP}"
+        )
+    coeffs = 0.5 * _level_coefficients(n, depth, lam)
     return _line_newton(coeffs), _line_grid(coeffs, step)
+
+
+def _finite_depth(n: int, lam: float, t_max: float) -> int:
+    """Depth of the finite scan's row: the y = 0 boundary value's,
+    max(_eta_depth of the window top, waveform._row_depth(n, lam, 0)); the
+    second reaches the overlaps' peak near level n at a small squeeze."""
+    return max(_eta_depth(np.array([0.5 + 1j * t_max])), _row_depth(n, lam, 0.0))
 
 
 def _line_grid(coeffs, step: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -195,7 +212,7 @@ def _refine_all(
 
 
 # Work preflight: grid points times the terms summed per point (Borwein's
-# order in limit mode, the binomial depth + 1 in finite mode), checked
+# order in limit mode, the row's depth + 1 in finite mode), checked
 # before any array is built.  The grid never holds that many elements at
 # once (see specfun._eta_line), so this bounds the work of the settle
 # products, 7 complex multiply-adds per element, not memory.
@@ -241,9 +258,10 @@ def scan_zeros(
     limit mode, the coefficient row's binomial ones in finite mode.
     Unconverged candidates are flagged, never dropped.  Records come back
     sorted by t.  A grid whose points times terms summed per point
-    (Borwein's order in limit mode, 65 + 2.3 t_hi binomial terms in
-    finite mode) exceeds _MAX_SCAN_ELEMENTS is refused with DomainError
-    before any work.
+    (Borwein's order in limit mode, the row's _finite_depth + 1, at
+    least 65 + 2.3 t_hi, in finite mode) exceeds _MAX_SCAN_ELEMENTS is
+    refused with DomainError before any work; a finite row past the depth
+    cap 420 raises NonConvergenceError.
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
         raise DomainError("scan range must be finite")
@@ -268,7 +286,7 @@ def scan_zeros(
     if mode == "limit":
         terms = _borwein_order(t_hi)
     else:
-        terms = _eta_depth(np.array([0.5 + 1j * t_hi])) + 1
+        terms = _finite_depth(int(n), float(lam), t_hi) + 1
     if (count + 1) * terms > _MAX_SCAN_ELEMENTS:
         raise DomainError(
             f"scan grid of {count} points x {terms} terms exceeds the work limit of "

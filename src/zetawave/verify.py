@@ -155,13 +155,18 @@ def _check_laguerre_recurrence() -> tuple[float, str]:
 
 def _check_chi_orthonormality() -> tuple[float, str]:
     # chi_10 oscillates out to 4*10 + 2, so the cutoff must clear that
-    # edge before the exponential tail argument applies.
+    # edge before the exponential tail argument applies.  One all-orders
+    # recurrence over both grids' nodes gives every row; row n of a grid is
+    # bitwise chi(n, nodes) there.
     cutoff = 42.0 + tail_cutoff_for(0.3, 1e-12)
-    grams = []
-    for panels in (160, 320):
-        nodes, weights = _gauss_panels(0.0, cutoff, panels)
-        rows = np.array([chi(n, nodes) for n in range(11)])
+    grids = [_gauss_panels(0.0, cutoff, panels) for panels in (160, 320)]
+    nodes = np.concatenate([grid[0] for grid in grids])
+    table = _laguerre_recurrence(10, nodes, np.exp(-0.5 * nodes), all_orders=True)
+    grams, start = [], 0
+    for _, weights in grids:
+        rows = table[:, start : start + weights.size]
         grams.append((rows * weights) @ rows.T)
+        start += weights.size
     halving = float(np.max(np.abs(grams[1] - grams[0])))
     if halving > 1e-11:
         return math.inf, f"Gram matrix moved {halving:.3g} under panel halving"
@@ -187,9 +192,10 @@ def _check_eta_alternating_agreement() -> tuple[float, str]:
     worst = 0.0
     m = np.arange(200)
     signs = np.where(m % 2 == 0, 1.0, -1.0)
-    for s in points:
-        terms = signs * np.exp(-s * np.log1p(m))
-        reference, _ = euler_naive(terms)
+    logs = np.log1p(m)
+    rows = np.array([signs * np.exp(-s * logs) for s in points])
+    references, _ = euler_naive(rows)
+    for s, terms, reference in zip(points, rows, references.tolist()):
         accelerated, _ = _euler_accelerated(terms)
         # eta takes Borwein's weights at sigma >= 1/2; a unit coefficient
         # row at eta's binomial depth takes Euler's
@@ -257,7 +263,7 @@ def _check_quad_tail_honesty() -> tuple[float, str]:
 
 def _squared_norm(psi: Callable, cutoff: float, panels: int) -> float:
     nodes, weights = _gauss_panels(0.0, cutoff, panels)
-    return math.fsum(np.abs(psi(nodes)) ** 2 * weights)
+    return math.fsum((np.abs(psi(nodes)) ** 2 * weights).tolist())
 
 
 def _check_squeeze_unitarity() -> tuple[float, str]:
@@ -320,17 +326,23 @@ def _check_boundary_factorization() -> tuple[float, str]:
 def _check_confined_boundary() -> tuple[float, str]:
     # the literal series 2 sum_m (-1)^m (m+1)^{-s} phi_s(x/(m+1)), with
     # varphi_zero(s) for phi_s(0), summed by iterated averaging
+    # one batch: the x = 0 rows at t = 0, 3, 10, then the x = 0.7 row at t = 10
     x = 0.7
     m = np.arange(64)
     signs = np.where(m % 2 == 0, 2.0, -2.0)
-    worst = 0.0
+    logs = np.log1p(m)
+    cases, rows = [], []
     for t in (0.0, 3.0, 10.0):
         s = complex(0.5, t)
-        weights = signs * np.exp(-s * np.log1p(m))
-        want, _ = euler_naive(weights * varphi_zero(s))
-        worst = max(worst, abs(phi_confined(0.0, s) - want) / abs(want))
-    want, _ = euler_naive(weights * phi_s(x / (m + 1.0), s))
-    worst = max(worst, abs(phi_confined(x, s) - want) / abs(want))
+        weights = signs * np.exp(-s * logs)
+        cases.append((0.0, s))
+        rows.append(weights * varphi_zero(s))
+    cases.append((x, s))
+    rows.append(weights * phi_s(x / (m + 1.0), s))
+    wants, _ = euler_naive(np.array(rows))
+    worst = 0.0
+    for (at, s), want in zip(cases, wants.tolist()):
+        worst = max(worst, abs(phi_confined(at, s) - want) / abs(want))
     return worst, "confined profile vs iterated averaging of its series, x = 0 and 0.7"
 
 

@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# principal log(-2i), the branch of varphi_zero's (-2i)^{1/2-s}
+_LOG_MINUS_2I = complex(math.log(2.0), -0.5 * math.pi)
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 ORIGINAL = "original"
@@ -168,23 +170,30 @@ def phi_s(x, s: complex):
 
     Raises DomainError for non-finite x or s, and OverflowRangeError where
     |x^{-s}| = e^{Re(-s ln x)} passes the double range, for scalar and
-    array x alike.
+    array x alike.  A scalar x (0-d arrays included) takes math and cmath
+    on Python numbers, an array x numpy.
     """
     z = complex(s)
-    arr = np.asarray(x, dtype=float)
-    if not (cmath.isfinite(z) and np.all(np.isfinite(arr))):
-        raise DomainError("phi_s needs finite x and s")
-    if np.any(arr <= 0.0):
-        raise DomainError("phi_s is singular at x = 0; use varphi_zero for the boundary value")
-    if arr.ndim == 0:
-        exponent = -z * math.log(float(arr))
+    scalar = isinstance(x, (float, int)) or np.ndim(x) == 0
+    if scalar:
+        x = float(x)
+        finite, positive = math.isfinite(x), x > 0.0
     else:
-        exponent = -z * np.log(arr)
-    if np.any(np.real(exponent) > _LOG_DOUBLE_MAX):
+        x = np.asarray(x, dtype=float)
+        finite, positive = np.isfinite(x).all(), (x > 0.0).all()
+    if not (cmath.isfinite(z) and finite):
+        raise DomainError("phi_s needs finite x and s")
+    if not positive:
+        raise DomainError("phi_s is singular at x = 0; use varphi_zero for the boundary value")
+    if scalar:
+        exponent = -z * math.log(x)
+        big = exponent.real > _LOG_DOUBLE_MAX
+    else:
+        exponent = -z * np.log(x)
+        big = (exponent.real > _LOG_DOUBLE_MAX).any()
+    if big:
         raise OverflowRangeError(f"|x^-s| exceeds double-precision range at s = {z}")
-    if arr.ndim == 0:
-        return cmath.exp(exponent) / SQRT_2PI
-    return np.exp(exponent) / SQRT_2PI
+    return (cmath.exp(exponent) if scalar else np.exp(exponent)) / SQRT_2PI
 
 
 def psi_full(x: float, y: float, s: complex, n: int, lam: float) -> WaveSample:
@@ -490,8 +499,7 @@ def varphi_zero(s: complex) -> complex:
     is 0), and OverflowRangeError is raised instead.
     """
     z = complex(s)
-    branch = (0.5 - z) * complex(math.log(2.0), -0.5 * math.pi)
-    value = gamma_complex(1.0 - z) * cmath.exp(branch) / SQRT_2PI
+    value = gamma_complex(1.0 - z) * cmath.exp((0.5 - z) * _LOG_MINUS_2I) / SQRT_2PI
     if abs(value) < _TINY:
         raise OverflowRangeError(f"|varphi_zero(s)| falls below double-precision range at s = {z}")
     return value

@@ -121,6 +121,43 @@ def test_eta_naive_matches_eta_within_own_estimate():
             assert gap <= bound, (s, gap, bound)
 
 
+def _euler_one_row(terms):
+    # literal iterated averaging, one level at a time, on Python complex
+    row = np.cumsum(np.asarray(terms, dtype=complex))
+    value, change = complex(row[-1]), 0.0
+    while row.size > 1:
+        row = 0.5 * (row[:-1] + row[1:])
+        change = abs(complex(row[-1]) - value)
+        value = complex(row[-1])
+    return value, change
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 64, 200])
+def test_euler_naive_batch_is_its_rows_bitwise(count):
+    rng = np.random.default_rng(count)
+    rows = rng.standard_normal((4, count)) + 1j * rng.standard_normal((4, count))
+    rows *= np.exp(-0.1 * np.arange(count))
+    values, changes = oracles.euler_naive(rows)
+    assert values.shape == changes.shape == (4,)
+    for row, value, change in zip(rows, values.tolist(), changes.tolist()):
+        one = oracles.euler_naive(row)
+        assert one == _euler_one_row(row)
+        assert type(one[0]) is complex and type(one[1]) is float
+        assert (value, change) == one
+    if count == 1:
+        assert changes.tolist() == [0.0] * 4
+
+
+def test_number_operator_takes_chi_at_its_five_points_bitwise():
+    # one chi call at y, y -+ h, y -+ h/2 gives the scalar calls' values
+    pool = (0.37, 0.9, 1.6, 2.8, 4.1, 5.9, 7.7, 9.8, 12.5)
+    h = 1e-4
+    for n in range(9):
+        for y in pool:
+            points = [y, y - h, y + h, y - 0.5 * h, y + 0.5 * h]
+            assert chi(n, np.array(points)).tolist() == [chi(n, p) for p in points]
+
+
 def test_number_operator_ground_state():
     assert abs(apply_number_operator(0, 1.0)) <= 1e-6
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from zetawave import (
     DomainError,
+    NonConvergenceError,
     convergence_study,
     eta,
     gamma_complex,
@@ -148,6 +149,38 @@ def test_scan_finite_mode_flags_floor_limited_candidates():
     assert len(records) == 1
     assert not records[0].converged
     assert records[0].residual > 1e-10
+
+
+def test_finite_scan_row_past_the_depth_cap_raises():
+    # level 300 at lambda = 1: the row needs 64 + ceil(2.4 n p + 8 sqrt(n p))
+    # = 553 levels, past the cap 420 (a row of eta's depth, 133 at t = 30,
+    # read 2.6e-12 where a 1,600-level row gives 0.047)
+    assert spectra._finite_depth(300, 1.0, 30.0) == 553
+    with pytest.raises(NonConvergenceError, match="depth 553"):
+        spectra._finite_series_tools(300, 1.0, 30.0, 0.05)
+    with pytest.raises(NonConvergenceError):
+        scan_zeros(1.0, 30.0, mode="finite", lam=1.0, n=300)
+
+
+def test_finite_scan_row_reaches_the_overlap_peak():
+    # level 100 at lambda = 0.5: depth 315 (a row of eta's depth, 133, does
+    # not settle), whose values match a 1,600-level row
+    assert spectra._finite_depth(100, 0.5, 30.0) == 315
+    newton, grid = spectra._finite_series_tools(100, 0.5, 30.0, 0.05)
+    ts = 1.0 + 0.05 * np.arange(581)
+    deep = 0.5 * waveform._level_coefficients(100, 1600, 0.5)
+    want = _eta_sums(0.5 + 1j * ts, coeffs=deep)[0]
+    scale = 1.0 + np.abs(want)
+    values, _ = newton(ts[[180, 380, 580]])
+    assert np.all(np.abs(values - want[[180, 380, 580]]) <= 5e-16 * scale[[180, 380, 580]])
+    # the grid's factorized phases keep their stated 2e-13 (1 + |f|)
+    assert np.all(np.abs(grid(ts) - want) <= 2e-13 * scale)
+
+
+@pytest.mark.parametrize("n, lam, t_hi", [(0, 12.0, 16.0), (0, 12.0, 30.0), (40, 2.0, 30.0)])
+def test_finite_scan_keeps_eta_depth_where_it_reaches(n, lam, t_hi):
+    # the golden finite scans and verify's count match keep their rows
+    assert spectra._finite_depth(n, lam, t_hi) == _eta_depth(np.array([0.5 + 1j * t_hi]))
 
 
 def test_scan_to_calibration_limit_matches_mpmath_zetazero():

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from zetawave import specfun, verify
+from zetawave import oracles, specfun, verify
 from zetawave.quad import _gauss_panels, integrate_halfline
 from zetawave.specfun import laguerre
 from zetawave.verify import run_checks
@@ -114,11 +114,73 @@ def test_chi_gram_refuses_an_unresolved_halving(monkeypatch):
     # a factor cos(40 y) puts about five periods in each of the 160 panels,
     # which twelve Gauss nodes cannot resolve
     monkeypatch.setattr(
-        "zetawave.verify.chi", lambda n, y: np.cos(40.0 * y) * specfun.chi(n, y)
+        "zetawave.verify._laguerre_recurrence",
+        lambda n, y, seed, **kw: np.cos(40.0 * y) * specfun._laguerre_recurrence(n, y, seed, **kw),
     )
     (res,) = run_checks(only="chi-orthonormality")
     assert res.measured == math.inf and not res.passed
     assert "halving" in res.detail
+
+
+def test_chi_gram_runs_one_recurrence_whose_rows_are_chi(monkeypatch):
+    # one all-orders call over both grids; each grid's rows are bitwise
+    # chi(n, nodes)
+    calls = []
+
+    def recorded(n, y, seed, **kwargs):
+        rows = specfun._laguerre_recurrence(n, y, seed, **kwargs)
+        calls.append((n, y.copy(), kwargs, rows))
+        return rows
+
+    monkeypatch.setattr("zetawave.verify._laguerre_recurrence", recorded)
+    (res,) = run_checks(only="chi-orthonormality")
+    assert res.passed
+    assert len(calls) == 1
+    n, nodes, kwargs, rows = calls[0]
+    assert (n, kwargs) == (10, {"all_orders": True})
+    cutoff = 42.0 + verify.tail_cutoff_for(0.3, 1e-12)
+    start = 0
+    for panels in (160, 320):
+        grid, _ = _gauss_panels(0.0, cutoff, panels)
+        assert np.array_equal(nodes[start: start + grid.size], grid)
+        for order in range(11):
+            assert np.array_equal(rows[order, start: start + grid.size], specfun.chi(order, grid))
+        start += grid.size
+    assert start == nodes.size
+
+
+@pytest.mark.parametrize("check, rows", [
+    ("eta-alternating-agreement", 5),
+    ("confined-boundary-consistency", 4),
+])
+def test_oracle_checks_average_one_batch(monkeypatch, check, rows):
+    shapes = []
+
+    def counted(terms):
+        shapes.append(np.shape(terms))
+        return oracles.euler_naive(terms)
+
+    monkeypatch.setattr("zetawave.verify.euler_naive", counted)
+    (res,) = run_checks(only=check)
+    assert res.passed
+    assert len(shapes) == 1 and len(shapes[0]) == 2 and shapes[0][0] == rows
+
+
+def test_number_operator_takes_chi_once_per_application(monkeypatch):
+    sizes = []
+
+    def counted(n, y):
+        sizes.append(np.size(y))
+        return specfun.chi(n, y)
+
+    monkeypatch.setattr("zetawave.oracles.chi", counted)
+    assert abs(oracles.apply_number_operator(3, 2.8) - 3.0) < 1e-5
+    assert sizes == [5]
+    sizes.clear()
+    (res,) = run_checks(only="number-operator-eigenvalues")
+    assert res.passed
+    # the check's 27 applications
+    assert sizes == [5] * 27
 
 
 def test_seeded_tables_are_the_generator_draws():

@@ -111,6 +111,35 @@ def test_phi_s_refuses_non_finite_input():
             phi_s(np.array([1.0, x]), s)
 
 
+def test_phi_s_scalar_forms_are_one_route_bitwise():
+    # a float, an int, a numpy float and a 0-d array all take math.log and
+    # cmath.exp; a 1-element 1-D array takes numpy's log and exp, which may
+    # differ from them in the last bit
+    rng = np.random.default_rng(7)
+    for x, t in zip(10.0 ** rng.uniform(-5.0, 5.0, 200), rng.uniform(-60.0, 60.0, 200)):
+        s = complex(0.5, t)
+        want = cmath.exp(-s * math.log(x)) / SQRT_2PI
+        for form in (float(x), np.float64(x), np.asarray(x)):
+            got = phi_s(form, s)
+            assert type(got) is complex and got == want
+        assert phi_s(np.array([x]), s)[0] == pytest.approx(want, rel=1e-14)
+    assert phi_s(3, 0.5) == phi_s(3.0, 0.5)
+
+
+@pytest.mark.parametrize("x, error", [
+    (math.nan, DomainError), (0.0, DomainError), (-1.0, DomainError),
+    (1e-200, OverflowRangeError),
+])
+def test_phi_s_scalar_errors_match_the_array_errors(x, error):
+    s = 3.0 + 1j
+    messages = []
+    for form in (x, np.float64(x), np.asarray(x), np.array([x])):
+        with pytest.raises(error) as info:
+            phi_s(form, s)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+
+
 # ---------------------------------------------------------------------------
 # eigenvalues E = i(s - 1/2) + n, carried by the zero records of a scan
 # ---------------------------------------------------------------------------
