@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+# smallest normal double, as a Python float so scalar comparisons stay off numpy
+_TINY = float(np.finfo(float).tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +80,24 @@ _LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C))[1:]
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def gamma_complex(s: complex) -> complex:
-    """Gamma function of a complex argument.
+def gamma_complex(s):
+    """Gamma function of a complex argument, or of a 1-D array of them.
 
     Relative error is below 1e-12 for |Im s| <= 60 and -2 <= Re s <= 3
     (validated against an independent Euler-product oracle).  Non-finite s
     and nonpositive integers raise DomainError; results outside double
     range, above it or below it (log|Gamma| < -708, reached on the critical
-    line from |t| ~ 451), raise OverflowRangeError.
+    line from |t| ~ 451), raise OverflowRangeError, as does a reflection
+    factor sin(pi s) past the double range (|Im s| from ~226 left of
+    Re s = 1/2).
+
+    A 1-D ndarray takes _lanczos_rows: each element is bitwise the scalar
+    call, and an error is the first the scalar calls would raise in order.
     """
+    if isinstance(s, np.ndarray) and s.ndim == 1:
+        z = s.astype(complex)
+        values, served = _lanczos_rows(z)
+        return _serve_rest(gamma_complex, z, values, served)
     z = complex(s)
     if not cmath.isfinite(z):
         raise DomainError("gamma requires finite s")
@@ -94,11 +105,21 @@ def gamma_complex(s: complex) -> complex:
         raise DomainError(f"gamma pole at s = {z.real:g}")
     if z.real < 0.5:
         # Reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z).  |sin(pi z)|
-        # grows like e^{pi |Im z|}/2, safe up to |Im z| ~ 225.
-        sin_piz = cmath.sin(cmath.pi * z)
-        if not (math.isfinite(sin_piz.real) and math.isfinite(sin_piz.imag)):
-            raise OverflowRangeError("reflection factor overflows at this height")
-        return cmath.pi / (sin_piz * gamma_complex(1.0 - z))
+        # grows like e^{pi |Im z|}/2 and leaves the double range from
+        # |Im z| ~ 226.1 (cmath raises), or at once for a pi z past it.
+        try:
+            sin_piz = cmath.sin(cmath.pi * z)
+        except (OverflowError, ValueError):
+            message = "reflection factor sin(pi s) exceeds double-precision range"
+            raise OverflowRangeError(message) from None
+        value = cmath.pi / (sin_piz * gamma_complex(1.0 - z))
+        magnitude = abs(value)
+        if magnitude == math.inf:
+            raise OverflowRangeError("|Gamma(s)| exceeds double-precision range")
+        if not magnitude >= _TINY:
+            # sin(pi z) Gamma(1-z) past the double range leaves nan, or a subnormal
+            raise OverflowRangeError("|Gamma(s)| falls below double-precision range")
+        return value
     acc = _LANCZOS_C[0]
     shifted = z - 1.0
     for k, c in _LANCZOS_TERMS:
@@ -110,6 +131,79 @@ def gamma_complex(s: complex) -> complex:
     if not (cmath.isfinite(log_gamma) and log_gamma.real >= -708.0):
         raise OverflowRangeError("|Gamma(s)| falls below double-precision range")
     return cmath.exp(log_gamma)
+
+
+def _complex_product(ar, ai, br, bi) -> tuple:
+    """(a_r + i a_i)(b_r + i b_i) on real and imaginary arrays, as CPython's _Py_c_prod."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _complex_array(re, im) -> np.ndarray:
+    """The complex array with these real and imaginary parts, bit for bit."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _per_point(func, re, im) -> np.ndarray:
+    """func (cmath's log or exp) at each point re + i im, one Python complex at a time."""
+    return np.array(list(map(func, _complex_array(re, im).tolist())), dtype=complex)
+
+
+def _lanczos_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gamma_complex on the points with Re z >= 1/2 whose value is in range,
+    and the mask of points it served (the rest are left unset).
+
+    Each served value is bitwise the scalar call: the Lanczos sum, the
+    products and the range checks are the scalar route's float operations
+    in CPython's order, each Python float operand taken as (f, 0.0) as
+    CPython's complex arithmetic takes it up to 3.13 (_Py_c_sum, _Py_c_prod,
+    and _Py_c_quot, Smith's quotient, on its branch for each point), so
+    signed zeros come out alike; only cmath's log and exp run per point.
+    (3.14's mixed real-complex rules may give a zero the other sign.)  Points
+    left of Re z = 1/2 (reflection), non-finite ones and those out of range
+    are not served.
+    """
+    values = np.empty(z.size, dtype=complex)
+    served = np.isfinite(z) & (z.real >= 0.5)
+    x, y = z.real[served], z.imag[served]
+    with np.errstate(all="ignore"):
+        # acc = c_0 + sum_k c_k / (z - 1 + k) as the scalar loop sums it: a
+        # float c_k over d = (x - 1 + k, y - 0 + 0), by Smith's quotient on
+        # d's larger part: (c + 0 ratio, 0 - c ratio) / denom where the real
+        # part is, (c ratio + 0, 0 ratio - c) / denom where the imaginary
+        # part is (c != 0, and c ratio cannot vanish there)
+        shifted, dy = x - 1.0, (y - 0.0) + 0.0
+        abs_dy = np.abs(dy)
+        acc_re, acc_im = _LANCZOS_C[0], 0.0
+        for k, c in _LANCZOS_TERMS:
+            dx = shifted + k
+            big = np.abs(dx) >= abs_dy
+            num, den = np.where(big, dy, dx), np.where(big, dx, dy)
+            ratio = num / den
+            denom = den + num * ratio
+            scaled = c * ratio
+            acc_re = acc_re + np.where(big, c, scaled) / denom
+            acc_im = acc_im + (0.0 - np.where(big, scaled, c)) / denom
+        w_re, w_im = (x + _LANCZOS_G) - 0.5, (y + 0.0) - 0.0
+        log_w = _per_point(cmath.log, w_re, w_im)
+        log_acc = _per_point(cmath.log, acc_re, acc_im)
+        re, im = _complex_product(x - 0.5, y - 0.0, log_w.real, log_w.imag)
+        re, im = (re - w_re) + _HALF_LOG_2PI, (im - w_im) + 0.0
+        re, im = re + log_acc.real, im + log_acc.imag
+        # the scalar route's range checks, passed
+        fits = (re <= 709.0) & (re >= -708.0) & np.isfinite(im)
+    served[served] = fits
+    values[served] = _per_point(cmath.exp, re[fits], im[fits])
+    return values, served
+
+
+def _serve_rest(scalar, points: np.ndarray, values: np.ndarray, served: np.ndarray) -> np.ndarray:
+    """values with each point an array route left unserved taken by the scalar
+    route, one at a time in order: so an error is the scalar loop's first."""
+    for i in np.flatnonzero(~served).tolist():
+        values[i] = scalar(complex(points[i]))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +252,10 @@ def laguerre(n: int, y):
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
     arr = np.atleast_1d(np.asarray(y, dtype=float))
+    if not np.isfinite(arr).all():
+        raise DomainError("laguerre requires finite y")
     out = _laguerre_recurrence(n, arr, np.ones_like(arr))
     return float(out[0]) if np.ndim(y) == 0 else out
-
-
-# smallest normal double, as a Python float so scalar comparisons stay off numpy
-_TINY = float(np.finfo(float).tiny)
 
 
 def chi(n: int, y):
@@ -178,6 +270,8 @@ def chi(n: int, y):
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
     arr = np.atleast_1d(np.asarray(y, dtype=float))
+    if not np.isfinite(arr).all():
+        raise DomainError("chi requires finite y")
     if np.any(arr < 0.0):
         raise DomainError("chi is defined on the half-line y >= 0")
     seed = np.exp(-0.5 * arr)
@@ -251,8 +345,8 @@ def _i0e_asym(z: np.ndarray) -> np.ndarray:
 def bessel_i0_scaled(z):
     """e^{-z} I0(z) for real z >= 0; bounded by 1, never overflows."""
     arr = np.asarray(z, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("bessel_i0_scaled requires z >= 0")
+    if not (arr >= 0.0).all():
+        raise DomainError("bessel_i0_scaled requires z >= 0, not NaN")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     out = np.empty_like(arr)

@@ -38,8 +38,11 @@ from .specfun import (
 from .spectra import scan_zeros
 from .waveform import (
     _euler_accelerated,
+    _quadrature_overlaps,
     mehler_closed,
     mehler_series,
+    # not called here, but perfbench/tracer.py wraps verify.overlap_s1 by
+    # name and tests/test_benchmark_surface.py asserts that the name exists
     overlap_s1,
     phi_confined,
     phi_s,
@@ -261,14 +264,10 @@ def _check_quad_tail_honesty() -> tuple[float, str]:
 # ---------------------------------------------------------------------------
 
 
-def _squared_norm(psi: Callable, cutoff: float, panels: int) -> float:
-    nodes, weights = _gauss_panels(0.0, cutoff, panels)
-    return math.fsum((np.abs(psi(nodes)) ** 2 * weights).tolist())
-
-
 def _check_squeeze_unitarity() -> tuple[float, str]:
     # each norm on one fixed Gauss grid, cut where e^{-rate x} falls to
-    # 1e-14, at about one panel per 4 units of x and at least 64 panels
+    # 1e-14, at about one panel per 4 units of x and at least 64 panels;
+    # the 20 norms take 9 distinct grids, each built once
     tests = [
         (lambda x: np.exp(-x), 2.0),
         (lambda x: x * np.exp(-x), 2.0),
@@ -276,12 +275,20 @@ def _check_squeeze_unitarity() -> tuple[float, str]:
         (lambda x: np.sin(2.0 * x) * np.exp(-x), 2.0),
         (lambda x: (1.0 + x) * np.exp(-2.0 * x), 4.0),
     ]
+    grids = {}
+
+    def squared_norm(psi: Callable, cutoff: float, panels: int) -> float:
+        if (cutoff, panels) not in grids:
+            grids[cutoff, panels] = _gauss_panels(0.0, cutoff, panels)
+        nodes, weights = grids[cutoff, panels]
+        return math.fsum((np.abs(psi(nodes)) ** 2 * weights).tolist())
+
     worst = 0.0
     for psi, rate in tests:
-        norm0 = _squared_norm(psi, tail_cutoff_for(rate, 1e-13), 64)
+        norm0 = squared_norm(psi, tail_cutoff_for(rate, 1e-13), 64)
         for lam in (0.0, 1.0, 5.0):
             cutoff = tail_cutoff_for(rate * math.exp(-lam), 1e-13)
-            norm1 = _squared_norm(squeeze_apply(psi, lam), cutoff, max(64, int(cutoff / 4.0)))
+            norm1 = squared_norm(squeeze_apply(psi, lam), cutoff, max(64, int(cutoff / 4.0)))
             worst = max(worst, abs(norm1 - norm0) / norm0)
     return worst, "L2 norm before vs after squeezing, 5 functions x 3 lambdas"
 
@@ -299,10 +306,9 @@ def _check_overlap_limit_rate() -> tuple[float, str]:
     lams = (8.0, 12.0, 16.0)
     worst_c = 0.0
     for m in range(11):
-        cs = []
-        for lam in lams:
-            dev = abs(overlap_s1(m, 0, lam, bare=True) - 2.0 * (-1.0) ** m)
-            cs.append(dev * math.exp(lam))
+        # overlap_s1(m, 0, lam, bare=True) for the three lambdas on one grid
+        cs = [abs(overlap - 2.0 * (-1.0) ** m) * math.exp(lam)
+              for lam, overlap in zip(lams, _quadrature_overlaps(m, 0, lams))]
         if min(cs) <= 0.0 or max(cs) / min(cs) > 3.0:
             return math.inf, f"deviation not e^-lambda shaped at m={m}: C = {cs}"
         worst_c = max(worst_c, max(cs))
@@ -348,7 +354,9 @@ def _check_confined_boundary() -> tuple[float, str]:
 
 def _check_varphi_branch() -> tuple[float, str]:
     ts = np.arange(0.0, 30.0 + 1e-9, 0.02)
-    vals = np.array([varphi_zero(complex(0.5, t)) for t in ts])
+    points = np.full(ts.size, 0.5 + 0.0j)
+    points.imag = ts
+    vals = varphi_zero(points)
     phases = np.angle(vals[1:] / vals[:-1])
     return float(np.max(np.abs(phases))), "largest phase step along the line, h = 0.02"
 

@@ -25,13 +25,17 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, OverflowRangeError
-from .quad import _gauss_panels, integrate_singular_log, tail_cutoff_for
+from .quad import _ORDER, _gauss_panels, integrate_singular_log, tail_cutoff_for
 from .specfun import (
     _TINY,
     _binomial_weights,
+    _complex_array,
+    _complex_product,
     _eta_depth,
     _eta_sums,
     _laguerre_recurrence,
+    _per_point,
+    _serve_rest,
     bessel_i0_scaled,
     chi,
     eta,
@@ -372,19 +376,43 @@ def overlap_s1(m: int, n: int, lam: float, *, bare: bool = False) -> float:
 
     Computed by half-line quadrature.  With bare=True the e^{-lam/2}
     prefactor is dropped; the bare integral tends to 2 (-1)^m as lam
-    grows, for every n.
+    grows, for every n.  m and n must be nonnegative integers, and the
+    grid's nodes times max(m, n) + 1 recurrence orders at most
+    _MAX_OVERLAP_ELEMENTS (m up to 571 where n <= m), checked before any work.
     """
-    if m < 0 or n < 0:
-        raise DomainError("m and n must be nonnegative")
+    if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in (m, n)):
+        raise DomainError("m and n must be nonnegative integers")
     p = SqueezeParameter(float(lam))
-    # chi_m oscillates out to roughly 4m + 2 and only then starts its
-    # exponential tail, so the cutoff must scale with the order.
-    cutoff = 4.0 * m + 2.0 + 6.0 * (m + 1.0) ** (1.0 / 3.0) + tail_cutoff_for(0.3, 1e-13)
-    nodes, weights = _gauss_panels(0.0, cutoff, max(32, int(cutoff)))
-    value = float(np.dot(weights * chi(n, math.exp(-p.lam) * nodes), chi(m, nodes)))
+    value = _quadrature_overlaps(m, n, (p.lam,))[0]
     if bare:
         return value
     return math.exp(-0.5 * p.lam) * value
+
+
+# Most Gauss nodes times recurrence orders one overlap_s1 grid may take; the
+# nodes grow like m, so the work grows like m^2 (at the limit, m = 571, one
+# overlap takes about 0.06 s on a 2-CPU x86-64 box)
+_MAX_OVERLAP_ELEMENTS = 2**24
+
+
+def _quadrature_overlaps(m: int, n: int, lams) -> list:
+    """overlap_s1(m, n, lam, bare=True) for each lam, on one Gauss grid with chi_m taken once.
+
+    chi_m oscillates out to roughly 4m + 2 and only then starts its
+    exponential tail, so the cutoff scales with the order.  Raises
+    DomainError before any work past _MAX_OVERLAP_ELEMENTS.
+    """
+    cutoff = 4.0 * m + 2.0 + 6.0 * (m + 1.0) ** (1.0 / 3.0) + tail_cutoff_for(0.3, 1e-13)
+    panels = max(32, int(cutoff))
+    elements = panels * _ORDER * (max(m, n) + 1)
+    if elements > _MAX_OVERLAP_ELEMENTS:
+        raise DomainError(
+            f"overlap of levels {m} and {n} takes {elements} grid elements, past the work "
+            f"limit of {_MAX_OVERLAP_ELEMENTS}"
+        )
+    nodes, weights = _gauss_panels(0.0, cutoff, panels)
+    chi_m = chi(m, nodes)
+    return [float(np.dot(weights * chi(n, math.exp(-lam) * nodes), chi_m)) for lam in lams]
 
 
 # ---------------------------------------------------------------------------
@@ -488,21 +516,68 @@ def mehler_series(
 # ---------------------------------------------------------------------------
 
 
-def varphi_zero(s: complex) -> complex:
-    """Boundary value of the rotated eigenfunction.
+def varphi_zero(s):
+    """Boundary value of the rotated eigenfunction, at one point or a 1-D array.
 
     Gamma(1-s) (-2i)^{1/2-s} / sqrt(2 pi) with the principal branch
     (-2i)^{1/2-s} = exp[(1/2-s)(ln 2 - i pi/2)]; continuous along the
     critical line and nonvanishing wherever Gamma(1-s) is finite.  On the
     line its modulus falls like e^{-pi t}: from t ~ 226 it is no longer a
     normal double (a subnormal keeps too few digits, and from t ~ 237 it
-    is 0), and OverflowRangeError is raised instead.
+    is 0), and OverflowRangeError is raised instead, as it is for a factor
+    or a value past the double range.
+
+    A 1-D ndarray is bitwise the scalar calls in order, errors included:
+    one gamma_complex array call and the scalar route's float operations on
+    arrays (see specfun._lanczos_rows), with cmath.exp per point.
     """
+    if isinstance(s, np.ndarray) and s.ndim == 1:
+        return _varphi_zero_rows(s.astype(complex))
     z = complex(s)
-    value = gamma_complex(1.0 - z) * cmath.exp((0.5 - z) * _LOG_MINUS_2I) / SQRT_2PI
-    if abs(value) < _TINY:
+    gamma = gamma_complex(1.0 - z)
+    try:
+        branch = cmath.exp((0.5 - z) * _LOG_MINUS_2I)
+    except OverflowError:
+        message = f"|(-2i)^(1/2-s)| exceeds double-precision range at s = {z}"
+        raise OverflowRangeError(message) from None
+    value = gamma * branch / SQRT_2PI
+    magnitude = abs(value)
+    if magnitude < _TINY:
         raise OverflowRangeError(f"|varphi_zero(s)| falls below double-precision range at s = {z}")
+    if not magnitude < math.inf:
+        raise OverflowRangeError(f"|varphi_zero(s)| exceeds double-precision range at s = {z}")
     return value
+
+
+def _varphi_zero_rows(z: np.ndarray) -> np.ndarray:
+    """varphi_zero on a 1-D complex array, bitwise the scalar calls in order.
+
+    The scalar route's operations on real and imaginary parts (1.0 - z and
+    0.5 - z as (1.0 - x, 0.0 - y), products as _Py_c_prod, the division by
+    sqrt(2 pi) as Smith's quotient by (sqrt(2 pi), 0.0)); points whose
+    exponential could overflow, or whose value is not plainly normal, take
+    the scalar route.  If Gamma(1-s) fails at some point, the whole array
+    takes the scalar loop, whose first error may come from an earlier point.
+    """
+    x, y = z.real, z.imag
+    try:
+        gamma = gamma_complex(_complex_array(1.0 - x, 0.0 - y))
+    except (DomainError, OverflowRangeError):
+        return np.array([varphi_zero(p) for p in z.tolist()], dtype=complex)
+    with np.errstate(all="ignore"):
+        re, im = _complex_product(0.5 - x, 0.0 - y, _LOG_MINUS_2I.real, _LOG_MINUS_2I.imag)
+        # exp(re) <= e^708 cannot overflow in cmath.exp
+        served = (re <= 708.0) & np.isfinite(im)
+        branch = _per_point(cmath.exp, re[served], im[served])
+        re, im = _complex_product(gamma.real[served], gamma.imag[served], branch.real, branch.imag)
+        # over (sqrt(2 pi), 0.0): ratio 0.0, denominator sqrt(2 pi)
+        re, im = (re + im * 0.0) / SQRT_2PI, (im - re * 0.0) / SQRT_2PI
+        # normal by either part: the modulus (hypot) is then normal too
+        normal = (np.maximum(np.abs(re), np.abs(im)) >= _TINY) & np.isfinite(re) & np.isfinite(im)
+    values = np.empty(z.size, dtype=complex)
+    values[served] = _complex_array(re, im)
+    served[served] = normal
+    return _serve_rest(varphi_zero, z, values, served)
 
 
 # ---------------------------------------------------------------------------

@@ -569,3 +569,81 @@ def test_gamma_underflow_guard(z):
     with pytest.raises(OverflowRangeError):
         gamma_complex(z)
     assert gamma_complex(0.5 + 440j) != 0.0
+
+
+@pytest.mark.parametrize("z", [complex(-2.5, 230.0), complex(-1e308, 1.0), complex(-150.5, 100.0)])
+def test_gamma_reflection_past_the_double_range_raises(z):
+    # sin(pi z) overflowed in cmath (a raw OverflowError at Im z = 230, a raw
+    # ValueError for a pi z past the range), and sin(pi z) Gamma(1-z) past
+    # the range left nan
+    with pytest.raises(OverflowRangeError):
+        gamma_complex(z)
+    assert gamma_complex(complex(-2.5, 225.0)) != 0.0
+
+
+def _outcome(call):
+    """('ok', the values' bytes) or the raised error's (type, message)."""
+    try:
+        return "ok", np.asarray(call(), dtype=complex).tobytes()
+    except Exception as exc:  # any error: its type and message must match
+        return type(exc), str(exc)
+
+
+def _gamma_loop(points):
+    return np.array([gamma_complex(p) for p in points.tolist()], dtype=complex)
+
+
+def _seeded_points(sigma, t, count=2000):
+    rng = np.random.default_rng(20261020)
+    points = np.empty(count, dtype=complex)
+    points.real = rng.uniform(*sigma, count)
+    points.imag = rng.uniform(*t, count)
+    return points
+
+
+def test_gamma_array_is_the_scalar_calls_bitwise_right_of_the_line():
+    points = _seeded_points((0.5, 3.0), (-60.0, 60.0))
+    # Smith's quotient by x - 1 + k + i t takes both branches: |t| past the
+    # last term's real part at some points, below the first's at others
+    assert (np.abs(points.imag) > points.real + 13.0).any()
+    assert (np.abs(points.imag) < points.real).any()
+    assert gamma_complex(points).tobytes() == _gamma_loop(points).tobytes()
+
+
+def test_gamma_array_takes_the_reflection_points_one_by_one():
+    points = _seeded_points((-2.0, 0.5), (-60.0, 60.0))
+    assert gamma_complex(points).tobytes() == _gamma_loop(points).tobytes()
+
+
+def test_gamma_array_keeps_the_sign_of_zero():
+    # real points with either zero, and heights that are subnormal or tiny
+    points = np.array(
+        [complex(x, zero) for x in (0.5, 1.0, 2.5, 7.0) for zero in (0.0, -0.0)]
+        + [complex(0.7, 5e-324), complex(0.7, -5e-324), complex(3.0, 1e-310), complex(1.5, -1e-300)]
+    )
+    assert _outcome(lambda: gamma_complex(points)) == _outcome(lambda: _gamma_loop(points))
+    assert gamma_complex(np.array([2.5 + 0j])).tobytes() == np.array([gamma_complex(2.5)]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [
+    complex(math.nan, 1.0), complex(0.5, math.inf), -3.0 + 0j, 200.0 + 0j, 0.5 + 500j,
+    complex(-2.5, 230.0),
+], ids=["nan", "inf", "pole", "overflow", "underflow", "reflection"])
+def test_gamma_array_raises_the_scalar_loops_first_error(bad):
+    # good points before the failing one and a failure of another kind after it
+    points = np.array([2.5 - 7j, -1.5 + 3j, bad, 0.5 + 14j, 0.0 + 0j])
+    want = _outcome(lambda: gamma_complex(bad))
+    assert want[0] != "ok"
+    assert _outcome(lambda: _gamma_loop(points)) == want
+    assert _outcome(lambda: gamma_complex(points)) == want
+
+
+@pytest.mark.parametrize("func, y", [
+    (chi, math.nan), (chi, math.inf), (chi, np.array([1.0, math.nan])),
+    (laguerre, math.nan), (laguerre, -math.inf), (bessel_i0_scaled, math.nan),
+    (bessel_i0_scaled, np.array([0.5, math.nan])),
+], ids=["chi-nan", "chi-inf", "chi-array-nan", "laguerre-nan", "laguerre-inf", "i0-nan", "i0-array-nan"])
+def test_special_functions_refuse_non_finite_arguments(func, y):
+    # chi, laguerre and I0 returned nan here, and chi(5, inf) warned first
+    with pytest.raises(DomainError):
+        func(y) if func is bessel_i0_scaled else func(5, y)

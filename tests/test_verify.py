@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from zetawave import oracles, specfun, verify
+from zetawave import oracles, specfun, verify, waveform
 from zetawave.quad import _gauss_panels, integrate_halfline
 from zetawave.specfun import laguerre
 from zetawave.verify import run_checks
@@ -72,30 +72,38 @@ def test_squeeze_check_grids_resolve_the_closed_norms(monkeypatch):
     # the squared norms of the check's five functions, in its order; the
     # cutoffs' own tail is worst for x e^{-x}, at 5.5e-12 relative
     closed = [0.5, 0.25, 0.5 * math.sqrt(math.pi), 0.2, 13.0 / 32.0]
-    grids, squeezes = [], []
+    grids, evaluations = [], []
 
     def recorded_panels(a, b, panels):
         grids.append((a, b, panels))
         return _gauss_panels(a, b, panels)
 
     def recorded_squeeze(psi, lam):
-        squeezes.append((psi, lam))
-        return squeeze_apply(psi, lam)
+        squeezed = squeeze_apply(psi, lam)
+
+        def evaluated(x):
+            evaluations.append((psi, lam, x))
+            return squeezed(x)
+
+        return evaluated
 
     monkeypatch.setattr("zetawave.verify._gauss_panels", recorded_panels)
     monkeypatch.setattr("zetawave.verify.squeeze_apply", recorded_squeeze)
     (res,) = run_checks(only="squeeze-unitarity")
     assert res.passed
-    # per function: the unsqueezed grid, then one grid per lambda
-    assert len(grids) == 4 * len(closed) and len(squeezes) == 3 * len(closed)
-    for i, want in enumerate(closed):
-        # the unsqueezed norm is the lambda = 0 squeeze's
-        cases = squeezes[3 * i: 3 * i + 1] + squeezes[3 * i: 3 * i + 3]
-        assert [lam for _, lam in cases] == [0.0, 0.0, 1.0, 5.0]
-        for (psi, lam), (a, b, panels) in zip(cases, grids[4 * i: 4 * i + 4]):
-            nodes, weights = _gauss_panels(a, b, panels)
-            norm = math.fsum(np.abs(squeeze_apply(psi, lam)(nodes)) ** 2 * weights)
-            assert norm == pytest.approx(want, rel=1e-11), (i, lam)
+    # 20 norms on 9 distinct grids, each built once: the unsqueezed norm of
+    # each function shares its lambda = 0 grid, and functions of one decay
+    # rate share all three
+    assert len(grids) == len(set(grids)) == 9
+    assert [lam for _, lam, _ in evaluations] == [0.0, 1.0, 5.0] * len(closed)
+    for k, (psi, lam, x) in enumerate(evaluations):
+        (grid,) = [g for g in grids if np.array_equal(_gauss_panels(*g)[0], x)]
+        nodes, weights = _gauss_panels(*grid)
+        norm = math.fsum(np.abs(squeeze_apply(psi, lam)(nodes)) ** 2 * weights)
+        assert norm == pytest.approx(closed[k // 3], rel=1e-11), (k, lam)
+    # the unsqueezed norm is the lambda = 0 squeeze's, on the same grid
+    psi, _, x = evaluations[0]
+    assert np.array_equal(psi(x), squeeze_apply(psi, 0.0)(x))
 
 
 def test_squeeze_check_leaves_the_adaptive_engine(monkeypatch):
@@ -108,6 +116,51 @@ def test_squeeze_check_leaves_the_adaptive_engine(monkeypatch):
     monkeypatch.setattr("zetawave.verify.integrate_halfline", counted)
     run_checks(only="squeeze-unitarity")
     assert calls == []
+
+
+def test_overlap_check_builds_each_grid_once(monkeypatch):
+    # one grid and one chi_m per level for its three squeezes: 11 + 33 chi
+    # calls where 33 overlap_s1 calls took 66; each overlap is bitwise the
+    # public call's
+    chis, overlaps = [], []
+
+    def counted(n, y):
+        chis.append(n)
+        return specfun.chi(n, y)
+
+    def recorded(m, n, lams):
+        values = waveform._quadrature_overlaps(m, n, lams)
+        overlaps.extend((m, n, lam, value) for lam, value in zip(lams, values))
+        return values
+
+    monkeypatch.setattr("zetawave.waveform.chi", counted)
+    monkeypatch.setattr("zetawave.verify._quadrature_overlaps", recorded)
+    (res,) = run_checks(only="overlap-limit-rate")
+    assert res.passed
+    assert len(chis) == 44 and chis.count(0) == 34
+    monkeypatch.undo()
+    assert len(overlaps) == 33
+    for m, n, lam, value in overlaps:
+        assert value.hex() == waveform.overlap_s1(m, n, lam, bare=True).hex(), (m, lam)
+
+
+def test_varphi_check_takes_one_array_call(monkeypatch):
+    # the 1,501 points of the line in one call, each value bitwise the
+    # scalar call's, and the printed step is the scalar values' step
+    calls = []
+
+    def recorded(points):
+        calls.append(points.copy())
+        return waveform.varphi_zero(points)
+
+    monkeypatch.setattr("zetawave.verify.varphi_zero", recorded)
+    (res,) = run_checks(only="varphi-branch-continuity")
+    assert res.passed and len(calls) == 1
+    ts = np.arange(0.0, 30.0 + 1e-9, 0.02)
+    assert calls[0].tobytes() == np.array([complex(0.5, t) for t in ts]).tobytes()
+    scalar = np.array([waveform.varphi_zero(complex(0.5, t)) for t in ts])
+    step = float(np.max(np.abs(np.angle(scalar[1:] / scalar[:-1]))))
+    assert res.measured.hex() == step.hex()
 
 
 def test_chi_gram_refuses_an_unresolved_halving(monkeypatch):

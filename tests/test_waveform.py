@@ -266,6 +266,42 @@ def test_overlap_guards():
         overlap_s1(0, 0, -0.5)
 
 
+@pytest.mark.parametrize("m, n", [(1.5, 0), (0, 2.0), (np.float64(3.0), 1)])
+def test_overlap_refuses_levels_that_are_not_integers(m, n):
+    # m = 1.5 used to end in a raw TypeError from the recurrence
+    with pytest.raises(DomainError):
+        overlap_s1(m, n, 1.0)
+
+
+def test_overlap_work_bound_refuses_before_any_work(monkeypatch):
+    # grid nodes times max(m, n) + 1 orders: m = 571 is the last within the
+    # limit; m = 100,000 ran for minutes before the bound
+    calls = []
+
+    def counted(n, y):
+        calls.append(n)
+        return np.zeros_like(y)
+
+    monkeypatch.setattr("zetawave.waveform.chi", counted)
+    for m, n in ((100_000, 0), (572, 0), (0, 20_000), (3, 10**6)):
+        with pytest.raises(DomainError):
+            overlap_s1(m, n, 1.0)
+    assert calls == []
+    assert overlap_s1(571, 0, 1.0) == 0.0
+    assert sorted(calls) == [0, 571]
+
+
+@pytest.mark.parametrize("m", [0, 10, 40, 63])
+def test_overlap_at_acceptance_sizes_keeps_its_bits(m):
+    # the grid and product overlap_s1 has always taken, literally
+    lam = 8.0
+    cutoff = 4.0 * m + 2.0 + 6.0 * (m + 1.0) ** (1.0 / 3.0) + waveform.tail_cutoff_for(0.3, 1e-13)
+    nodes, weights = waveform._gauss_panels(0.0, cutoff, max(32, int(cutoff)))
+    want = float(np.dot(weights * chi(0, math.exp(-lam) * nodes), chi(m, nodes)))
+    assert overlap_s1(m, 0, lam, bare=True).hex() == want.hex()
+    assert overlap_s1(m, 0, lam) == math.exp(-0.5 * lam) * want
+
+
 def _overlap_double_sum(n: int, lam: float, m_max: int) -> np.ndarray:
     """A_m = 2 (1+eps)^{-n-1} sum_k C(n,k) (1-eps)^{n-k} (1+eps)^k C(n+m-k, m-k) (-rho)^{m-k}.
 
@@ -542,6 +578,72 @@ def test_varphi_zero_refuses_a_modulus_below_the_normal_range(t):
     # t = 300 as 0, while Gamma(1/2 - it) itself still holds to t ~ 451
     with pytest.raises(OverflowRangeError):
         varphi_zero(complex(0.5, t))
+
+
+def _varphi_loop(points):
+    return np.array([varphi_zero(p) for p in points.tolist()], dtype=complex)
+
+
+def _outcome(call):
+    """('ok', the values' bytes) or the raised error's (type, message)."""
+    try:
+        return "ok", np.asarray(call(), dtype=complex).tobytes()
+    except Exception as exc:  # any error: its type and message must match
+        return type(exc), str(exc)
+
+
+def test_varphi_zero_array_on_the_branch_check_line():
+    # verify's varphi-branch-continuity points, 1,501 of them
+    ts = np.arange(0.0, 30.0 + 1e-9, 0.02)
+    points = np.full(ts.size, 0.5 + 0.0j)
+    points.imag = ts
+    assert points.size == 1501
+    assert varphi_zero(points).tobytes() == _varphi_loop(points).tobytes()
+
+
+@pytest.mark.parametrize("sigma", [(0.5, 3.0), (-2.0, 0.5)], ids=["right", "left"])
+def test_varphi_zero_array_is_the_scalar_calls_bitwise(sigma):
+    # right of the line Gamma(1-s) reflects, point by point; left of it the
+    # Lanczos sum runs on arrays
+    rng = np.random.default_rng(20261020)
+    points = np.empty(2000, dtype=complex)
+    points.real = rng.uniform(*sigma, 2000)
+    points.imag = rng.uniform(-60.0, 60.0, 2000)
+    assert varphi_zero(points).tobytes() == _varphi_loop(points).tobytes()
+
+
+@pytest.mark.parametrize("points", [
+    [0.5 + 10j, 0.5 + 226j, 0.5 + 300j],
+    [0.5 + 226j],
+    [complex(0.5, math.nan), 0.5 + 1j],
+    [0.5 + 1j, complex(math.inf, 1.0)],
+    [0.5 + 1j, 1.0 + 0j],
+    [-200.0 + 0.5j],
+    [0.5 + 1j, -160.0 + 0j],
+    [0.5 + 300j, 1.0 + 0j],
+    [0.5 + 1j, -2.0 - 460j, 0.9 + 300j],
+], ids=["t226-t300", "t226", "nan", "inf", "pole", "overflow", "not-finite", "underflow-before-pole",
+        "branch-overflow"])
+def test_varphi_zero_array_raises_the_scalar_loops_first_error(points):
+    points = np.array(points, dtype=complex)
+    want = _outcome(lambda: _varphi_loop(points))
+    assert want[0] != "ok"
+    assert _outcome(lambda: varphi_zero(points)) == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda: varphi_zero(0.9 + 300j),
+    lambda: varphi_zero(0.9 - 230j),
+    lambda: psi_boundary_batch([0.9 + 300j], 0.0, 0, 12.0),
+    lambda: varphi_zero(-160.0 + 0j),
+    lambda: varphi_zero(-2.0 - 460j),
+], ids=["above", "below", "boundary-batch", "not-finite", "branch-overflow"])
+def test_varphi_zero_past_the_double_range_raises(call):
+    # Gamma(1-s)'s reflection factor overflowed in cmath (a raw
+    # OverflowError), Gamma(201) (-2i)^{160.5} came back as nan, and
+    # (-2i)^{2.5+460i} overflowed in cmath.exp
+    with pytest.raises(OverflowRangeError):
+        call()
 
 
 def test_varphi_zero_branch_walk():
