@@ -30,7 +30,6 @@ from .specfun import (
     gamma_complex,
     laguerre,
     zeta,
-    xi_aux,
 )
 from .spectra import (
     ConvergenceRecord,

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -27,6 +28,8 @@ from .waveform import (
     LIMIT,
     ORIGINAL,
     TILDE,
+    QuantumNumber,
+    SqueezeParameter,
     psi_boundary,
     psi_boundary_limit,
     psi_full,
@@ -158,6 +161,8 @@ def _boundary_value(
     if variant == LIMIT:
         if x != 0.0:
             raise DomainError("the limit variant is defined on the boundary x = 0")
+        SqueezeParameter(lam)
+        QuantumNumber(n)
         return psi_boundary_limit(s, y)
     if x == 0.0:
         return psi_boundary(y, s, n, lam, variant=variant, target_tol=tol).value
@@ -174,6 +179,10 @@ def _run_boundary(conf: Dict[str, object]) -> _Report:
             f"boundary grid of {rows_asked} rows exceeds the work limit of "
             f"{MAX_BOUNDARY_ROWS} rows; shorten the t, lambda, y or x lists"
         )
+    tol = conf.get("tol")
+    # x > 0 and limit rows take no tolerance, but a bad one is refused for every row
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError("boundary tolerance must be positive and finite")
     n, variant = conf["n"], conf["variant"]
     rows = []
     for t in ts:
@@ -181,7 +190,7 @@ def _run_boundary(conf: Dict[str, object]) -> _Report:
         for lam in lams:
             for y in ys:
                 for x in xs:
-                    value = _boundary_value(variant, x, y, s, n, lam, conf.get("tol"))
+                    value = _boundary_value(variant, x, y, s, n, lam, tol)
                     rows.append((x, y, t, lam, n, variant, value.real, value.imag, abs(value)))
     return ("x", "y", "t", "lambda", "n", "variant", "re", "im", "abs"), rows, [], False
 

@@ -83,9 +83,6 @@ class QuadResult(NamedTuple):
     tail_bound: float
     panels_used: int
 
-    def __complex__(self) -> complex:
-        return self.value
-
 
 def tail_cutoff_for(rate: float, target_tol: float) -> float:
     """Cutoff T >= 1 with e^{-rate*T} <= target_tol / 10."""

@@ -43,7 +43,6 @@ __all__ = [
     "eta",
     "eta_grid",
     "zeta",
-    "xi_aux",
 ]
 
 LN2 = math.log(2.0)
@@ -359,7 +358,7 @@ def bessel_i0_scaled(z):
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet eta / zeta / the auxiliary combination
+# Dirichlet eta / zeta
 # ---------------------------------------------------------------------------
 
 
@@ -687,53 +686,26 @@ def eta_grid(s_values) -> np.ndarray:
     return _eta_sums(s_values)[0]
 
 
-def _eta_factor(s: complex) -> complex:
-    return 1.0 - 2.0 ** (1.0 - s)
+def zeta(s: complex) -> complex:
+    """Riemann zeta via eta: zeta(s) = eta(s) / (1 - 2^{1-s}).
 
-
-def _guard_eta_factor(s: complex, name: str) -> complex:
-    """Denominator 1 - 2^{1-s} with pole and guard-region checks.
-
-    The factor vanishes on the line sigma = 1 at t = 2 pi k / ln 2.  The
-    k = 0 point is the genuine zeta pole; the k != 0 points are removable
-    for zeta but are excluded by a guard radius instead of taking limits,
-    since no critical-line scan ever lands there.
+    Raises DomainError for non-finite s, at the s = 1 pole and inside a
+    1e-3 guard radius around the other zeros of the denominator, on the
+    line sigma = 1 at t = 2 pi k / ln 2: removable for zeta, but excluded
+    instead of taking limits, since no critical-line scan ever lands there.
     """
     z = complex(s)
+    if not cmath.isfinite(z):
+        raise DomainError("zeta requires finite s")
     if abs(z - 1.0) < 1e-8:
-        raise DomainError(f"{name} pole at s = 1")
+        raise DomainError("zeta pole at s = 1")
     k = round(z.imag * LN2 / (2.0 * math.pi))
     if k != 0:
         spur = complex(1.0, 2.0 * math.pi * k / LN2)
         if abs(z - spur) < 1e-3:
             raise DomainError(
-                f"{name} guard: s within 1e-3 of the removable point 1 + 2*pi*{k}i/ln2; "
+                f"zeta guard: s within 1e-3 of the removable point 1 + 2*pi*{k}i/ln2; "
                 "evaluate eta directly instead"
             )
-    return _eta_factor(z)
-
-
-def zeta(s: complex) -> complex:
-    """Riemann zeta via eta: zeta(s) = eta(s) / (1 - 2^{1-s}).
-
-    Raises DomainError at the s = 1 pole and inside a 1e-3 guard radius
-    around the other zeros of the denominator (removable points that
-    never occur on the critical line).
-    """
-    z = complex(s)
-    den = _guard_eta_factor(z, "zeta")
+    den = 1.0 - 2.0 ** (1.0 - z)
     return eta(z) / den
-
-
-def xi_aux(s: complex) -> complex:
-    """Auxiliary combination zeta(s) - 2 (1 - 2^{2-s}) zeta(s-1) / (1 - 2^{1-s}).
-
-    Evaluated as (eta(s) - 2 eta(s-1)) / (1 - 2^{1-s}), which is the same
-    meromorphic function written without the zeta(s-1) detour.  In this
-    form the would-be cancellation point at s = 2 is manifestly regular
-    and the analytic limit value zeta(2) - 4 ln 2 comes out automatically;
-    the only true poles are the zeros of 1 - 2^{1-s}.
-    """
-    z = complex(s)
-    den = _guard_eta_factor(z, "xi_aux")
-    return (eta(z) - 2.0 * eta(z - 1.0)) / den

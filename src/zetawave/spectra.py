@@ -20,7 +20,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, OverflowRangeError
-from .specfun import _TINY, _borwein_order, _eta_depth, _eta_line, _eta_sums
+from .specfun import _TINY, _borwein_order, _eta_line, _eta_sums
 from .waveform import (
     _LEVEL_DEPTH_CAP,
     ORIGINAL,
@@ -29,7 +29,7 @@ from .waveform import (
     SqueezeParameter,
     _boundary_squeezes,
     _level_coefficients,
-    _row_depth,
+    _level_depth,
     _tilde_expansions,
     psi_boundary_limit,
 )
@@ -107,14 +107,14 @@ def _finite_series_tools(
     pass serves the whole scan.  Divided by 2 varphi_zero it lands on the
     eta scale: sum_m (-1)^m c_m (m+1)^{-s} with c_m = (-1)^m A_m / 2, half
     the boundary value's coefficient row (waveform._level_coefficients) at
-    the boundary value's depth (_finite_depth), which eta's kernel renders
-    with its settle check (NonConvergenceError).  A row deeper than
-    waveform._LEVEL_DEPTH_CAP raises NonConvergenceError before any work.
-    The Newton evaluator takes (f, df/dt) on an array of heights by exact
-    powers, df/dt = i f'(s); the grid evaluator keeps f on a scan grid of
-    the given step (see _line_grid).
+    the boundary value's depth (waveform._level_depth at the window top),
+    which eta's kernel renders with its settle check (NonConvergenceError).
+    A row deeper than waveform._LEVEL_DEPTH_CAP raises NonConvergenceError
+    before any work.  The Newton evaluator takes (f, df/dt) on an array of
+    heights by exact powers, df/dt = i f'(s); the grid evaluator keeps f on
+    a scan grid of the given step (see _line_grid).
     """
-    depth = _finite_depth(n, lam, t_max)
+    depth = _level_depth(np.array([0.5 + 1j * t_max]), n, lam, 0.0)
     if depth > _LEVEL_DEPTH_CAP:
         raise NonConvergenceError(
             f"finite scan at n = {n}, lambda = {lam:g} needs a level row of depth {depth}, "
@@ -122,13 +122,6 @@ def _finite_series_tools(
         )
     coeffs = 0.5 * _level_coefficients(n, depth, lam)
     return _line_newton(coeffs), _line_grid(coeffs, step)
-
-
-def _finite_depth(n: int, lam: float, t_max: float) -> int:
-    """Depth of the finite scan's row: the y = 0 boundary value's,
-    max(_eta_depth of the window top, waveform._row_depth(n, lam, 0)); the
-    second reaches the overlaps' peak near level n at a small squeeze."""
-    return max(_eta_depth(np.array([0.5 + 1j * t_max])), _row_depth(n, lam, 0.0))
 
 
 def _line_grid(coeffs, step: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -258,8 +251,8 @@ def scan_zeros(
     limit mode, the coefficient row's binomial ones in finite mode.
     Unconverged candidates are flagged, never dropped.  Records come back
     sorted by t.  A grid whose points times terms summed per point
-    (Borwein's order in limit mode, the row's _finite_depth + 1, at
-    least 65 + 2.3 t_hi, in finite mode) exceeds _MAX_SCAN_ELEMENTS is
+    (Borwein's order in limit mode, the row's waveform._level_depth + 1,
+    at least 65 + 2.3 t_hi, in finite mode) exceeds _MAX_SCAN_ELEMENTS is
     refused with DomainError before any work; a finite row past the depth
     cap 420 raises NonConvergenceError.
     """
@@ -279,14 +272,14 @@ def scan_zeros(
         raise DomainError("refine_tol must be positive")
     if mode not in SCAN_MODES:
         raise DomainError(f"mode must be one of {SCAN_MODES}")
-    QuantumNumber(int(n))
+    QuantumNumber(n)
     SqueezeParameter(float(lam))
 
     count = int(math.floor((t_hi - t_lo) / step + 1e-9)) + 1
     if mode == "limit":
         terms = _borwein_order(t_hi)
     else:
-        terms = _finite_depth(int(n), float(lam), t_hi) + 1
+        terms = _level_depth(np.array([0.5 + 1j * t_hi]), int(n), float(lam), 0.0) + 1
     if (count + 1) * terms > _MAX_SCAN_ELEMENTS:
         raise DomainError(
             f"scan grid of {count} points x {terms} terms exceeds the work limit of "
@@ -352,7 +345,7 @@ def convergence_study(
         raise DomainError("lambda list must be strictly ascending")
     if any(v < 5.0 for v in lams):
         raise DomainError("convergence regime needs lambda >= 5")
-    QuantumNumber(int(n))
+    QuantumNumber(n)
 
     if variant == "tilde-corrected":
         rows = [

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -99,6 +100,8 @@ _LEVEL_TRUNCATION = 5e-13
 # (relative to its zero order) at which the expansion is taken: past it the
 # remainder is not small against the term it corrects
 _EXPANSION_REACH = 0.1
+# Tolerance on the eta scale of the exact tilde values an expansion is compared with
+_EXPANSION_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -116,12 +119,17 @@ class SqueezeParameter:
 
 @dataclass(frozen=True)
 class QuantumNumber:
-    """Level index n of the transverse number operator, 0 <= n <= MAX_LEVEL."""
+    """Level index n of the transverse number operator, 0 <= n <= MAX_LEVEL.
+
+    n is checked as given: an integral real (2, 2.0, a numpy integer) passes,
+    and anything else (2.5, nan, inf, a string) raises DomainError.
+    """
 
     n: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_LEVEL or self.n != int(self.n):
+        n = self.n
+        if not (isinstance(n, numbers.Real) and 0 <= n <= MAX_LEVEL and n == int(n)):
             raise DomainError(f"quantum number must be an integer in [0, {MAX_LEVEL}]")
 
 
@@ -173,9 +181,10 @@ def phi_s(x, s: complex):
     """Generalized dilation eigenfunction x^{-s} / sqrt(2 pi), x > 0.
 
     Raises DomainError for non-finite x or s, and OverflowRangeError where
-    |x^{-s}| = e^{Re(-s ln x)} passes the double range, for scalar and
-    array x alike.  A scalar x (0-d arrays included) takes math and cmath
-    on Python numbers, an array x numpy.
+    |x^{-s}| = e^{Re(-s ln x)} passes the double range or the exponent
+    -s ln x is not finite (its phase t ln x past the double range), for
+    scalar and array x alike.  A scalar x (0-d arrays included) takes math
+    and cmath on Python numbers, an array x numpy.
     """
     z = complex(s)
     scalar = isinstance(x, (float, int)) or np.ndim(x) == 0
@@ -191,12 +200,13 @@ def phi_s(x, s: complex):
         raise DomainError("phi_s is singular at x = 0; use varphi_zero for the boundary value")
     if scalar:
         exponent = -z * math.log(x)
-        big = exponent.real > _LOG_DOUBLE_MAX
+        inside = cmath.isfinite(exponent) and exponent.real <= _LOG_DOUBLE_MAX
     else:
-        exponent = -z * np.log(x)
-        big = (exponent.real > _LOG_DOUBLE_MAX).any()
-    if big:
-        raise OverflowRangeError(f"|x^-s| exceeds double-precision range at s = {z}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            exponent = -z * np.log(x)
+        inside = np.isfinite(exponent).all() and (exponent.real <= _LOG_DOUBLE_MAX).all()
+    if not inside:
+        raise OverflowRangeError(f"x^-s = e^(-s ln x) leaves the double range at s = {z}")
     return (cmath.exp(exponent) if scalar else np.exp(exponent)) / SQRT_2PI
 
 
@@ -224,9 +234,10 @@ def psi_full(x: float, y: float, s: complex, n: int, lam: float) -> WaveSample:
         raise DomainError("psi_full needs finite x > 0; the boundary value is psi_boundary")
     if not 0.0 <= y < math.inf:
         raise DomainError("y must be finite and >= 0")
-    QuantumNumber(int(n))
+    QuantumNumber(n)
+    n = int(n)
     profile = phi_s(x, z)
-    level = chi(int(n), y)
+    level = chi(n, y)
     value = profile * level
     node = level == 0.0 and math.exp(-0.5 * y) >= _TINY
     if not (node or _TINY <= abs(value) < math.inf):
@@ -236,7 +247,7 @@ def psi_full(x: float, y: float, s: complex, n: int, lam: float) -> WaveSample:
         )
     error = (abs(z * math.log(x)) + n + 2.0) * 2.0**-52 * abs(profile)
     return WaveSample(
-        x=float(x), y=float(y), s=z, n=int(n), lam=p.lam,
+        x=float(x), y=float(y), s=z, n=n, lam=p.lam,
         value=value, variant=ORIGINAL, error=error,
     )
 
@@ -634,7 +645,9 @@ def _inner_profile(u: np.ndarray, Y: float, lam: float, n: int) -> np.ndarray:
     is (e^{b^2/p}/p) ((p-a)/p)^n L_n(a b^2/(p(p-a))); here a = eps,
     b^2 = Y t/(1-t)^2, p = (eps + c)/2 = d1/(2(1-t)), p - a = d2/(2(1-t)).
     1-t and 1-eps come from expm1, so every factor is a sum of positive
-    terms and nothing cancels as u -> 0 or eps -> 1.
+    terms and nothing cancels as u -> 0 or eps -> 1.  A grid on which some
+    value is not finite (L_n past the double range, at a high level and a
+    large Y) raises OverflowRangeError before the quadrature sees it.
     """
     t = np.exp(-u)
     one_minus_t = -np.expm1(-u)
@@ -644,7 +657,13 @@ def _inner_profile(u: np.ndarray, Y: float, lam: float, n: int) -> np.ndarray:
     d2 = one_minus_eps + t * (1.0 + eps)
     x = 4.0 * eps * Y * t / (d1 * d2)
     decay = np.exp(-Y * (one_minus_t + eps * (1.0 + t)) / (2.0 * d1))
-    return decay * (2.0 * one_minus_t / d1) * (d2 / d1) ** n * laguerre(n, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = decay * (2.0 * one_minus_t / d1) * (d2 / d1) ** n * laguerre(n, x)
+    if not np.isfinite(values).all():
+        raise OverflowRangeError(
+            f"inner profile of level {n} at Y = {Y:.3g} leaves the double range"
+        )
+    return values
 
 
 def _eta_scale_floor(s, gamma):
@@ -693,19 +712,27 @@ def _row_depth(n: int, lam: float, Y: float) -> int:
     return 64 + math.ceil(Y + 2.4 * n * p + 8.0 * math.sqrt(n * p))
 
 
+def _level_depth(s_values: np.ndarray, n: int, lam: float, Y: float) -> int:
+    """Depth of the level sum's row for the batch s_values, not capped: the
+    larger of the heights' specfun._eta_depth and _row_depth.  Past
+    _LEVEL_DEPTH_CAP a boundary value takes the quadrature, and the finite
+    scan, whose row is the y = 0 one, refuses."""
+    return max(_eta_depth(s_values), _row_depth(n, lam, Y))
+
+
 def _level_sums(s_values: np.ndarray, n: int, lam: float, Y: float, tol: float) -> tuple:
     """Boundary values at transverse argument Y divided by varphi_zero(s), and their bound.
 
-    sum_m A_m chi_m(Y) (m+1)^{-s} to depth D = max(_eta_depth, _row_depth) <=
-    420: one row serves the batch, summed by specfun._eta_sums with its
-    settle check, with relative accuracy at any height; chi_m(Y) is one
+    sum_m A_m chi_m(Y) (m+1)^{-s} to depth D = _level_depth <= 420: one row
+    serves the batch, summed by specfun._eta_sums with its settle check,
+    with relative accuracy at any height; chi_m(Y) is one
     all-orders recurrence on floats, skipped at Y = 0 where it is 1.  The
     bound is the row's rounding (_overlap_rounding, plus chi's (m+1) 2^-52
     at Y > 0, times the largest |A_m|, as |chi_m| <= 1) under Euler's weights
     P(Bin(D+1, 1/2) > k) (either head split) times (k+1)^{-sigma}, plus
     _LEVEL_TRUNCATION (1 + |value|) at the worst point; past tol, NonConvergenceError.
     """
-    depth = min(max(_eta_depth(s_values), _row_depth(n, lam, Y)), _LEVEL_DEPTH_CAP)
+    depth = min(_level_depth(s_values, n, lam, Y), _LEVEL_DEPTH_CAP)
     coeffs = _level_coefficients(n, depth, lam)
     largest = float(np.max(np.abs(coeffs)))
     levels = np.arange(depth + 1)
@@ -760,7 +787,7 @@ def _check_boundary_args(y: float, n: int, lam: float, variant: str) -> None:
         raise DomainError("variant must be 'original' or 'tilde'")
     if not (math.isfinite(y) and y >= 0.0):
         raise DomainError("y must be finite and >= 0")
-    QuantumNumber(int(n))
+    QuantumNumber(n)
     p = SqueezeParameter(float(lam))
     if variant == ORIGINAL and y > 0.0 and p.lam > MAX_LAMBDA:
         raise OverflowRangeError(
@@ -864,14 +891,16 @@ def psi_boundary_limit(s: complex, y: float = 0.0) -> complex:
     """Large-squeeze limit of the boundary value.
 
     2 varphi_zero(s) eta(s) at y = 0; exactly 0 for y > 0 (the limit
-    concentrates on the boundary point).  Like varphi_zero, raises
-    OverflowRangeError where the y = 0 value is no longer a normal
-    double.  The finite-squeeze original
+    concentrates on the boundary point).  Non-finite s raises DomainError
+    at every y.  Like varphi_zero, raises OverflowRangeError where the
+    y = 0 value is no longer a normal double.  The finite-squeeze original
     variant approaches the y > 0 limit as varphi_zero(s) chi_n(y)
     (4 e^{-lam}/y)^s, with a relative correction of O(e^{-lam}), so the
     confinement rate is e^{-Re(s) lam}; see psi_boundary.
     """
     z = complex(s)
+    if not cmath.isfinite(z):
+        raise DomainError("limit formula requires finite s")
     if z.real <= 0.0:
         raise DomainError("limit formula requires Re s > 0")
     if not (math.isfinite(y) and y >= 0.0):
@@ -906,28 +935,21 @@ def phi_confined(x: float, s: complex) -> complex:
     return phi_s(x, z)
 
 
-def tilde_expansion_check(
-    y: float,
-    s: complex,
-    n: int,
-    lam: float,
-    target_tol: Optional[float] = None,
-) -> TildeExpansion:
+def tilde_expansion_check(y: float, s: complex, n: int, lam: float) -> TildeExpansion:
     """Compare the tilde boundary value against its large-squeeze expansion.
 
     zero_order is the limit value; first_order adds the e^{-lam} term
     with coefficient (2n + 1 + y/2) times
     2 varphi_zero(s) (eta(s) - 2 eta(s-1)); residual = |exact -
-    first_order| is expected to scale like e^{-2 lam}.  target_tol None
-    picks 1e-11 on the eta-normalized scale.  A first-order term
-    e^{-lam} (2n + 1 + y/2) past 0.1 is outside the expansion's regime and
-    raises DomainError.
+    first_order| is expected to scale like e^{-2 lam}.  The exact value
+    must meet _EXPANSION_TOL on the eta-normalized scale.  A first-order
+    term e^{-lam} (2n + 1 + y/2) past 0.1 is outside the expansion's regime
+    and raises DomainError.
     """
-    return _tilde_expansions(y, complex(s), n, [lam], target_tol)[0]
+    return _tilde_expansions(y, complex(s), n, [lam])[0]
 
 
-def _tilde_expansions(y: float, z: complex, n: int, lams: Sequence[float],
-                      target_tol: Optional[float] = None) -> list:
+def _tilde_expansions(y: float, z: complex, n: int, lams: Sequence[float]) -> list:
     """tilde_expansion_check at every squeeze in lams.
 
     One _boundary_squeezes call gives the exact values, on the level sum as
@@ -935,6 +957,7 @@ def _tilde_expansions(y: float, z: complex, n: int, lams: Sequence[float],
     term e^{-lam} (2n + 1 + y/2) past _EXPANSION_REACH at the smallest lam
     raises DomainError before any work.
     """
+    QuantumNumber(n)
     if any(lam < 5.0 for lam in lams):
         raise DomainError("expansion regime needs lam >= 5")
     reach = math.exp(-min(lams)) * (2.0 * n + 1.0 + 0.5 * y)
@@ -943,7 +966,7 @@ def _tilde_expansions(y: float, z: complex, n: int, lams: Sequence[float],
             f"expansion regime needs e^-lambda (2n + 1 + y/2) <= {_EXPANSION_REACH:g}; "
             f"it is {reach:.3g} at lambda = {min(lams):g}"
         )
-    exact = _boundary_squeezes(z, y, n, lams, TILDE, 1e-11 if target_tol is None else target_tol)
+    exact = _boundary_squeezes(z, y, n, lams, TILDE, _EXPANSION_TOL)
     pref = 2.0 * varphi_zero(z)
     eta_s = eta(z)
     zero_order = pref * eta_s

@@ -12,21 +12,27 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetawave.cli import _COMMANDS, main
+from zetawave import oracles, specfun, spectra, verify, waveform
+from zetawave.cli import _COMMANDS, _integer, _number, _numbers, main
 
 SCAN_HEADER = "t,residual,bracket_lo,bracket_hi,iterations,energy,converged"
 BOUNDARY_HEADER = "x,y,t,lambda,n,variant,re,im,abs"
@@ -614,6 +620,117 @@ def test_scan_requires_window(capsys):
     rc, _, err = run_cli(capsys, "scan")
     assert rc == 2
     assert "--t" in err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under generated command lines
+
+# Edge values for every numeric flag: non-finite, zero, the extremes of the
+# double range, each cap on a value and one past it; 0.5 and 5 let some
+# lines through, so that their reports are checked as well
+_CAPS = (waveform.MAX_LAMBDA, 40.0, spectra._SCAN_T_MAX, float(waveform.MAX_LEVEL))
+_EDGES = (math.nan, math.inf, -math.inf, 0.0, 1e300, -1e300, 1e-300, -1e-300, 1e308,
+          0.5, 5.0, *_CAPS, *(cap + 1.0 for cap in _CAPS))
+_EDGE_NUMBERS = st.sampled_from(_EDGES)
+
+
+def _integer_text(value: float) -> str:
+    return str(int(value)) if math.isfinite(value) and value == int(value) else repr(value)
+
+
+_VALUES = {
+    _number: _EDGE_NUMBERS.map(repr),
+    _numbers: st.lists(_EDGE_NUMBERS, min_size=1, max_size=3).map(
+        lambda values: ",".join(map(repr, values))),
+    _integer: _EDGE_NUMBERS.map(_integer_text),
+}
+# the two free-text flags: scan's window and verify's filter
+_TEXTS = {
+    "t": st.tuples(_EDGE_NUMBERS, _EDGE_NUMBERS).map(lambda pair: f"{pair[0]!r}:{pair[1]!r}"),
+    "only": st.sampled_from(verify.check_names() + ["no-such-check"]),
+}
+
+
+def _flag_values(param, key: str):
+    if param.choices is not None:
+        return st.sampled_from(param.choices)
+    return _VALUES[param.parse] if param.parse in _VALUES else _TEXTS[key]
+
+
+@st.composite
+def _command_lines(draw) -> list:
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    argv = [command]
+    for key, param in _COMMANDS[command].params.items():
+        if key != "out" and draw(st.booleans()):
+            argv += [f"--{key}", draw(_flag_values(param, key))]
+    return argv
+
+
+# Most elements one command line may pass through the Laguerre recurrence
+# (orders times arguments) and the alternating sums (points): nine boundary
+# rows at the level cap (--y 0.5,5,25 --lambda 0.5,5,12 --n 10000) take
+# 1.1e8, and a quadrature left to run on an overflowed inner profile
+# (boundary --y 100000 --n 10000 --t 14) took 9.1e8.
+_WORK_BUDGET = 2 * 10**8
+_NON_FINITE = re.compile(r"(?i)\b(nan|inf)\b")
+
+
+def _counted(work: list, fn, size):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        work[0] += size(*args, **kwargs)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def _recurrence_size(n, y, *args, **kwargs) -> int:
+    return max(int(n), 1) * int(np.size(y))
+
+
+def _sums_size(s_values, *args, **kwargs) -> int:
+    return len(s_values)
+
+
+def test_generated_command_lines_keep_the_exit_code_contract():
+    work = [0]
+    sizes = {"_laguerre_recurrence": _recurrence_size, "_eta_sums": _sums_size}
+    holders = [(module, name) for module in (specfun, waveform, spectra, oracles, verify)
+               for name in sizes if hasattr(module, name)]
+
+    # each ended in exit 0 with nan or inf in its report, in numpy warnings, or
+    # in a raw ValueError (exit 1)
+    @given(argv=_command_lines())
+    @example(argv=["boundary", "--variant", "limit", "--lambda", "nan"])
+    @example(argv=["boundary", "--t", "nan", "--y", "5", "--variant", "limit"])
+    @example(argv=["boundary", "--x", "26", "--tol", "nan"])
+    @example(argv=["boundary", "--y", "100000", "--n", "10000", "--t", "14"])
+    @example(argv=["boundary", "--t", "1e308", "--x", "1e-300"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    def check(argv):
+        work[0] = 0
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        assert rc in ((0, 1, 2, 3) if argv[0] == "verify" else (0, 2, 3))
+        lines = err.getvalue().splitlines()
+        if rc in (2, 3):
+            assert len(lines) == 1 and lines[0].startswith("error: ") and out.getvalue() == ""
+        else:
+            assert lines == []
+        assert [str(w.message) for w in caught] == []
+        if rc == 0:
+            assert not _NON_FINITE.search(out.getvalue())
+        assert work[0] <= _WORK_BUDGET
+
+    with contextlib.ExitStack() as stack:
+        for module, name in holders:
+            wrapped = _counted(work, getattr(module, name), sizes[name])
+            stack.enter_context(mock.patch.object(module, name, wrapped))
+        check()
 
 
 # ---------------------------------------------------------------------------

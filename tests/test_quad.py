@@ -189,11 +189,6 @@ def test_nonconvergence_when_budget_too_small():
         integrate_halfline(lambda u: np.cos(2.0e4 * u) * np.exp(-0.1 * u), spec)
 
 
-def test_result_exposes_complex_protocol():
-    res = integrate_halfline(lambda u: np.exp(-u), make_spec())
-    assert complex(res) == res.value
-
-
 def test_gauss_rule_is_numpy_leggauss_bitwise():
     x, w = np.polynomial.legendre.leggauss(12)
     assert _GAUSS_NODES.tobytes() == x.tobytes()

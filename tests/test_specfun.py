@@ -25,7 +25,6 @@ from zetawave import (
     eta_grid,
     gamma_complex,
     laguerre,
-    xi_aux,
     zeta,
 )
 from zetawave import specfun
@@ -194,7 +193,7 @@ def test_i0_scaled_bounded_and_consistent():
 
 
 # ---------------------------------------------------------------------------
-# eta / zeta / xi
+# eta / zeta
 # ---------------------------------------------------------------------------
 
 
@@ -467,29 +466,19 @@ def test_zeta_pole_guard():
         zeta(1.0)
 
 
+@pytest.mark.parametrize("s", [complex(0.5, math.inf), complex(0.5, math.nan),
+                               complex(math.nan, 1.0), complex(-math.inf, 0.0)])
+def test_zeta_refuses_non_finite_s(s):
+    # the guard's round(t ln 2 / 2 pi) raised a raw OverflowError at t = inf
+    # and a raw ValueError at t = nan
+    with pytest.raises(DomainError, match="finite s"):
+        zeta(s)
+
+
 def test_zeta_removable_point_guard():
     s = complex(1.0, 2.0 * math.pi / math.log(2.0))
     with pytest.raises(DomainError):
         zeta(s)
-
-
-def test_xi_aux_at_three():
-    want = float(mp.zeta(3)) - (4.0 / 3.0) * math.pi**2 / 6.0
-    assert xi_aux(3.0) == pytest.approx(want, rel=1e-12)
-
-
-def test_xi_aux_finite_and_nonzero_at_first_zero():
-    val = xi_aux(complex(0.5, 14.134725141734694))
-    assert math.isfinite(abs(val))
-    assert abs(val) > 1e-3
-
-
-def test_xi_aux_limit_point_matches_extrapolation():
-    # the prefactor zero cancels the zeta(1) pole at s = 2; the function's
-    # own limit is what the implementation must return
-    h = 1e-4
-    two_sided = 0.5 * (xi_aux(2.0 + h) + xi_aux(2.0 - h))
-    assert abs(xi_aux(2.0) - two_sided) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

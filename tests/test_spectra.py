@@ -155,7 +155,7 @@ def test_finite_scan_row_past_the_depth_cap_raises():
     # level 300 at lambda = 1: the row needs 64 + ceil(2.4 n p + 8 sqrt(n p))
     # = 553 levels, past the cap 420 (a row of eta's depth, 133 at t = 30,
     # read 2.6e-12 where a 1,600-level row gives 0.047)
-    assert spectra._finite_depth(300, 1.0, 30.0) == 553
+    assert waveform._level_depth(np.array([0.5 + 30j]), 300, 1.0, 0.0) == 553
     with pytest.raises(NonConvergenceError, match="depth 553"):
         spectra._finite_series_tools(300, 1.0, 30.0, 0.05)
     with pytest.raises(NonConvergenceError):
@@ -165,7 +165,7 @@ def test_finite_scan_row_past_the_depth_cap_raises():
 def test_finite_scan_row_reaches_the_overlap_peak():
     # level 100 at lambda = 0.5: depth 315 (a row of eta's depth, 133, does
     # not settle), whose values match a 1,600-level row
-    assert spectra._finite_depth(100, 0.5, 30.0) == 315
+    assert waveform._level_depth(np.array([0.5 + 30j]), 100, 0.5, 0.0) == 315
     newton, grid = spectra._finite_series_tools(100, 0.5, 30.0, 0.05)
     ts = 1.0 + 0.05 * np.arange(581)
     deep = 0.5 * waveform._level_coefficients(100, 1600, 0.5)
@@ -180,7 +180,8 @@ def test_finite_scan_row_reaches_the_overlap_peak():
 @pytest.mark.parametrize("n, lam, t_hi", [(0, 12.0, 16.0), (0, 12.0, 30.0), (40, 2.0, 30.0)])
 def test_finite_scan_keeps_eta_depth_where_it_reaches(n, lam, t_hi):
     # the golden finite scans and verify's count match keep their rows
-    assert spectra._finite_depth(n, lam, t_hi) == _eta_depth(np.array([0.5 + 1j * t_hi]))
+    top = np.array([0.5 + 1j * t_hi])
+    assert waveform._level_depth(top, n, lam, 0.0) == _eta_depth(top)
 
 
 def test_scan_to_calibration_limit_matches_mpmath_zetazero():

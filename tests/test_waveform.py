@@ -101,6 +101,18 @@ def test_phi_s_refuses_overflow():
     assert abs(phi_s(np.array([1e-200]), 1.5)[0]) == pytest.approx(1e300 / SQRT_2PI, rel=1e-12)
 
 
+def test_phi_s_refuses_a_phase_past_the_double_range():
+    # -s ln x = 345 + inf i at x = 1e-300, t = 1e308: the modulus check let it
+    # through, and cmath.exp raised a raw ValueError (numpy warned, gave nan)
+    s = complex(0.5, 1e308)
+    with pytest.raises(OverflowRangeError):
+        phi_s(1e-300, s)
+    with pytest.raises(OverflowRangeError):
+        phi_s(np.array([1e-300, 1.0]), s)
+    with pytest.raises(OverflowRangeError):
+        psi_full(1e-300, 0.0, s, 0, 12.0)
+
+
 def test_phi_s_refuses_non_finite_input():
     # phi_s(nan, 0.5) returned nan+nanj, for arrays too, and phi_s(inf, 1j) NaN
     for x, s in ((math.nan, 0.5), (math.inf, 1j), (1.0, complex(math.nan, 1.0)),
@@ -918,6 +930,18 @@ def test_inner_profile_matches_quadrature_of_definition(variant, lam):
                 assert err <= 1e-12 * float(envelope) + 1e-300, (n, y, u, got, want)
 
 
+def test_inner_profile_past_the_double_range_raises():
+    # L_10000 overflows on the first grid at Y = e^12 1e5: the NaN it left ran
+    # through every doubling of the quadrature (about 4 s) to "stalled at
+    # discrepancy nan", with numpy warnings on the way
+    u = np.geomspace(1e-3, 40.0, 50)
+    with pytest.raises(OverflowRangeError, match="level 10000"):
+        _inner_profile(u, math.exp(12.0) * 1e5, 12.0, 10_000)
+    with pytest.raises(OverflowRangeError, match="inner profile"):
+        psi_boundary(1e5, complex(0.5, 14.0), 10_000, 12.0)
+    assert np.isfinite(_inner_profile(u, math.exp(12.0) * 1410.0, 12.0, 2000)).all()
+
+
 def test_boundary_offpoint_suppression_scale():
     s = 0.5 + 10j
     for lam in (8.0, 14.0, 25.0):
@@ -1085,6 +1109,15 @@ def test_boundary_limit_refuses_a_modulus_below_the_normal_range():
 
 def test_boundary_limit_off_point_is_zero():
     assert psi_boundary_limit(0.5 + 3j, y=0.7) == 0.0
+
+
+@pytest.mark.parametrize("s", [complex(math.nan, 3.0), complex(0.5, math.inf),
+                               complex(0.5, -math.inf), complex(math.inf, 3.0)])
+@pytest.mark.parametrize("y", [0.0, 0.7])
+def test_boundary_limit_rejects_non_finite_s(s, y):
+    # at y > 0 the limit is 0 whatever s is, and a non-finite s came back as 0
+    with pytest.raises(DomainError, match="finite s"):
+        psi_boundary_limit(s, y=y)
 
 
 @pytest.mark.parametrize("y", [-0.5, math.nan, math.inf])
@@ -1332,6 +1365,32 @@ def test_parameter_guards():
         SqueezeParameter(41.0)
     with pytest.raises(DomainError):
         QuantumNumber(-1)
+
+
+_LEVEL_CALLS = {
+    "psi_boundary": lambda n: psi_boundary(0.0, 0.5 + 5j, n, 12.0).value,
+    "psi_boundary_batch": lambda n: psi_boundary_batch([0.5 + 5j], 0.5, n, 12.0)[0][0],
+    "psi_full": lambda n: psi_full(1.0, 0.5, 0.5 + 5j, n, 1.7).value,
+    "tilde_expansion_check": lambda n: tilde_expansion_check(0.0, 0.5 + 5j, n, 12.0).exact,
+    "scan_zeros": lambda n: scan_zeros(13.0, 16.0, mode="finite", n=n)[0].t,
+    "convergence_study": lambda n: convergence_study(0.5 + 5j, n, [8.0, 10.0]).slope,
+}
+
+
+@pytest.mark.parametrize("call", _LEVEL_CALLS.values(), ids=_LEVEL_CALLS.keys())
+@pytest.mark.parametrize("n", [2.5, 12.5, math.nan, math.inf, -math.inf, "2", None, 2 + 0j])
+def test_level_index_is_checked_as_given(call, n):
+    # int(n) ran first: 2.5 returned the n = 2 value, nan ended in a raw
+    # ValueError and inf in a raw OverflowError
+    with pytest.raises(DomainError, match="quantum number"):
+        call(n)
+
+
+@pytest.mark.parametrize("call", _LEVEL_CALLS.values(), ids=_LEVEL_CALLS.keys())
+def test_integral_level_index_keeps_its_bits(call):
+    want = call(2)
+    for n in (2.0, np.int64(2), np.float64(2.0)):
+        assert call(n) == want
 
 
 def test_wave_sample_guards():
