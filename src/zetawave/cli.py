@@ -30,6 +30,10 @@ from .waveform import (
     TILDE,
     QuantumNumber,
     SqueezeParameter,
+    _check_boundary_args,
+    _check_boundary_s,
+    _check_full_args,
+    _check_limit_args,
     psi_boundary,
     psi_boundary_limit,
     psi_full,
@@ -155,20 +159,26 @@ def _run_scan(conf: Dict[str, object]) -> _Report:
     return header, rows, [], False
 
 
-def _boundary_value(
+def _boundary_route(
     variant: str, x: float, y: float, s: complex, n: int, lam: float, tol: Optional[float]
-) -> complex:
+) -> Callable[[], complex]:
+    # one row's argument checks, in the order its route makes them, and the
+    # row's work as a callable: no Gamma, eta, overlap or quadrature before it
     if variant == LIMIT:
         if x != 0.0:
             raise DomainError("the limit variant is defined on the boundary x = 0")
         SqueezeParameter(lam)
         QuantumNumber(n)
-        return psi_boundary_limit(s, y)
+        _check_limit_args(s, y)
+        return lambda: psi_boundary_limit(s, y)
     if x == 0.0:
-        return psi_boundary(y, s, n, lam, variant=variant, target_tol=tol).value
+        _check_boundary_args(y, n, lam, variant)
+        _check_boundary_s(s)
+        return lambda: psi_boundary(y, s, n, lam, variant=variant, target_tol=tol).value
     if variant != ORIGINAL:
         raise DomainError("x > 0 samples exist only for the original variant")
-    return psi_full(x, y, s, n, lam).value
+    _check_full_args(x, y, s, n, lam)
+    return lambda: psi_full(x, y, s, n, lam).value
 
 
 def _run_boundary(conf: Dict[str, object]) -> _Report:
@@ -184,14 +194,15 @@ def _run_boundary(conf: Dict[str, object]) -> _Report:
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise DomainError("boundary tolerance must be positive and finite")
     n, variant = conf["n"], conf["variant"]
+    # every row's arguments are checked before any row's work
+    grid = [
+        ((x, y, t, lam), _boundary_route(variant, x, y, complex(0.5, t), n, lam, tol))
+        for t in ts for lam in lams for y in ys for x in xs
+    ]
     rows = []
-    for t in ts:
-        s = complex(0.5, t)
-        for lam in lams:
-            for y in ys:
-                for x in xs:
-                    value = _boundary_value(variant, x, y, s, n, lam, tol)
-                    rows.append((x, y, t, lam, n, variant, value.real, value.imag, abs(value)))
+    for (x, y, t, lam), route in grid:
+        value = route()
+        rows.append((x, y, t, lam, n, variant, value.real, value.imag, abs(value)))
     return ("x", "y", "t", "lambda", "n", "variant", "re", "im", "abs"), rows, [], False
 
 

@@ -222,19 +222,17 @@ def psi_full(x: float, y: float, s: complex, n: int, lam: float) -> WaveSample:
     by 1, adds about one unit per step (under 0.32 (n+1) for n <= 300).
     A value that is not a normal double (chi_n(y) underflows past its
     turning point 4n + 2, as at n = 0, y = 3000) raises OverflowRangeError,
-    as the x = 0 rows do (psi_boundary_batch).  An exact zero of chi_n from
-    a normal seed e^{-y/2} is a node, not an underflow (chi_1(1) = 0), and
-    is returned as the value 0.
+    as the x = 0 rows do (psi_boundary_batch).  A value that is not above
+    the share of its bound that scales with it, phi_s's |s ln x| 2^-52 |value|,
+    raises NonConvergenceError, as the quadrature's rows do: at t = 1e300 the
+    phase t ln x carries a rounding far past 2 pi.  The recurrence's share
+    is absolute (|chi_n| <= 1) and does not refuse a small chi_n, which
+    keeps its digits (chi_0(1400) = e^-700).  An exact zero of chi_n from a
+    normal seed e^{-y/2} is a node, not an underflow (chi_1(1) = 0), and is
+    returned as the value 0.
     """
     z = complex(s)
-    p = SqueezeParameter(float(lam))
-    if p.lam > MAX_LAMBDA:
-        raise DomainError(f"psi_full supports lam <= {MAX_LAMBDA:g}")
-    if not 0.0 < x < math.inf:
-        raise DomainError("psi_full needs finite x > 0; the boundary value is psi_boundary")
-    if not 0.0 <= y < math.inf:
-        raise DomainError("y must be finite and >= 0")
-    QuantumNumber(n)
+    _check_full_args(x, y, z, n, lam)
     n = int(n)
     profile = phi_s(x, z)
     level = chi(n, y)
@@ -245,11 +243,31 @@ def psi_full(x: float, y: float, s: complex, n: int, lam: float) -> WaveSample:
             f"|psi_full| = {abs(value):.3g} at x = {x:g}, y = {y:g}, s = {z} "
             "is not a normal double"
         )
-    error = (abs(z * math.log(x)) + n + 2.0) * 2.0**-52 * abs(profile)
+    phase = abs(z * math.log(x)) * 2.0**-52
+    if not (node or phase < 1.0):
+        raise NonConvergenceError(
+            f"|psi_full| = {abs(value):.3g} at x = {x:g}, y = {y:g}, s = {z} is not above "
+            f"the rounding bound {phase * abs(value):.3g} of its phase t ln x"
+        )
+    error = (phase + (n + 2.0) * 2.0**-52) * abs(profile)
     return WaveSample(
-        x=float(x), y=float(y), s=z, n=n, lam=p.lam,
+        x=float(x), y=float(y), s=z, n=n, lam=float(lam),
         value=value, variant=ORIGINAL, error=error,
     )
+
+
+def _check_full_args(x: float, y: float, z: complex, n: int, lam: float) -> None:
+    """psi_full's argument checks, in its order, before any arithmetic."""
+    p = SqueezeParameter(float(lam))
+    if p.lam > MAX_LAMBDA:
+        raise DomainError(f"psi_full supports lam <= {MAX_LAMBDA:g}")
+    if not 0.0 < x < math.inf:
+        raise DomainError("psi_full needs finite x > 0; the boundary value is psi_boundary")
+    if not 0.0 <= y < math.inf:
+        raise DomainError("y must be finite and >= 0")
+    QuantumNumber(n)
+    if not cmath.isfinite(z):
+        raise DomainError("psi_full needs finite s")
 
 
 def squeeze_apply(psi: Callable, lam: float) -> Callable:
@@ -758,8 +776,7 @@ def _boundary_batch(s_values, y, n, lam, variant, target_tol) -> tuple[list, flo
     are checked; past it the Mellin quadrature, whose error estimate must
     stay below each value's eta-scale modulus (NonConvergenceError otherwise).
     """
-    if not np.all(np.isfinite(s_values)):
-        raise DomainError("boundary integral requires finite s")
+    _check_boundary_s(s_values)
     if target_tol is not None and not (math.isfinite(target_tol) and target_tol > 0.0):
         raise DomainError("boundary tolerance must be positive and finite")
     Y = (math.exp(lam) if variant == ORIGINAL else math.exp(-lam)) * y
@@ -798,6 +815,11 @@ def _check_boundary_args(y: float, n: int, lam: float, variant: str) -> None:
             f"y = {y:g} at lambda = {p.lam:g} puts the squeezed argument e^lambda y "
             f"past the double range"
         )
+
+
+def _check_boundary_s(s_values) -> None:
+    if not np.isfinite(s_values).all():
+        raise DomainError("boundary integral requires finite s")
 
 
 def _boundary_squeezes(z: complex, y: float, n: int, lams: Sequence[float], variant: str,
@@ -899,12 +921,7 @@ def psi_boundary_limit(s: complex, y: float = 0.0) -> complex:
     confinement rate is e^{-Re(s) lam}; see psi_boundary.
     """
     z = complex(s)
-    if not cmath.isfinite(z):
-        raise DomainError("limit formula requires finite s")
-    if z.real <= 0.0:
-        raise DomainError("limit formula requires Re s > 0")
-    if not (math.isfinite(y) and y >= 0.0):
-        raise DomainError("y must be finite and >= 0")
+    _check_limit_args(z, y)
     if y > 0.0:
         return 0.0 + 0.0j
     value = 2.0 * varphi_zero(z) * eta(z)
@@ -913,6 +930,15 @@ def psi_boundary_limit(s: complex, y: float = 0.0) -> complex:
             f"|2 varphi_zero(s) eta(s)| falls below double-precision range at s = {z}"
         )
     return value
+
+
+def _check_limit_args(z: complex, y: float) -> None:
+    if not cmath.isfinite(z):
+        raise DomainError("limit formula requires finite s")
+    if z.real <= 0.0:
+        raise DomainError("limit formula requires Re s > 0")
+    if not (math.isfinite(y) and y >= 0.0):
+        raise DomainError("y must be finite and >= 0")
 
 
 def phi_confined(x: float, s: complex) -> complex:

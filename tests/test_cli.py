@@ -31,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetawave import oracles, specfun, spectra, verify, waveform
+from zetawave import cli, oracles, specfun, spectra, verify, waveform
 from zetawave.cli import _COMMANDS, _integer, _number, _numbers, main
 
 SCAN_HEADER = "t,residual,bracket_lo,bracket_hi,iterations,energy,converged"
@@ -603,6 +603,28 @@ def test_boundary_grid_over_the_row_cap_exits_2_before_work(capsys):
     assert out == ""
     assert err.startswith("error: ") and "4352 rows" in err and "work limit" in err
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--y", "0.5,inf", "--n", "10000"], "y must be finite"),
+    # the first row alone exits 3 (its value is not above its error estimate)
+    (["--t", "25,inf", "--y", "0.5", "--lambda", "10"], "boundary integral requires finite s"),
+    (["--t", "5,inf", "--x", "0,1"], "boundary integral requires finite s"),
+    (["--t", "5", "--x", "1", "--lambda", "3,30"], "psi_full supports lam <= 25"),
+    (["--t", "5,nan", "--x", "1"], "psi_full needs finite s"),
+    (["--t", "5,nan", "--variant", "limit"], "limit formula requires finite s"),
+    (["--x", "0,1", "--variant", "tilde"], "x > 0 samples exist only"),
+])
+def test_boundary_list_is_checked_whole_before_any_row(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a row ran before every row was checked")
+
+    for route in ("psi_boundary", "psi_boundary_limit", "psi_full"):
+        monkeypatch.setattr(cli, route, no_work)
+    rc, out, err = run_cli(capsys, "boundary", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("mode", ["limit", "finite"])

@@ -1,10 +1,13 @@
 """Brute-force oracle cross-checks: raw series, Simpson, finite differences."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetawave import oracles
 from zetawave import (
@@ -50,6 +53,60 @@ def test_eta_naive_guards():
 
 
 CHECK_POINTS = (2.0 + 0.0j, 0.5 + 14.134725j, 0.75 + 30.0j, 1.5 + 7.0j)
+# the grid of test_eta_naive_matches_eta_within_own_estimate
+GRID_POINTS = tuple(complex(sigma, t) for sigma in (0.5, 1.0, 2.0) for t in (0.0, 7.5, 30.0))
+
+
+def _full_table_powers(z, terms):
+    # the full smallest-prime-factor table and its block gathers, as _powers
+    # was before the wheel: a[n] = a[p(n)] a[n/p(n)] for every n of a block
+    root = math.isqrt(terms)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    spf = np.zeros(terms + 1, dtype=np.int64)
+    for p in np.flatnonzero(small)[::-1].tolist():
+        spf[p * p :: p] = p
+    primes = np.flatnonzero(spf == 0)[2:]
+    spf[primes] = primes
+    spf[:2] = 1
+    cof = np.arange(terms + 1) // spf
+    a = np.empty(terms + 1, dtype=complex)
+    a[1] = 1.0
+    a[primes] = np.exp(-z * np.log(primes))
+    lo = 2
+    while lo <= terms:
+        hi = min(2 * lo, terms + 1)
+        a[lo:hi] = a[spf[lo:hi]] * a[cof[lo:hi]]
+        lo = hi
+    return a[1:]
+
+
+# even counts, as eta_naive takes: on the block edges 2, 4, 8 and 1,024 and
+# ending on each even residue mod 6; the drawn counts below take odd ones too
+@pytest.mark.parametrize("terms", [2, 4, 6, 8, 12, 30, 1_024, 2_000, 200_000])
+def test_wheel_powers_are_the_full_table_powers_bitwise(terms):
+    for s in CHECK_POINTS + GRID_POINTS:
+        wheel = oracles._powers(s, terms)
+        assert wheel.tobytes() == _full_table_powers(s, terms).tobytes(), (terms, s)
+
+
+@given(st.floats(0.01, 3.0), st.floats(-60.0, 60.0), st.integers(2, 700))
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+def test_wheel_powers_bitwise_at_drawn_points(sigma, t, terms):
+    s = complex(sigma, t)
+    assert oracles._powers(s, terms).tobytes() == _full_table_powers(s, terms).tobytes()
+
+
+def _wheel_entries(terms):
+    # (n, p(n), n/p(n)) of the wheel tables, every n <= terms prime to 6
+    spf, cof, _ = oracles._factor_table(terms)
+    n = np.concatenate([np.arange(r, terms + 1, 6) for r in oracles._WHEEL])
+    p, c = np.concatenate(spf), np.concatenate(cof)
+    assert n.size == p.size == c.size
+    return n, p, c
 
 
 def test_factor_table_invariants():
@@ -65,29 +122,48 @@ def test_factor_table_invariants():
     # one exponential per prime: pi(200,000) = 17,984 per point of the check
     assert primes.size == 17_984
     assert np.array_equal(primes, reference)
-    n = np.arange(2, terms + 1)
-    p, c = spf[2:], cof[2:]
+    n, p, c = _wheel_entries(terms)
+    # a third of the terms: n = 1, 5 (mod 6) only
+    assert n.size == 66_667
     assert np.all(p * c == n)
+    n, p, c = n[1:], p[1:], c[1:]
     assert np.all(is_prime[p] == 1)
-    # the smallest prime factor: none of the cofactor's is smaller
-    assert np.all(spf[c] >= np.where(c > 1, p, 1))
+    assert np.all(p >= 5)
+    # the smallest prime factor: p divides n and no prime below p does
+    for q in reference[reference < math.isqrt(terms) + 1].tolist():
+        assert np.all((n % q != 0) | (p <= q))
     composite = c > 1
     assert np.all(p[composite] ** 2 <= n[composite])
-    assert spf[1] == cof[1] == 1
-    assert not (spf.flags.writeable or cof.flags.writeable or primes.flags.writeable)
+    assert spf[0][0] == cof[0][0] == 1
+    for table in (*spf, *cof, primes):
+        assert not table.flags.writeable
 
 
-@pytest.mark.parametrize("terms", [2, 3, 4, 9, 10, 25, 97, 1000])
+@pytest.mark.parametrize("terms", [2, 3, 4, 5, 6, 7, 9, 10, 25, 35, 49, 97, 1000])
 def test_factor_table_small_sizes_by_trial_division(terms):
-    # among them sizes whose small sieve holds no prime (2, 3) and sizes
-    # whose last entry is a prime square (4, 9, 25)
-    spf, cof, primes = oracles._factor_table(terms)
-    n = range(2, terms + 1)
-    smallest = [min(p for p in range(2, k + 1) if k % p == 0) for k in n]
-    assert spf[2:].tolist() == smallest
-    assert (spf[2:] * cof[2:]).tolist() == list(n)
-    assert spf[1] == cof[1] == 1
-    assert primes.tolist() == [k for k, p in zip(n, smallest) if k == p]
+    # among them sizes whose small sieve holds no prime (2, 3), sizes whose
+    # last entry is a prime square (4, 9, 25, 49) and each residue mod 6
+    _, _, primes = oracles._factor_table(terms)
+    n, p, c = _wheel_entries(terms)
+    k = range(2, terms + 1)
+    smallest = [min(q for q in range(2, m + 1) if m % q == 0) for m in k]
+    assert p.tolist() == [1 if m == 1 else smallest[m - 2] for m in n.tolist()]
+    assert (p * c).tolist() == n.tolist()
+    assert primes.tolist() == [m for m, q in zip(k, smallest) if m == q]
+
+
+def test_first_eta_naive_working_set():
+    # from an empty table cache, the check's largest call; on the full
+    # smallest-prime-factor table it peaked at 8.35 MiB and kept 3.19 MiB
+    oracles._factor_table.cache_clear()
+    tracemalloc.start()
+    try:
+        eta_naive(0.5 + 14.134725j, 200_000)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 2**20
+    assert kept <= 1.3 * 2**20
 
 
 @pytest.mark.parametrize("s", CHECK_POINTS)

@@ -805,6 +805,25 @@ def test_psi_full_at_a_node_is_zero_not_an_underflow():
     assert sample.value == 0.0
 
 
+def test_psi_full_value_below_its_phase_rounding_raises():
+    # t ln x = -6.9e299 carries a rounding of 1.5e284 radians: the value
+    # 0.564 was returned with a stated error of 8.7e283
+    with pytest.raises(NonConvergenceError, match="rounding bound"):
+        psi_full(0.5, 0.0, complex(0.5, 1e300), 0, 12.0)
+    # a node of chi_n is 0 whatever the phase
+    assert psi_full(0.5, 1.0, complex(0.5, 1e300), 1, 12.0).value == 0.0
+    # the largest phase rounding below the value: |s ln x| just under 2^52
+    s = complex(0.5, 0.99 * 2.0**52 / math.log(2.0))
+    sample = psi_full(0.5, 0.0, s, 0, 12.0)
+    assert sample.error < abs(sample.value)
+
+
+def test_psi_full_refuses_non_finite_s_before_any_arithmetic():
+    for s in (complex(0.5, math.inf), complex(math.nan, 1.0)):
+        with pytest.raises(DomainError, match="psi_full needs finite s"):
+            psi_full(1.0, 0.5, s, 0, 12.0)
+
+
 def test_psi_full_profile_underflow_still_raises():
     # |phi_s(1e300)| = 1e-600 / sqrt(2 pi) rounds to 0 while chi_0(1) does not
     with pytest.raises(OverflowRangeError, match="not a normal double"):
