@@ -10,8 +10,9 @@ takes moduli and phases per term), iterated averaging level by level
 instead of binomial weights, composite Simpson instead of adaptive Gauss
 panels, finite differences instead of closed-form eigen-identities.
 Agreement between the two families is evidence rather than tautology;
-none of this is fast enough for production use and none of it is
-imported by the production modules.
+none of this is fast enough for production use.  The package imports
+it to export its names and verify to run its checks, so every command
+loads it; no kernel (specfun, waveform, quad, spectra) calls it.
 
 psi_level_sum sums waveform.psi_full's level series term by term; it refuses
 past e^lam y = 800, as its levels lose digits to underflow from e^lam y = 1416.

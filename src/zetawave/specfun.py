@@ -90,8 +90,9 @@ def gamma_complex(s):
     factor sin(pi s) past the double range (|Im s| from ~226 left of
     Re s = 1/2).
 
-    A 1-D ndarray takes _lanczos_rows: each element is bitwise the scalar
-    call, and an error is the first the scalar calls would raise in order.
+    A 1-D ndarray takes _lanczos_rows in numpy's complex arithmetic: each
+    element carries the scalar call's accuracy (not its bits), and an error
+    is the first the scalar calls would raise in order.
     """
     if isinstance(s, np.ndarray) and s.ndim == 1:
         z = s.astype(complex)
@@ -132,68 +133,29 @@ def gamma_complex(s):
     return cmath.exp(log_gamma)
 
 
-def _complex_product(ar, ai, br, bi) -> tuple:
-    """(a_r + i a_i)(b_r + i b_i) on real and imaginary arrays, as CPython's _Py_c_prod."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _complex_array(re, im) -> np.ndarray:
-    """The complex array with these real and imaginary parts, bit for bit."""
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _per_point(func, re, im) -> np.ndarray:
-    """func (cmath's log or exp) at each point re + i im, one Python complex at a time."""
-    return np.array(list(map(func, _complex_array(re, im).tolist())), dtype=complex)
-
-
 def _lanczos_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """gamma_complex on the points with Re z >= 1/2 whose value is in range,
     and the mask of points it served (the rest are left unset).
 
-    Each served value is bitwise the scalar call: the Lanczos sum, the
-    products and the range checks are the scalar route's float operations
-    in CPython's order, each Python float operand taken as (f, 0.0) as
-    CPython's complex arithmetic takes it up to 3.13 (_Py_c_sum, _Py_c_prod,
-    and _Py_c_quot, Smith's quotient, on its branch for each point), so
-    signed zeros come out alike; only cmath's log and exp run per point.
-    (3.14's mixed real-complex rules may give a zero the other sign.)  Points
-    left of Re z = 1/2 (reflection), non-finite ones and those out of range
-    are not served.
+    The scalar route's Lanczos sum and range checks in numpy's complex
+    arithmetic: each served value carries the scalar route's accuracy, not
+    its bits (within ~3e-14 relative of the scalar call over the contract
+    region).  Points left of Re z = 1/2 (reflection), non-finite ones and
+    those out of range are not served.
     """
     values = np.empty(z.size, dtype=complex)
     served = np.isfinite(z) & (z.real >= 0.5)
-    x, y = z.real[served], z.imag[served]
+    x = z[served]
     with np.errstate(all="ignore"):
-        # acc = c_0 + sum_k c_k / (z - 1 + k) as the scalar loop sums it: a
-        # float c_k over d = (x - 1 + k, y - 0 + 0), by Smith's quotient on
-        # d's larger part: (c + 0 ratio, 0 - c ratio) / denom where the real
-        # part is, (c ratio + 0, 0 ratio - c) / denom where the imaginary
-        # part is (c != 0, and c ratio cannot vanish there)
-        shifted, dy = x - 1.0, (y - 0.0) + 0.0
-        abs_dy = np.abs(dy)
-        acc_re, acc_im = _LANCZOS_C[0], 0.0
+        acc = np.full(x.size, _LANCZOS_C[0], dtype=complex)
         for k, c in _LANCZOS_TERMS:
-            dx = shifted + k
-            big = np.abs(dx) >= abs_dy
-            num, den = np.where(big, dy, dx), np.where(big, dx, dy)
-            ratio = num / den
-            denom = den + num * ratio
-            scaled = c * ratio
-            acc_re = acc_re + np.where(big, c, scaled) / denom
-            acc_im = acc_im + (0.0 - np.where(big, scaled, c)) / denom
-        w_re, w_im = (x + _LANCZOS_G) - 0.5, (y + 0.0) - 0.0
-        log_w = _per_point(cmath.log, w_re, w_im)
-        log_acc = _per_point(cmath.log, acc_re, acc_im)
-        re, im = _complex_product(x - 0.5, y - 0.0, log_w.real, log_w.imag)
-        re, im = (re - w_re) + _HALF_LOG_2PI, (im - w_im) + 0.0
-        re, im = re + log_acc.real, im + log_acc.imag
+            acc += c / (x + (k - 1.0))
+        w = x + _LANCZOS_G - 0.5
+        log_gamma = (x - 0.5) * np.log(w) - w + _HALF_LOG_2PI + np.log(acc)
         # the scalar route's range checks, passed
-        fits = (re <= 709.0) & (re >= -708.0) & np.isfinite(im)
+        fits = (log_gamma.real <= 709.0) & (log_gamma.real >= -708.0) & np.isfinite(log_gamma.imag)
     served[served] = fits
-    values[served] = _per_point(cmath.exp, re[fits], im[fits])
+    values[served] = np.exp(log_gamma[fits])
     return values, served
 
 
@@ -394,9 +356,14 @@ def _binomial_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _log_space_tails(np.log((n - np.arange(n)) / np.arange(1.0, n + 1.0)))
 
 
+# Deepest binomial row: _eta_depth's cap and the level sums' (a boundary row
+# whose waveform._row_depth passes it takes the quadrature)
+_DEPTH_CAP = 420
+
+
 def _eta_depth(s: np.ndarray) -> int:
     """Binomial depth D of a batch: 64 + ceil(2.3 |t|), 16 more where sigma < 1/2,
-    at most 420; a batch takes its deepest point.
+    at most _DEPTH_CAP = 420; a batch takes its deepest point.
 
     It sizes Euler's weights: eta left of the critical line, and the
     coefficient rows whose length sets their depth (the finite scan, the
@@ -409,14 +376,14 @@ def _eta_depth(s: np.ndarray) -> int:
     {5, 8, 12, 14, 16}, n <= 300, t <= 120.
     ceil is monotone, so the deepest point of each side of sigma = 1/2 is
     the one with the largest |t| there: two scalar ceilings, not one per
-    point (the cap is applied first, so an infinite t gives 420).
+    point (the cap is applied first, so an infinite t gives the cap).
     """
     heights = np.abs(s.imag)
-    depth = 64 + math.ceil(min(2.3 * float(heights.max()), 420.0))
+    depth = 64 + math.ceil(min(2.3 * float(heights.max()), _DEPTH_CAP))
     left = s.real < 0.5
     if left.any():
-        depth = max(depth, 80 + math.ceil(min(2.3 * float(heights[left].max()), 420.0)))
-    return min(depth, 420)
+        depth = max(depth, 80 + math.ceil(min(2.3 * float(heights[left].max()), _DEPTH_CAP)))
+    return min(depth, _DEPTH_CAP)
 
 
 # Levels summed before weighting left of the critical line: (k+1)^{-s} is a

@@ -20,9 +20,8 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, OverflowRangeError
-from .specfun import _TINY, _borwein_order, _eta_line, _eta_sums
+from .specfun import _DEPTH_CAP, _TINY, _borwein_order, _eta_line, _eta_sums
 from .waveform import (
-    _LEVEL_DEPTH_CAP,
     ORIGINAL,
     TILDE,
     QuantumNumber,
@@ -109,16 +108,16 @@ def _finite_series_tools(
     the boundary value's coefficient row (waveform._level_coefficients) at
     the boundary value's depth (waveform._level_depth at the window top),
     which eta's kernel renders with its settle check (NonConvergenceError).
-    A row deeper than waveform._LEVEL_DEPTH_CAP raises NonConvergenceError
+    A row deeper than specfun._DEPTH_CAP raises NonConvergenceError
     before any work.  The Newton evaluator takes (f, df/dt) on an array of
     heights by exact powers, df/dt = i f'(s); the grid evaluator keeps f on
     a scan grid of the given step (see _line_grid).
     """
     depth = _level_depth(np.array([0.5 + 1j * t_max]), n, lam, 0.0)
-    if depth > _LEVEL_DEPTH_CAP:
+    if depth > _DEPTH_CAP:
         raise NonConvergenceError(
             f"finite scan at n = {n}, lambda = {lam:g} needs a level row of depth {depth}, "
-            f"past {_LEVEL_DEPTH_CAP}"
+            f"past {_DEPTH_CAP}"
         )
     coeffs = 0.5 * _level_coefficients(n, depth, lam)
     return _line_newton(coeffs), _line_grid(coeffs, step)

@@ -28,14 +28,12 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError, OverflowRangeError
 from .quad import _ORDER, _gauss_panels, integrate_singular_log, tail_cutoff_for
 from .specfun import (
+    _DEPTH_CAP,
     _TINY,
     _binomial_weights,
-    _complex_array,
-    _complex_product,
     _eta_depth,
     _eta_sums,
     _laguerre_recurrence,
-    _per_point,
     _serve_rest,
     bessel_i0_scaled,
     chi,
@@ -91,8 +89,6 @@ MAX_LEVEL = 10_000
 _ABS_NOISE = 4e-16
 # Default tolerance on that scale, (minimum, floor multiple); the level sum takes the minimum
 _BOUNDARY_TOL_RULE = (1e-9, 30.0)
-# Deepest level-sum row (_eta_depth's cap); a deeper _row_depth takes the quadrature
-_LEVEL_DEPTH_CAP = 420
 # Truncation of the level sum at its depth, relative to 1 + |value|: the
 # depth rules' calibrated worst case (specfun._eta_depth, _row_depth)
 _LEVEL_TRUNCATION = 5e-13
@@ -553,23 +549,29 @@ def varphi_zero(s):
     critical line and nonvanishing wherever Gamma(1-s) is finite.  On the
     line its modulus falls like e^{-pi t}: from t ~ 226 it is no longer a
     normal double (a subnormal keeps too few digits, and from t ~ 237 it
-    is 0), and OverflowRangeError is raised instead, as it is for a factor
-    or a value past the double range.
+    is 0), and OverflowRangeError is raised instead, as it is for a
+    Gamma(1-s) or a value past the double range.  Where the branch factor
+    alone leaves the range (Re s < 1/2, far from the real axis), Gamma(1-s)
+    and it are taken as one exponential.
 
-    A 1-D ndarray is bitwise the scalar calls in order, errors included:
-    one gamma_complex array call and the scalar route's float operations on
-    arrays (see specfun._lanczos_rows), with cmath.exp per point.
+    A 1-D ndarray takes one gamma_complex array call and numpy's complex
+    arithmetic: each element carries the scalar call's accuracy (not its
+    bits), and an error is the first the scalar calls would raise in order.
     """
     if isinstance(s, np.ndarray) and s.ndim == 1:
         return _varphi_zero_rows(s.astype(complex))
     z = complex(s)
     gamma = gamma_complex(1.0 - z)
+    exponent = (0.5 - z) * _LOG_MINUS_2I
     try:
-        branch = cmath.exp((0.5 - z) * _LOG_MINUS_2I)
+        value = gamma * cmath.exp(exponent) / SQRT_2PI
     except OverflowError:
-        message = f"|(-2i)^(1/2-s)| exceeds double-precision range at s = {z}"
-        raise OverflowRangeError(message) from None
-    value = gamma * branch / SQRT_2PI
+        # (-2i)^{1/2-s} past the range while Gamma(1-s) is a normal double
+        try:
+            value = cmath.exp(cmath.log(gamma) + exponent) / SQRT_2PI
+        except OverflowError:
+            message = f"|varphi_zero(s)| exceeds double-precision range at s = {z}"
+            raise OverflowRangeError(message) from None
     magnitude = abs(value)
     if magnitude < _TINY:
         raise OverflowRangeError(f"|varphi_zero(s)| falls below double-precision range at s = {z}")
@@ -579,33 +581,23 @@ def varphi_zero(s):
 
 
 def _varphi_zero_rows(z: np.ndarray) -> np.ndarray:
-    """varphi_zero on a 1-D complex array, bitwise the scalar calls in order.
+    """varphi_zero on a 1-D complex array, in numpy's complex arithmetic.
 
-    The scalar route's operations on real and imaginary parts (1.0 - z and
-    0.5 - z as (1.0 - x, 0.0 - y), products as _Py_c_prod, the division by
-    sqrt(2 pi) as Smith's quotient by (sqrt(2 pi), 0.0)); points whose
-    exponential could overflow, or whose value is not plainly normal, take
-    the scalar route.  If Gamma(1-s) fails at some point, the whole array
-    takes the scalar loop, whose first error may come from an earlier point.
+    Points whose branch exponential could overflow, or whose value is not a
+    normal double, take the scalar route.  If Gamma(1-s) fails at some
+    point, the whole array takes the scalar loop, whose first error may
+    come from an earlier point.
     """
-    x, y = z.real, z.imag
     try:
-        gamma = gamma_complex(_complex_array(1.0 - x, 0.0 - y))
+        gamma = gamma_complex(1.0 - z)
     except (DomainError, OverflowRangeError):
         return np.array([varphi_zero(p) for p in z.tolist()], dtype=complex)
     with np.errstate(all="ignore"):
-        re, im = _complex_product(0.5 - x, 0.0 - y, _LOG_MINUS_2I.real, _LOG_MINUS_2I.imag)
-        # exp(re) <= e^708 cannot overflow in cmath.exp
-        served = (re <= 708.0) & np.isfinite(im)
-        branch = _per_point(cmath.exp, re[served], im[served])
-        re, im = _complex_product(gamma.real[served], gamma.imag[served], branch.real, branch.imag)
-        # over (sqrt(2 pi), 0.0): ratio 0.0, denominator sqrt(2 pi)
-        re, im = (re + im * 0.0) / SQRT_2PI, (im - re * 0.0) / SQRT_2PI
-        # normal by either part: the modulus (hypot) is then normal too
-        normal = (np.maximum(np.abs(re), np.abs(im)) >= _TINY) & np.isfinite(re) & np.isfinite(im)
-    values = np.empty(z.size, dtype=complex)
-    values[served] = _complex_array(re, im)
-    served[served] = normal
+        exponent = (0.5 - z) * _LOG_MINUS_2I
+        values = gamma * np.exp(exponent) / SQRT_2PI
+        magnitude = np.abs(values)
+        # exp(re) <= e^708 cannot overflow; the modulus is the scalar route's check
+        served = (exponent.real <= 708.0) & (magnitude >= _TINY) & (magnitude < math.inf)
     return _serve_rest(varphi_zero, z, values, served)
 
 
@@ -733,7 +725,7 @@ def _row_depth(n: int, lam: float, Y: float) -> int:
 def _level_depth(s_values: np.ndarray, n: int, lam: float, Y: float) -> int:
     """Depth of the level sum's row for the batch s_values, not capped: the
     larger of the heights' specfun._eta_depth and _row_depth.  Past
-    _LEVEL_DEPTH_CAP a boundary value takes the quadrature, and the finite
+    _DEPTH_CAP a boundary value takes the quadrature, and the finite
     scan, whose row is the y = 0 one, refuses."""
     return max(_eta_depth(s_values), _row_depth(n, lam, Y))
 
@@ -750,7 +742,7 @@ def _level_sums(s_values: np.ndarray, n: int, lam: float, Y: float, tol: float) 
     P(Bin(D+1, 1/2) > k) (either head split) times (k+1)^{-sigma}, plus
     _LEVEL_TRUNCATION (1 + |value|) at the worst point; past tol, NonConvergenceError.
     """
-    depth = min(_level_depth(s_values, n, lam, Y), _LEVEL_DEPTH_CAP)
+    depth = min(_level_depth(s_values, n, lam, Y), _DEPTH_CAP)
     coeffs = _level_coefficients(n, depth, lam)
     largest = float(np.max(np.abs(coeffs)))
     levels = np.arange(depth + 1)
@@ -780,7 +772,7 @@ def _boundary_batch(s_values, y, n, lam, variant, target_tol) -> tuple[list, flo
     if target_tol is not None and not (math.isfinite(target_tol) and target_tol > 0.0):
         raise DomainError("boundary tolerance must be positive and finite")
     Y = (math.exp(lam) if variant == ORIGINAL else math.exp(-lam)) * y
-    if _row_depth(n, lam, Y) <= _LEVEL_DEPTH_CAP:
+    if _row_depth(n, lam, Y) <= _DEPTH_CAP:
         if float(s_values.real.min()) <= 0.0:
             raise DomainError("boundary value by the level sum requires Re s > 0")
         phis = [varphi_zero(z) for z in s_values]

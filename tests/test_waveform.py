@@ -604,24 +604,38 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+def _mp_varphi_zero(s):
+    s = mp.mpc(s)
+    return complex(mp.gamma(1 - s) * mp.power(mp.mpc(0, -2), mp.mpf("0.5") - s) / mp.sqrt(2 * mp.pi))
+
+
 def test_varphi_zero_array_on_the_branch_check_line():
-    # verify's varphi-branch-continuity points, 1,501 of them
+    # verify's varphi-branch-continuity points, 1,501 of them; numpy's
+    # complex arithmetic keeps the scalar route's accuracy (measured 1.6e-14)
     ts = np.arange(0.0, 30.0 + 1e-9, 0.02)
     points = np.full(ts.size, 0.5 + 0.0j)
     points.imag = ts
     assert points.size == 1501
-    assert varphi_zero(points).tobytes() == _varphi_loop(points).tobytes()
+    assert _relative_gap(varphi_zero(points), _varphi_loop(points)) <= 1e-13
 
 
 @pytest.mark.parametrize("sigma", [(0.5, 3.0), (-2.0, 0.5)], ids=["right", "left"])
 def test_varphi_zero_array_is_the_scalar_calls_bitwise(sigma):
     # right of the line Gamma(1-s) reflects, point by point; left of it the
-    # Lanczos sum runs on arrays
+    # Lanczos sum runs on arrays.  Within 1e-13 of the scalar calls
+    # (measured 5.7e-14) and of mpmath on a subsample
     rng = np.random.default_rng(20261020)
     points = np.empty(2000, dtype=complex)
     points.real = rng.uniform(*sigma, 2000)
     points.imag = rng.uniform(-60.0, 60.0, 2000)
-    assert varphi_zero(points).tobytes() == _varphi_loop(points).tobytes()
+    values = varphi_zero(points)
+    assert _relative_gap(values, _varphi_loop(points)) <= 1e-13
+    want = np.array([_mp_varphi_zero(p) for p in points[::20].tolist()])
+    assert _relative_gap(values[::20], want) <= 1e-13
 
 
 @pytest.mark.parametrize("points", [
@@ -648,14 +662,21 @@ def test_varphi_zero_array_raises_the_scalar_loops_first_error(points):
     lambda: varphi_zero(0.9 - 230j),
     lambda: psi_boundary_batch([0.9 + 300j], 0.0, 0, 12.0),
     lambda: varphi_zero(-160.0 + 0j),
-    lambda: varphi_zero(-2.0 - 460j),
-], ids=["above", "below", "boundary-batch", "not-finite", "branch-overflow"])
+], ids=["above", "below", "boundary-batch", "not-finite"])
 def test_varphi_zero_past_the_double_range_raises(call):
     # Gamma(1-s)'s reflection factor overflowed in cmath (a raw
-    # OverflowError), Gamma(201) (-2i)^{160.5} came back as nan, and
-    # (-2i)^{2.5+460i} overflowed in cmath.exp
+    # OverflowError), and Gamma(201) (-2i)^{160.5} came back as nan
     with pytest.raises(OverflowRangeError):
         call()
+
+
+@pytest.mark.parametrize("s", [-2.0 - 460j, -3.0 - 460j, 0.0 - 452j], ids=["branch-overflow", "sigma-3", "sigma0"])
+def test_varphi_zero_past_the_branch_range_is_one_exponential(s):
+    # (-2i)^{2.5+460i} overflows in cmath.exp although Gamma(3+460i) and the
+    # value, about -2.2e7 + 1.4e7i, are normal doubles; this was refused
+    got, want = varphi_zero(s), _mp_varphi_zero(s)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert _relative_gap(varphi_zero(np.array([s])), np.array([want])) <= 1e-12
 
 
 def test_varphi_zero_branch_walk():
