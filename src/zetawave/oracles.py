@@ -1,7 +1,8 @@
 """Brute-force reference implementations for the verification suites.
 
 Deliberately different algorithms from the production modules: raw
-alternating partial sums instead of binomial acceleration (their powers
+alternating partial sums with four literal averaging rounds over the last
+five instead of binomial acceleration (their powers
 n^{-s} by complete multiplicativity, one exponential per prime and every
 composite as p(n)^{-s} (n/p(n))^{-s} on a 2·3 wheel: the multiples of 2
 and 3 as strided slices, the n prime to 6 from a cached
@@ -44,6 +45,7 @@ __all__ = [
 LEVEL_SUM_REACH = 800.0  # largest e^lam y psi_level_sum sums
 MAX_NAIVE_TERMS = 2_000_000  # largest eta_naive series; its wheel's factor tables are cached
 _WHEEL = (1, 5)  # residues mod 6 that _powers gathers; the rest are multiples of 2 or 3
+_TAIL_LEVELS = 4  # averaging rounds eta_naive applies to its last partial sums
 
 
 @functools.lru_cache(maxsize=2)
@@ -115,28 +117,32 @@ def _powers(z: complex, terms: int) -> np.ndarray:
     return a[1:]
 
 
-def eta_naive(s: complex, terms: int = 200_000) -> complex:
-    """Raw alternating sum for eta with one averaging step at the end.
+def eta_naive(s: complex, terms: int = 10_000) -> complex:
+    """Raw alternating sum for eta with four averaging rounds at the end.
 
-    Returns the mean of the last two partial sums, which cancels the
-    leading tail oscillation; the remaining error is about
-    |s| terms^{-(sigma+1)} / 4.  Requires sigma > 0 and an even number of
-    terms (so the average straddles one sign pair), at most MAX_NAIVE_TERMS.
-    The powers take one exponential per prime and every composite as
-    p(n)^{-s} (n/p(n))^{-s} on a 2·3 wheel (_powers), whose tables for the
-    n prime to 6 are cached for the last two term counts.
+    Averages the last five partial sums S_{N-4} .. S_N of the N = terms
+    series four times over (Euler's transform on the tail; Cohen, Rodriguez
+    Villegas and Zagier, Experiment. Math. 9, 2000), by euler_naive on
+    S_{N-4}, one pairwise sum of the first N-4 terms, and the last four
+    terms.  The remaining error is about |s(s+1)(s+2)(s+3)| N^{-(sigma+4)}
+    / 32, within 1e-14 of eta at verify's points on the default 10,000
+    terms.  Requires sigma > 0 and an even number of terms, at least 6 and
+    at most MAX_NAIVE_TERMS.  The powers take one exponential per prime and
+    every composite as p(n)^{-s} (n/p(n))^{-s} on a 2·3 wheel (_powers),
+    whose tables for the n prime to 6 are cached for the last two term
+    counts.
     """
     z = complex(s)
     if z.real <= 0.0:
         raise DomainError("raw series needs Re s > 0")
-    if terms < 2 or terms % 2 != 0:
-        raise DomainError("terms must be even and at least 2")
+    if terms < _TAIL_LEVELS + 2 or terms % 2 != 0:
+        raise DomainError(f"terms must be even and at least {_TAIL_LEVELS + 2}")
     if terms > MAX_NAIVE_TERMS:
         raise DomainError(f"terms must be at most {MAX_NAIVE_TERMS:,}")
     a = _powers(z, int(terms))
     a[1::2] *= -1.0
-    total = complex(np.sum(a))
-    return total - complex(a[-1]) / 2.0
+    a[-_TAIL_LEVELS - 1] = np.sum(a[: -_TAIL_LEVELS])
+    return euler_naive(a[-_TAIL_LEVELS - 1 :])[0]
 
 
 def euler_naive(terms):

@@ -88,7 +88,9 @@ def gamma_complex(s):
     range, above it or below it (log|Gamma| < -708, reached on the critical
     line from |t| ~ 451), raise OverflowRangeError, as does a reflection
     factor sin(pi s) past the double range (|Im s| from ~226 left of
-    Re s = 1/2).
+    Re s = 1/2).  For Re s >= 1/2 the range checks apply to the Lanczos
+    log-sum of _lanczos_log, which stays finite below the range, where
+    varphi_zero takes it.
 
     A 1-D ndarray takes _lanczos_rows in numpy's complex arithmetic: each
     element carries the scalar call's accuracy (not its bits), and an error
@@ -120,17 +122,26 @@ def gamma_complex(s):
             # sin(pi z) Gamma(1-z) past the double range leaves nan, or a subnormal
             raise OverflowRangeError("|Gamma(s)| falls below double-precision range")
         return value
-    acc = _LANCZOS_C[0]
-    shifted = z - 1.0
-    for k, c in _LANCZOS_TERMS:
-        acc += c / (shifted + k)
-    w = z + _LANCZOS_G - 0.5
-    log_gamma = (z - 0.5) * cmath.log(w) - w + _HALF_LOG_2PI + cmath.log(acc)
+    log_gamma = _lanczos_log(z)
     if log_gamma.real > 709.0:
         raise OverflowRangeError("|Gamma(s)| exceeds double-precision range")
     if not (cmath.isfinite(log_gamma) and log_gamma.real >= -708.0):
         raise OverflowRangeError("|Gamma(s)| falls below double-precision range")
     return cmath.exp(log_gamma)
+
+
+def _lanczos_log(z: complex) -> complex:
+    """log Gamma(z) by the Lanczos sum, for finite z with Re z >= 1/2.
+
+    Finite wherever the sum is, also where Gamma(z) itself leaves the
+    double range; gamma_complex checks the range on this value.
+    """
+    acc = _LANCZOS_C[0]
+    shifted = z - 1.0
+    for k, c in _LANCZOS_TERMS:
+        acc += c / (shifted + k)
+    w = z + _LANCZOS_G - 0.5
+    return (z - 0.5) * cmath.log(w) - w + _HALF_LOG_2PI + cmath.log(acc)
 
 
 def _lanczos_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

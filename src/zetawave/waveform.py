@@ -34,6 +34,7 @@ from .specfun import (
     _eta_depth,
     _eta_sums,
     _laguerre_recurrence,
+    _lanczos_log,
     _serve_rest,
     bessel_i0_scaled,
     chi,
@@ -549,10 +550,13 @@ def varphi_zero(s):
     critical line and nonvanishing wherever Gamma(1-s) is finite.  On the
     line its modulus falls like e^{-pi t}: from t ~ 226 it is no longer a
     normal double (a subnormal keeps too few digits, and from t ~ 237 it
-    is 0), and OverflowRangeError is raised instead, as it is for a
-    Gamma(1-s) or a value past the double range.  Where the branch factor
-    alone leaves the range (Re s < 1/2, far from the real axis), Gamma(1-s)
-    and it are taken as one exponential.
+    is 0), and OverflowRangeError is raised instead, as it is for a value
+    past the double range.  Where one factor alone leaves the range and the
+    value does not, the two are taken as one exponential of their logs: the
+    branch factor past it (Re s < 1/2, far from the real axis), or
+    Gamma(1-s) below it with Re(1-s) >= 1/2 (its Lanczos log; on the
+    critical line from t ~ -451 down).  A Gamma(1-s) that needs the
+    reflection and leaves the range is refused.
 
     A 1-D ndarray takes one gamma_complex array call and numpy's complex
     arithmetic: each element carries the scalar call's accuracy (not its
@@ -561,23 +565,37 @@ def varphi_zero(s):
     if isinstance(s, np.ndarray) and s.ndim == 1:
         return _varphi_zero_rows(s.astype(complex))
     z = complex(s)
-    gamma = gamma_complex(1.0 - z)
+    w = 1.0 - z
     exponent = (0.5 - z) * _LOG_MINUS_2I
     try:
-        value = gamma * cmath.exp(exponent) / SQRT_2PI
-    except OverflowError:
-        # (-2i)^{1/2-s} past the range while Gamma(1-s) is a normal double
+        gamma = gamma_complex(w)
+    except OverflowRangeError:
+        # Gamma(1-s) below the range where (-2i)^{1/2-s} grows as fast
+        log_gamma = _lanczos_log(w) if w.real >= 0.5 else math.nan
+        if not log_gamma.real < -708.0:
+            raise
+        value = _varphi_zero_from_log(log_gamma + exponent, z)
+    else:
         try:
-            value = cmath.exp(cmath.log(gamma) + exponent) / SQRT_2PI
+            value = gamma * cmath.exp(exponent) / SQRT_2PI
         except OverflowError:
-            message = f"|varphi_zero(s)| exceeds double-precision range at s = {z}"
-            raise OverflowRangeError(message) from None
+            # (-2i)^{1/2-s} past the range while Gamma(1-s) is a normal double
+            value = _varphi_zero_from_log(cmath.log(gamma) + exponent, z)
     magnitude = abs(value)
     if magnitude < _TINY:
         raise OverflowRangeError(f"|varphi_zero(s)| falls below double-precision range at s = {z}")
     if not magnitude < math.inf:
         raise OverflowRangeError(f"|varphi_zero(s)| exceeds double-precision range at s = {z}")
     return value
+
+
+def _varphi_zero_from_log(log_value: complex, z: complex) -> complex:
+    """exp(log_value) / sqrt(2 pi), the value past the range refused."""
+    try:
+        return cmath.exp(log_value) / SQRT_2PI
+    except OverflowError:
+        message = f"|varphi_zero(s)| exceeds double-precision range at s = {z}"
+        raise OverflowRangeError(message) from None
 
 
 def _varphi_zero_rows(z: np.ndarray) -> np.ndarray:

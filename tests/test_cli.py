@@ -502,6 +502,16 @@ def test_boundary_past_the_gamma_range_exits_3(capsys, t):
     assert err.startswith("error: ") and "double-precision range" in err
 
 
+def test_boundary_limit_past_the_gamma_range_below_the_line(capsys):
+    # Gamma(1/2 + 460i) is below the double range, (-2i)^{460i} above it and
+    # the value is of order 1: this exited 3 (measured 7.1e-13 relative)
+    rc, out, err = run_cli(capsys, "boundary", "--t", "-460", "--variant", "limit")
+    assert (rc, err) == (0, "")
+    row = csv_rows(out, BOUNDARY_HEADER)[0]
+    want = -0.5248187120277154 - 0.1778438753295739j  # 2 varphi_zero eta, mpmath
+    assert abs(complex(float(row[6]), float(row[7])) - want) <= 1e-11 * abs(want)
+
+
 @pytest.mark.parametrize("t", ["230", "300"])
 def test_boundary_below_the_normal_range_exits_3(capsys, t):
     # |varphi_zero(1/2 + it)| leaves the normal doubles near t = 225.5:

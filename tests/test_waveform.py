@@ -679,6 +679,24 @@ def test_varphi_zero_past_the_branch_range_is_one_exponential(s):
     assert _relative_gap(varphi_zero(np.array([s])), np.array([want])) <= 1e-12
 
 
+def test_varphi_zero_past_the_gamma_range_is_one_exponential():
+    # Gamma(1/2 + 460i) ~ e^-722 leaves the range before it meets
+    # (-2i)^{460i} ~ e^722; its Lanczos log takes the branch exponent in one
+    # exponential (measured 2.0e-13 relative).  This was refused
+    want = -0.8437551623355153 + 0.5367282608845637j  # mpmath, 30 digits
+    got = varphi_zero(0.5 - 460j)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert _relative_gap(varphi_zero(np.array([0.5 - 460j])), np.array([want])) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0.5 + 460j, 1.0 - 460j], ids=["value-below-range", "reflection"])
+def test_varphi_zero_past_the_gamma_range_still_refuses(s):
+    # above the line the value itself is e^-1444; right of Re s = 1/2
+    # Gamma(1-s) needs the reflection, whose factor leaves the range
+    with pytest.raises(OverflowRangeError):
+        varphi_zero(s)
+
+
 def test_varphi_zero_branch_walk():
     ts = np.arange(0.0, 30.0 + 1e-9, 0.02)
     vals = np.array([varphi_zero(complex(0.5, t)) for t in ts])
