@@ -145,6 +145,17 @@ def eta_naive(s: complex, terms: int = 10_000) -> complex:
     return euler_naive(a[-_TAIL_LEVELS - 1 :])[0]
 
 
+def _eta_naive_estimate(s: complex, terms: int) -> float:
+    """eta_naive's error estimate: prod_{j<4} (|s| + j) N^{-(sigma+4)}.
+
+    The leading tail term |s(s+1)(s+2)(s+3)| N^{-(sigma+4)} / 32 with each
+    |s + j| bounded by |s| + j and the 1/32 dropped; rounding is not in it.
+    """
+    z = complex(s)
+    growth = math.prod(abs(z) + j for j in range(_TAIL_LEVELS))
+    return growth * terms ** (-(z.real + _TAIL_LEVELS))
+
+
 def euler_naive(terms):
     """Euler transformation by literal iterated averaging of partial sums.
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .oracles import (
-    _TAIL_LEVELS,
+    _eta_naive_estimate,
     apply_bk_operator,
     apply_number_operator,
     eta_naive,
@@ -416,15 +416,13 @@ def _check_count_match() -> tuple[float, str]:
 
 
 def _check_eta_naive_agreement() -> tuple[float, str]:
-    # the oracle's four tail rounds leave about |s(s+1)(s+2)(s+3)|
-    # N^{-(sigma+4)}/32; the estimate takes prod_j (|s| + j) and drops the
-    # 1/32, and its 1e-11 floor covers the rounding of eta itself
+    # the oracle's own estimate of its four tail rounds; the 1e-11 floor
+    # covers the rounding of eta itself
     points = [2.0 + 0.0j, 0.5 + 14.134725j, 0.75 + 30.0j, 1.5 + 7.0j]
     terms = 10_000
     worst = 0.0
     for s in points:
-        growth = math.prod(abs(s) + j for j in range(_TAIL_LEVELS))
-        estimate = growth * terms ** (-(s.real + _TAIL_LEVELS)) + 1e-11
+        estimate = _eta_naive_estimate(s, terms) + 1e-11
         diff = abs(eta_naive(s, terms) - eta(s))
         worst = max(worst, diff / estimate)
     return worst, "raw-series oracle vs eta, scaled by the oracle's own error estimate"

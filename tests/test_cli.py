@@ -502,6 +502,16 @@ def test_boundary_past_the_gamma_range_exits_3(capsys, t):
     assert err.startswith("error: ") and "double-precision range" in err
 
 
+@pytest.mark.parametrize("t", ["-1001", "-1e308"])
+def test_boundary_limit_past_the_one_exponential_height_exits_3(capsys, t):
+    # below the line varphi_zero takes Gamma's log only to |t| = 1000; at
+    # -1e308 that log's phase is infinite, which cmath.exp met with a ValueError
+    rc, out, err = run_cli(capsys, "boundary", "--t", t, "--variant", "limit")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ") and "double-precision range" in err
+
+
 def test_boundary_limit_past_the_gamma_range_below_the_line(capsys):
     # Gamma(1/2 + 460i) is below the double range, (-2i)^{460i} above it and
     # the value is of order 1: this exited 3 (measured 7.1e-13 relative)
@@ -661,7 +671,7 @@ def test_scan_requires_window(capsys):
 # double range, each cap on a value and one past it; 0.5 and 5 let some
 # lines through, so that their reports are checked as well
 _CAPS = (waveform.MAX_LAMBDA, 40.0, spectra._SCAN_T_MAX, float(waveform.MAX_LEVEL))
-_EDGES = (math.nan, math.inf, -math.inf, 0.0, 1e300, -1e300, 1e-300, -1e-300, 1e308,
+_EDGES = (math.nan, math.inf, -math.inf, 0.0, 1e300, -1e300, 1e-300, -1e-300, 1e308, -1e308,
           0.5, 5.0, *_CAPS, *(cap + 1.0 for cap in _CAPS))
 _EDGE_NUMBERS = st.sampled_from(_EDGES)
 

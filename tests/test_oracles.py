@@ -198,15 +198,14 @@ def test_eta_naive_matches_exact_partial_sum(s):
 
 
 def test_eta_naive_matches_eta_within_own_estimate():
-    # the estimate the verify registry uses; it drops the 1/32 of the
-    # leading term |s(s+1)(s+2)(s+3)| N^{-(sigma+4)}/32.  The gap reads at
-    # most 2.3e-3 of it; the mean of the last two partial sums read 6.8e5
+    # the estimate the verify registry uses, with its 1e-11 rounding
+    # floor.  The gap reads at most 2.3e-3 of it; the mean of the last two
+    # partial sums read 6.8e5
     terms = 10_000
     for sigma in (0.5, 1.0, 2.0):
         for t in (0.0, 7.5, 30.0):
             s = complex(sigma, t)
-            growth = math.prod(abs(s) + j for j in range(4))
-            bound = growth * terms ** -(sigma + 4.0) + 1e-11
+            bound = oracles._eta_naive_estimate(s, terms) + 1e-11
             gap = abs(eta_naive(s, terms) - eta(s))
             assert gap <= bound, (s, gap, bound)
 

@@ -679,22 +679,33 @@ def test_varphi_zero_past_the_branch_range_is_one_exponential(s):
     assert _relative_gap(varphi_zero(np.array([s])), np.array([want])) <= 1e-12
 
 
-def test_varphi_zero_past_the_gamma_range_is_one_exponential():
+@pytest.mark.parametrize("s", [0.5 - 460j, 0.5 - 999j, -199.5 + 200j],
+                         ids=["below-range", "height-cap", "above-range"])
+def test_varphi_zero_past_the_gamma_range_is_one_exponential(s):
     # Gamma(1/2 + 460i) ~ e^-722 leaves the range before it meets
-    # (-2i)^{460i} ~ e^722; its Lanczos log takes the branch exponent in one
-    # exponential (measured 2.0e-13 relative).  This was refused
-    want = -0.8437551623355153 + 0.5367282608845637j  # mpmath, 30 digits
-    got = varphi_zero(0.5 - 460j)
-    assert abs(got - want) <= 1e-12 * abs(want)
-    assert _relative_gap(varphi_zero(np.array([0.5 - 460j])), np.array([want])) <= 1e-12
+    # (-2i)^{460i} ~ e^722, and Gamma(200.5 - 200i) ~ e^772 leaves it above
+    # where (-2i)^{-199.5-200i} ~ e^-176 brings the value back; the Lanczos
+    # log takes the branch exponent in one exponential (measured 2.0e-13,
+    # 2.9e-13 and 1.9e-13 relative).  These were refused
+    want = _mp_varphi_zero(s)
+    if s == 0.5 - 460j:
+        assert abs(want - (-0.8437551623355153 + 0.5367282608845637j)) <= 1e-15
+    assert abs(varphi_zero(s) - want) <= 1e-12 * abs(want)
+    assert _relative_gap(varphi_zero(np.array([s])), np.array([want])) <= 1e-12
 
 
-@pytest.mark.parametrize("s", [0.5 + 460j, 1.0 - 460j], ids=["value-below-range", "reflection"])
+@pytest.mark.parametrize("s", [0.5 + 460j, 1.0 - 460j, 0.5 - 1001j, 0.5 - 1e308j],
+                         ids=["value-below-range", "reflection", "past-height-cap", "infinite-phase"])
 def test_varphi_zero_past_the_gamma_range_still_refuses(s):
     # above the line the value itself is e^-1444; right of Re s = 1/2
-    # Gamma(1-s) needs the reflection, whose factor leaves the range
+    # Gamma(1-s) needs the reflection, whose factor leaves the range; past
+    # |t| = 1000 the logs' rounding would cost more than 1e-12 of the value
+    # (8e-12 at t = -1e4), and at t = -1e308 Gamma's log has an infinite
+    # phase, on which cmath.exp raised a ValueError
     with pytest.raises(OverflowRangeError):
         varphi_zero(s)
+    with pytest.raises(OverflowRangeError):
+        varphi_zero(np.array([s]))
 
 
 def test_varphi_zero_branch_walk():
