@@ -24,6 +24,7 @@ per-call overhead once.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -126,13 +127,15 @@ def eta_naive(s: complex, terms: int = 10_000) -> complex:
     S_{N-4}, one pairwise sum of the first N-4 terms, and the last four
     terms.  The remaining error is about |s(s+1)(s+2)(s+3)| N^{-(sigma+4)}
     / 32, within 1e-14 of eta at verify's points on the default 10,000
-    terms.  Requires sigma > 0 and an even number of terms, at least 6 and
-    at most MAX_NAIVE_TERMS.  The powers take one exponential per prime and
-    every composite as p(n)^{-s} (n/p(n))^{-s} on a 2·3 wheel (_powers),
-    whose tables for the n prime to 6 are cached for the last two term
-    counts.
+    terms.  Requires finite s with sigma > 0 and an even number of terms,
+    at least 6 and at most MAX_NAIVE_TERMS.  The powers take one
+    exponential per prime and every composite as p(n)^{-s} (n/p(n))^{-s} on
+    a 2·3 wheel (_powers), whose tables for the n prime to 6 are cached for
+    the last two term counts.
     """
     z = complex(s)
+    if not cmath.isfinite(z):
+        raise DomainError("raw series needs finite s")
     if z.real <= 0.0:
         raise DomainError("raw series needs Re s > 0")
     if terms < _TAIL_LEVELS + 2 or terms % 2 != 0:
@@ -197,7 +200,7 @@ def apply_number_operator(n: int, y: float, h: float = 1e-4) -> float:
     if h <= 0.0 or y <= 2.0 * h:
         raise DomainError("need y > 2h > 0")
     half = 0.5 * h
-    base, *sides = chi(n, np.array([y, y - h, y + h, y - half, y + half])).tolist()
+    base, *sides = chi(int(n), np.array([y, y - h, y + h, y - half, y + half])).tolist()
     if abs(base) < 1e-6:
         raise StepSizeError(
             f"y = {y:g} is too close to a node of the level-{n} eigenfunction"

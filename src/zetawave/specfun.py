@@ -77,29 +77,24 @@ _LANCZOS_C = (
 )
 _LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C))[1:]
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_GAMMA_MIN, _LOG_GAMMA_MAX = -708.0, 709.0  # log|Gamma| of a normal double
 
 
 def gamma_complex(s):
-    """Gamma function of a complex argument, or of a 1-D array of them.
+    """Gamma function of one complex argument.
 
     Relative error is below 1e-12 for |Im s| <= 60 and -2 <= Re s <= 3
-    (validated against an independent Euler-product oracle).  Non-finite s
-    and nonpositive integers raise DomainError; results outside double
-    range, above it or below it (log|Gamma| < -708, reached on the critical
-    line from |t| ~ 451), raise OverflowRangeError, as does a reflection
-    factor sin(pi s) past the double range (|Im s| from ~226 left of
-    Re s = 1/2).  For Re s >= 1/2 the range checks apply to the Lanczos
-    log-sum of _lanczos_log, which stays finite below the range, where
-    varphi_zero takes it.
-
-    A 1-D ndarray takes _lanczos_rows in numpy's complex arithmetic: each
-    element carries the scalar call's accuracy (not its bits), and an error
-    is the first the scalar calls would raise in order.
+    (validated against an independent Euler-product oracle).  Non-finite s,
+    nonpositive integers and arrays raise DomainError; results outside
+    double range, above it or below it (log|Gamma| < -708, reached on the
+    critical line from |t| ~ 451), raise OverflowRangeError, as does a
+    reflection factor sin(pi s) past the double range (|Im s| from ~226
+    left of Re s = 1/2).  For Re s >= 1/2 the range checks apply to the
+    Lanczos log-sum of _lanczos_log, which stays finite below the range,
+    where varphi_zero takes it.
     """
-    if isinstance(s, np.ndarray) and s.ndim == 1:
-        z = s.astype(complex)
-        values, served = _lanczos_rows(z)
-        return _serve_rest(gamma_complex, z, values, served)
+    if isinstance(s, np.ndarray) and s.ndim:
+        raise DomainError("gamma takes one point, not an array")
     z = complex(s)
     if not cmath.isfinite(z):
         raise DomainError("gamma requires finite s")
@@ -123,59 +118,27 @@ def gamma_complex(s):
             raise OverflowRangeError("|Gamma(s)| falls below double-precision range")
         return value
     log_gamma = _lanczos_log(z)
-    if log_gamma.real > 709.0:
+    if log_gamma.real > _LOG_GAMMA_MAX:
         raise OverflowRangeError("|Gamma(s)| exceeds double-precision range")
-    if not (cmath.isfinite(log_gamma) and log_gamma.real >= -708.0):
+    if not (cmath.isfinite(log_gamma) and log_gamma.real >= _LOG_GAMMA_MIN):
         raise OverflowRangeError("|Gamma(s)| falls below double-precision range")
     return cmath.exp(log_gamma)
 
 
-def _lanczos_log(z: complex) -> complex:
+def _lanczos_log(z, log=cmath.log):
     """log Gamma(z) by the Lanczos sum, for finite z with Re z >= 1/2.
 
     Finite wherever the sum is, also where Gamma(z) itself leaves the
-    double range; gamma_complex checks the range on this value.
+    double range; gamma_complex checks the range on this value.  With
+    log=np.log, a complex array in the same operation order, in numpy's
+    arithmetic (waveform._varphi_zero_rows).
     """
     acc = _LANCZOS_C[0]
     shifted = z - 1.0
     for k, c in _LANCZOS_TERMS:
-        acc += c / (shifted + k)
+        acc = acc + c / (shifted + k)
     w = z + _LANCZOS_G - 0.5
-    return (z - 0.5) * cmath.log(w) - w + _HALF_LOG_2PI + cmath.log(acc)
-
-
-def _lanczos_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gamma_complex on the points with Re z >= 1/2 whose value is in range,
-    and the mask of points it served (the rest are left unset).
-
-    The scalar route's Lanczos sum and range checks in numpy's complex
-    arithmetic: each served value carries the scalar route's accuracy, not
-    its bits (within ~3e-14 relative of the scalar call over the contract
-    region).  Points left of Re z = 1/2 (reflection), non-finite ones and
-    those out of range are not served.
-    """
-    values = np.empty(z.size, dtype=complex)
-    served = np.isfinite(z) & (z.real >= 0.5)
-    x = z[served]
-    with np.errstate(all="ignore"):
-        acc = np.full(x.size, _LANCZOS_C[0], dtype=complex)
-        for k, c in _LANCZOS_TERMS:
-            acc += c / (x + (k - 1.0))
-        w = x + _LANCZOS_G - 0.5
-        log_gamma = (x - 0.5) * np.log(w) - w + _HALF_LOG_2PI + np.log(acc)
-        # the scalar route's range checks, passed
-        fits = (log_gamma.real <= 709.0) & (log_gamma.real >= -708.0) & np.isfinite(log_gamma.imag)
-    served[served] = fits
-    values[served] = np.exp(log_gamma[fits])
-    return values, served
-
-
-def _serve_rest(scalar, points: np.ndarray, values: np.ndarray, served: np.ndarray) -> np.ndarray:
-    """values with each point an array route left unserved taken by the scalar
-    route, one at a time in order: so an error is the scalar loop's first."""
-    for i in np.flatnonzero(~served).tolist():
-        values[i] = scalar(complex(points[i]))
-    return values
+    return (z - 0.5) * log(w) - w + _HALF_LOG_2PI + log(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +184,7 @@ def _laguerre_recurrence(
 
 def laguerre(n: int, y):
     """Laguerre polynomial L_n(y), scalar or ndarray y, by the ascending recurrence."""
-    if n < 0:
+    if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError("n must be a nonnegative integer")
     arr = np.atleast_1d(np.asarray(y, dtype=float))
     if not np.isfinite(arr).all():
@@ -239,7 +202,7 @@ def chi(n: int, y):
     carried apart (see _chi_deep), so chi_n keeps its digits out to its
     turning point y = 4n + 2 and beyond.
     """
-    if n < 0:
+    if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError("n must be a nonnegative integer")
     arr = np.atleast_1d(np.asarray(y, dtype=float))
     if not np.isfinite(arr).all():

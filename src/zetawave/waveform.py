@@ -34,8 +34,9 @@ from .specfun import (
     _eta_depth,
     _eta_sums,
     _laguerre_recurrence,
+    _LOG_GAMMA_MAX,
+    _LOG_GAMMA_MIN,
     _lanczos_log,
-    _serve_rest,
     bessel_i0_scaled,
     chi,
     eta,
@@ -492,10 +493,11 @@ def mehler_series(
     The tail bound uses the half-line envelope |chi_m| <= 1, giving
     tail <= t^{M+1}/(1-t) after terms up to m = M.  Raises DomainError
     when any y or y' is negative or not finite or any t lies outside
-    [0, 1), when max_terms < 1 or abs_tol is not positive, and before any
-    work when points times max_terms exceed _MAX_MEHLER_TERMS (the
-    longdouble terms would pass 64 MB).  Raises NonConvergenceError when
-    the last included term of any element still exceeds abs_tol.
+    [0, 1), when max_terms is not an integer of at least 1 or abs_tol is
+    not positive, and before any work when points times max_terms exceed
+    _MAX_MEHLER_TERMS (the longdouble terms would pass 64 MB).  Raises
+    NonConvergenceError when the last included term of any element still
+    exceeds abs_tol.
     """
     ya, yb, ta = np.broadcast_arrays(
         np.asarray(y, dtype=float), np.asarray(yp, dtype=float), np.asarray(t, dtype=float)
@@ -504,11 +506,13 @@ def mehler_series(
         raise DomainError("need finite y, y' >= 0")
     if not np.all((ta >= 0.0) & (ta < 1.0)):
         raise DomainError("need 0 <= t < 1")
+    if not isinstance(max_terms, numbers.Integral):
+        raise DomainError("max_terms must be an integer")
     if max_terms < 1:
         raise DomainError("max_terms must be at least 1")
     if not abs_tol > 0.0:
         raise DomainError("abs_tol must be positive")
-    m_max = max_terms - 1
+    m_max = int(max_terms) - 1
     if ya.size * (m_max + 1) > _MAX_MEHLER_TERMS:
         raise DomainError(
             f"Mehler series of {ya.size} points x {m_max + 1} terms exceeds the work "
@@ -564,9 +568,8 @@ def varphi_zero(s):
     Past the height, or where Gamma(1-s) needs the reflection, a factor
     out of range is refused.
 
-    A 1-D ndarray takes one gamma_complex array call and numpy's complex
-    arithmetic: each element carries the scalar call's accuracy (not its
-    bits), and an error is the first the scalar calls would raise in order.
+    A 1-D ndarray takes _varphi_zero_rows: each element carries the scalar
+    call's accuracy (not its bits), and an error is the scalar loop's first.
     """
     if isinstance(s, np.ndarray) and s.ndim == 1:
         return _varphi_zero_rows(s.astype(complex))
@@ -599,22 +602,23 @@ def varphi_zero(s):
 def _varphi_zero_rows(z: np.ndarray) -> np.ndarray:
     """varphi_zero on a 1-D complex array, in numpy's complex arithmetic.
 
-    Points whose branch exponential could overflow, or whose value is not a
-    normal double, take the scalar route.  If Gamma(1-s) fails at some
-    point, the whole array takes the scalar loop, whose first error may
-    come from an earlier point.
+    The scalar route's product exp(_lanczos_log(1-s)) (-2i)^{1/2-s} / sqrt(2 pi)
+    where Re(1-s) >= 1/2 and its checks pass (log|Gamma| in range, a branch
+    exponential e^{<=708}, a normal double); every other point takes scalar
+    varphi_zero in order, so an error is the scalar loop's first.
     """
-    try:
-        gamma = gamma_complex(1.0 - z)
-    except (DomainError, OverflowRangeError):
-        return np.array([varphi_zero(p) for p in z.tolist()], dtype=complex)
+    w = 1.0 - z
     with np.errstate(all="ignore"):
+        log_gamma = _lanczos_log(w, np.log)
         exponent = (0.5 - z) * _LOG_MINUS_2I
-        values = gamma * np.exp(exponent) / SQRT_2PI
+        values = np.exp(log_gamma) * np.exp(exponent) / SQRT_2PI
         magnitude = np.abs(values)
-        # exp(re) <= e^708 cannot overflow; the modulus is the scalar route's check
-        served = (exponent.real <= 708.0) & (magnitude >= _TINY) & (magnitude < math.inf)
-    return _serve_rest(varphi_zero, z, values, served)
+        in_range = (log_gamma.real >= _LOG_GAMMA_MIN) & (log_gamma.real <= _LOG_GAMMA_MAX)
+        served = in_range & (w.real >= 0.5) & (exponent.real <= 708.0)
+        served &= (magnitude >= _TINY) & (magnitude < math.inf)
+    for i in np.flatnonzero(~served).tolist():
+        values[i] = varphi_zero(complex(z[i]))
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,10 @@ def test_eta_naive_near_first_zero():
 def test_eta_naive_guards():
     with pytest.raises(DomainError):
         eta_naive(complex(-0.5, 3.0), 1000)
+    # non-finite s returned nan + nan i, or 1 for Re s = inf, after a RuntimeWarning
+    for s in (complex(math.nan, 1.0), complex(0.5, math.inf), complex(math.inf, 1.0)):
+        with pytest.raises(DomainError, match="finite"):
+            eta_naive(s, 100)
     with pytest.raises(DomainError):
         eta_naive(2.0, 999)
     # the averaged tail takes the last five partial sums, S_{N-4} .. S_N
@@ -161,8 +165,10 @@ def test_factor_table_small_sizes_by_trial_division(terms):
 
 
 def test_first_eta_naive_working_set():
-    # from an empty table cache, the check's largest call; on the full
-    # smallest-prime-factor table it peaked at 8.35 MiB and kept 3.19 MiB
+    # from an empty table cache, the 2·3 wheel's working set at 200,000
+    # terms, inside MAX_NAIVE_TERMS (verify's 10,000-term call is guarded in
+    # test_verify); on the full smallest-prime-factor table it peaked at
+    # 8.35 MiB and kept 3.19 MiB
     oracles._factor_table.cache_clear()
     tracemalloc.start()
     try:
@@ -283,6 +289,8 @@ def test_number_operator_near_node_guard():
 def test_number_operator_domain_guards():
     with pytest.raises(DomainError):
         apply_number_operator(-1, 1.0)
+    # 3.0 passed the check and then ended in a raw TypeError inside chi
+    assert apply_number_operator(3.0, 2.8) == apply_number_operator(3, 2.8)
     with pytest.raises(DomainError):
         apply_number_operator(2, 1e-5, h=1e-4)
 

@@ -570,70 +570,10 @@ def test_gamma_reflection_past_the_double_range_raises(z):
     assert gamma_complex(complex(-2.5, 225.0)) != 0.0
 
 
-def _outcome(call):
-    """('ok', the values' bytes) or the raised error's (type, message)."""
-    try:
-        return "ok", np.asarray(call(), dtype=complex).tobytes()
-    except Exception as exc:  # any error: its type and message must match
-        return type(exc), str(exc)
-
-
-def _gamma_loop(points):
-    return np.array([gamma_complex(p) for p in points.tolist()], dtype=complex)
-
-
-def _seeded_points(sigma, t, count=2000):
-    rng = np.random.default_rng(20261020)
-    points = np.empty(count, dtype=complex)
-    points.real = rng.uniform(*sigma, count)
-    points.imag = rng.uniform(*t, count)
-    return points
-
-
-def _relative_gap(got, want):
-    return float(np.max(np.abs(got - want) / np.abs(want)))
-
-
-def test_gamma_array_is_the_scalar_calls_bitwise_right_of_the_line():
-    # numpy's complex arithmetic, not the scalar route's bits: the scalar
-    # route's accuracy (measured 2.9e-14 from it, 6.2e-14 from mpmath)
-    points = _seeded_points((0.5, 3.0), (-60.0, 60.0))
-    values = gamma_complex(points)
-    assert _relative_gap(values, _gamma_loop(points)) <= 1e-13
-    sample = points[::20]
-    want = np.array([complex(mp.gamma(mp.mpc(p))) for p in sample.tolist()])
-    assert _relative_gap(values[::20], want) <= 1e-13
-
-
-def test_gamma_array_takes_the_reflection_points_one_by_one():
-    points = _seeded_points((-2.0, 0.5), (-60.0, 60.0))
-    assert gamma_complex(points).tobytes() == _gamma_loop(points).tobytes()
-
-
-def test_gamma_array_keeps_the_sign_of_zero():
-    # real points with either zero, and heights that are subnormal or tiny
-    real = [complex(x, zero) for x in (0.5, 1.0, 2.5, 7.0) for zero in (0.0, -0.0)]
-    points = np.array(
-        real + [complex(0.7, 5e-324), complex(0.7, -5e-324), complex(3.0, 1e-310), complex(1.5, -1e-300)]
-    )
-    got, want = gamma_complex(points), _gamma_loop(points)
-    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
-    assert np.array_equal(got.real[: len(real)], want.real[: len(real)])
-    assert not got.imag[: len(real)].any()
-    assert _relative_gap(got, want) <= 1e-13
-
-
-@pytest.mark.parametrize("bad", [
-    complex(math.nan, 1.0), complex(0.5, math.inf), -3.0 + 0j, 200.0 + 0j, 0.5 + 500j,
-    complex(-2.5, 230.0),
-], ids=["nan", "inf", "pole", "overflow", "underflow", "reflection"])
-def test_gamma_array_raises_the_scalar_loops_first_error(bad):
-    # good points before the failing one and a failure of another kind after it
-    points = np.array([2.5 - 7j, -1.5 + 3j, bad, 0.5 + 14j, 0.0 + 0j])
-    want = _outcome(lambda: gamma_complex(bad))
-    assert want[0] != "ok"
-    assert _outcome(lambda: _gamma_loop(points)) == want
-    assert _outcome(lambda: gamma_complex(points)) == want
+def test_gamma_refuses_an_array():
+    # the array route is varphi_zero's alone (waveform._varphi_zero_rows)
+    with pytest.raises(DomainError):
+        gamma_complex(np.array([2.5 + 1j]))
 
 
 @pytest.mark.parametrize("func, y", [
@@ -645,3 +585,13 @@ def test_special_functions_refuse_non_finite_arguments(func, y):
     # chi, laguerre and I0 returned nan here, and chi(5, inf) warned first
     with pytest.raises(DomainError):
         func(y) if func is bessel_i0_scaled else func(5, y)
+
+
+@pytest.mark.parametrize("func, n", [
+    (laguerre, 2.5), (laguerre, 2.0), (chi, 2.5), (chi, math.nan),
+], ids=["laguerre-half", "laguerre-float", "chi-half", "chi-nan"])
+def test_special_functions_refuse_non_integer_orders(func, n):
+    # a raw TypeError from the recurrence's range(1, n) before
+    with pytest.raises(DomainError, match="n must be a nonnegative integer"):
+        func(n, 0.7)
+    assert func(np.int64(2), 0.7) == func(2, 0.7)

@@ -495,11 +495,16 @@ def test_mehler_series_refuses_tiny_budget():
 
 
 def test_mehler_series_budget_guards():
-    for budget in (dict(max_terms=0), dict(abs_tol=0.0), dict(abs_tol=-1e-12), dict(abs_tol=math.nan)):
+    # max_terms=2.5 ended in a raw TypeError from the recurrence's range
+    budgets = (dict(max_terms=0), dict(max_terms=2.5), dict(abs_tol=0.0), dict(abs_tol=-1e-12),
+               dict(abs_tol=math.nan))
+    for budget in budgets:
         with pytest.raises(DomainError):
             mehler_series(1.0, 1.0, 0.5, **budget)
     # on the axis every chi_m is 1, so the last of 8 terms is 0.5^7 = 7.8e-3
     assert mehler_series(0.0, 0.0, 0.5, max_terms=8, abs_tol=1e-2).terms_used == 8
+    # a numpy integer budget is taken too, and terms_used stays a Python int
+    assert type(mehler_series(0.0, 0.0, 0.5, max_terms=np.int64(8), abs_tol=1e-2).terms_used) is int
     with pytest.raises(NonConvergenceError):
         mehler_series(0.0, 0.0, 0.5, max_terms=8, abs_tol=5e-3)
 
@@ -621,6 +626,26 @@ def test_varphi_zero_array_on_the_branch_check_line():
     points.imag = ts
     assert points.size == 1501
     assert _relative_gap(varphi_zero(points), _varphi_loop(points)) <= 1e-13
+
+
+def test_varphi_zero_array_sums_gamma_itself_on_the_branch_check_line(monkeypatch):
+    # every point of verify's line is served on arrays: no Gamma call and
+    # no scalar varphi_zero
+    ts = np.arange(0.0, 30.0 + 1e-9, 0.02)
+    points = np.full(ts.size, 0.5 + 0.0j)
+    points.imag = ts
+    calls = []
+
+    def counted(func):
+        def call(*args, **kwargs):
+            calls.append((func.__name__, np.ndim(args[0])))
+            return func(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(waveform, "gamma_complex", counted(waveform.gamma_complex))
+    monkeypatch.setattr(waveform, "varphi_zero", counted(waveform.varphi_zero))
+    waveform.varphi_zero(points)
+    assert calls == [("varphi_zero", 1)]
 
 
 @pytest.mark.parametrize("sigma", [(0.5, 3.0), (-2.0, 0.5)], ids=["right", "left"])
