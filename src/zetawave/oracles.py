@@ -2,14 +2,13 @@
 
 Deliberately different algorithms from the production modules: raw
 alternating partial sums with four literal averaging rounds over the last
-five instead of binomial acceleration (their powers
-n^{-s} by complete multiplicativity, one exponential per prime and every
-composite as p(n)^{-s} (n/p(n))^{-s} on a 2·3 wheel: the multiples of 2
-and 3 as strided slices, the n prime to 6 from a cached
-smallest-prime-factor table of a third of the terms, where production
-takes moduli and phases per term), iterated averaging level by level
-instead of binomial weights, composite Simpson instead of adaptive Gauss
-panels, finite differences instead of closed-form eigen-identities.
+five instead of binomial acceleration (their powers n^{-s} by complete
+multiplicativity, one exponential per prime and every composite as
+p(n)^{-s} (n/p(n))^{-s} from a cached smallest-prime-factor table, where
+production takes moduli and phases per term), iterated averaging level
+by level instead of binomial weights, composite Simpson instead of
+adaptive Gauss panels, finite differences instead of closed-form
+eigen-identities.
 Agreement between the two families is evidence rather than tautology;
 none of this is fast enough for production use.  The package imports
 it to export its names and verify to run its checks, so every command
@@ -27,12 +26,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, StepSizeError
 from .specfun import _laguerre_recurrence, chi
-from .waveform import _bare_overlaps, phi_s
+from .waveform import QuantumNumber, _bare_overlaps, phi_s
 
 __all__ = [
     "eta_naive",
@@ -44,27 +44,22 @@ __all__ = [
 ]
 
 LEVEL_SUM_REACH = 800.0  # largest e^lam y psi_level_sum sums
-MAX_NAIVE_TERMS = 2_000_000  # largest eta_naive series; its wheel's factor tables are cached
-_WHEEL = (1, 5)  # residues mod 6 that _powers gathers; the rest are multiples of 2 or 3
+MAX_NAIVE_TERMS = 50_000  # largest eta_naive series; its factor table is cached
 _TAIL_LEVELS = 4  # averaging rounds eta_naive applies to its last partial sums
 
 
 @functools.lru_cache(maxsize=2)
-def _factor_table(terms: int) -> tuple[tuple, tuple, np.ndarray]:
-    """Smallest prime factor p(n) and cofactor n/p(n) of every n <= terms
-    prime to 6, and the primes up to terms.
+def _factor_table(terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smallest prime factor p(n), cofactor n/p(n) and the primes, n <= terms.
 
-    p and cofactor are pairs of read-only int64 arrays, one per residue r in
-    _WHEEL, entry j for n = 6j + r (p(1) = cofactor(1) = 1); the primes come
-    ascending.  Gries and Misra's table (CACM 21, 1978) on a 2·3 wheel
-    (Pritchard, Acta Informatica 17, 1982): an n prime to 6 has its smallest
-    prime factor p >= 5, p <= sqrt(n) when n is composite, and p's multiples
-    p m prime to 6 are those with m = 1 or 5 (mod 6).  From m = p on, each
-    residue of m is an arithmetic progression of step 6p, so step p in the
-    table of residue p m (mod 6): one slice assignment per prime p up to
-    sqrt(terms) and per residue of m, those primes taken from a small
-    Eratosthenes sieve.  The primes go in descending order, so the smallest
-    one writes last.  The entries left 0 past n = 1 are the primes.
+    Read-only int64 arrays indexed by n (p(1) = cofactor(1) = 1, entry 0
+    unused), the primes ascending: the table of Gries and Misra's linear
+    sieve (CACM 21, 1978), written here by one slice assignment
+    spf[p^2::p] = p per prime p up to sqrt(terms), those primes taken from
+    a small Eratosthenes sieve.  A composite n has its smallest prime
+    factor p <= sqrt(n) and lies in p's slice; the primes go in descending
+    order, so the smallest one writes last.  The entries left 0 from 2 on
+    are the primes.
     """
     root = math.isqrt(terms)
     small = np.ones(root + 1, dtype=bool)
@@ -72,32 +67,24 @@ def _factor_table(terms: int) -> tuple[tuple, tuple, np.ndarray]:
     for p in range(2, math.isqrt(root) + 1):
         if small[p]:
             small[p * p :: p] = False
-    spf = tuple(np.zeros((terms - r) // 6 + 1, dtype=np.int64) for r in _WHEEL)
-    for p in (np.flatnonzero(small[5:])[::-1] + 5).tolist():
-        for m in (p, p + (2 if p % 6 == 5 else 4)):
-            spf[_WHEEL.index(p * m % 6)][p * m // 6 :: p] = p
-    found = [np.flatnonzero(table == 0) * 6 + r for r, table in zip(_WHEEL, spf)]
-    primes = np.concatenate([np.array([2, 3][: terms - 1]), found[0][1:], found[1]])
-    primes.sort()
-    cof = []
-    for r, table, own in zip(_WHEEL, spf, found):
-        table[own // 6] = own
-        cof.append(np.arange(r, 6 * table.size, 6) // table)
-    for table in (*spf, *cof, primes):
+    spf = np.zeros(terms + 1, dtype=np.int64)
+    for p in np.flatnonzero(small)[::-1].tolist():
+        spf[p * p :: p] = p
+    primes = np.flatnonzero(spf == 0)[2:]
+    spf[primes] = primes
+    spf[:2] = 1
+    cof = np.arange(terms + 1) // spf
+    for table in (spf, cof, primes):
         table.setflags(write=False)
-    return spf, tuple(cof), primes
+    return spf, cof, primes
 
 
 def _powers(z: complex, terms: int) -> np.ndarray:
     """n^{-z} for n = 1..terms by complete multiplicativity.
 
-    Only the primes take an exponential.  Each dyadic block [2^j, 2^{j+1})
-    is then filled from entries below it on a 2·3 wheel: even n as
-    a[2] a[n/2] and odd multiples of 3 as a[3] a[n/3], strided slices
-    multiplied in place, and only n = 1, 5 (mod 6) as a gather-multiply
-    a[p(n)] a[n/p(n)] from the wheel's tables (a prime times a[1] = 1,
-    exactly).  Each n is the product a[p(n)] a[n/p(n)] of a full
-    smallest-prime-factor table, operands in that order, bit for bit.
+    Only the primes take an exponential; each dyadic block [2^j, 2^{j+1})
+    is then one in-place gather-multiply a[p(n)] a[n/p(n)] of entries
+    below it, operands in that order (a prime times a[1] = 1, exactly).
     """
     spf, cof, primes = _factor_table(terms)
     a = np.empty(terms + 1, dtype=complex)
@@ -106,14 +93,7 @@ def _powers(z: complex, terms: int) -> np.ndarray:
     lo = 2
     while lo <= terms:
         hi = min(2 * lo, terms + 1)
-        even = lo + lo % 2
-        np.multiply(a[2:3], a[even // 2 : (hi + 1) // 2], out=a[even:hi:2])
-        odd3 = lo + (3 - lo) % 6  # at terms = 2, a[3:4] and its product are empty
-        np.multiply(a[3:4], a[odd3 // 3 : (hi + 2) // 3 : 2], out=a[odd3:hi:6])
-        for r, p, c in zip(_WHEEL, spf, cof):
-            first = lo + (r - lo) % 6
-            rows = slice(first // 6, (hi - r + 5) // 6)
-            np.multiply(a[p[rows]], a[c[rows]], out=a[first:hi:6])
+        np.multiply(a[spf[lo:hi]], a[cof[lo:hi]], out=a[lo:hi])
         lo = hi
     return a[1:]
 
@@ -129,9 +109,8 @@ def eta_naive(s: complex, terms: int = 10_000) -> complex:
     / 32, within 1e-14 of eta at verify's points on the default 10,000
     terms.  Requires finite s with sigma > 0 and an even number of terms,
     at least 6 and at most MAX_NAIVE_TERMS.  The powers take one
-    exponential per prime and every composite as p(n)^{-s} (n/p(n))^{-s} on
-    a 2·3 wheel (_powers), whose tables for the n prime to 6 are cached for
-    the last two term counts.
+    exponential per prime and every composite as p(n)^{-s} (n/p(n))^{-s}
+    (_powers), on the factor table cached for the last two term counts.
     """
     z = complex(s)
     if not cmath.isfinite(z):
@@ -195,7 +174,7 @@ def apply_number_operator(n: int, y: float, h: float = 1e-4) -> float:
     then one Richardson step combining h and h/2.  The exact ratio is n.
     chi takes the five points y, y -+ h, y -+ h/2 in one call.
     """
-    if n < 0 or n != int(n):
+    if not (0 <= n < math.inf and n == int(n)):
         raise DomainError("n must be a nonnegative integer")
     if h <= 0.0 or y <= 2.0 * h:
         raise DomainError("need y > 2h > 0")
@@ -253,6 +232,8 @@ def quad_naive(f, a: float, b: float, panels: int = 4096):
     """
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
         raise DomainError("need finite a < b")
+    if not isinstance(panels, numbers.Integral):
+        raise DomainError("panels must be an integer")
     if panels < 1:
         raise DomainError("need at least one panel")
     x = np.linspace(a, b, 2 * panels + 1)
@@ -281,8 +262,10 @@ def psi_level_sum(
     decay like ((1-e^{-lam})/(1+e^{-lam}))^m and the plain sum settles.
     chi_m(Y) is negligible for 4m + 2 < Y, so the depth starts at the power
     of two at or above max(64, Y/2 + 64) and doubles until an estimate moves
-    by at most 1e-12 of the largest term, within max_terms.
+    by at most 1e-12 of the largest term, within max_terms.  n is checked as
+    psi_full checks it (QuantumNumber): 2.0 and numpy's 2 give the n = 2 sum.
     """
+    QuantumNumber(n)
     Y = np.array([math.exp(lam) * y])
     if not 0.0 <= Y[0] <= LEVEL_SUM_REACH:
         raise NonConvergenceError(f"level sum: e^lambda y = {Y[0]:.6g} is past {LEVEL_SUM_REACH:g}")

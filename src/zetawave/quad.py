@@ -13,6 +13,7 @@ doubles each round, for a whole batch of s in double precision.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -69,6 +70,8 @@ class QuadratureSpec:
     target_tol: float = 1e-10
 
     def __post_init__(self) -> None:
+        if not isinstance(self.panels, numbers.Integral):
+            raise DomainError("panels must be an integer")
         if self.panels < 1:
             raise DomainError("need panels >= 1")
         _positive_finite("tail_cutoff", self.tail_cutoff)
@@ -85,10 +88,14 @@ class QuadResult(NamedTuple):
 
 
 def tail_cutoff_for(rate: float, target_tol: float) -> float:
-    """Cutoff T >= 1 with e^{-rate*T} <= target_tol / 10."""
+    """Cutoff T >= 1 with e^{-rate*T} <= target_tol / 10; DomainError where
+    T is past the double range (a subnormal target_tol or a tiny rate)."""
     _positive_finite("decay rate", rate)
     _positive_finite("target_tol", target_tol)
-    return max(1.0, math.log(10.0 * max(1.0, target_tol) / target_tol) / rate)
+    cutoff = max(1.0, math.log(10.0 * max(1.0, target_tol) / target_tol) / rate)
+    if not math.isfinite(cutoff):
+        raise DomainError(f"no finite cutoff for decay rate {rate:g} and target_tol {target_tol:g}")
+    return cutoff
 
 
 def default_spec(*, tail_cutoff: float = 40.0, target_tol: float = 1e-10) -> QuadratureSpec:

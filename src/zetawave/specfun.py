@@ -622,8 +622,11 @@ def eta_grid(s_values) -> np.ndarray:
     batch first splits off three levels, see _eta_sums).  Either way O(n)
     per point and one matrix product per batch.  Raises
     NonConvergenceError when none of the six settle columns fell below
-    1e-10 (1 + |eta|).
+    1e-10 (1 + |eta|), and DomainError for an array of two or more
+    dimensions.
     """
+    if isinstance(s_values, np.ndarray) and s_values.ndim > 1:
+        raise DomainError("eta_grid takes a 1-D batch of points")
     return _eta_sums(s_values)[0]
 
 

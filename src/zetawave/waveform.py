@@ -570,8 +570,11 @@ def varphi_zero(s):
 
     A 1-D ndarray takes _varphi_zero_rows: each element carries the scalar
     call's accuracy (not its bits), and an error is the scalar loop's first.
+    An array of two or more dimensions raises DomainError.
     """
-    if isinstance(s, np.ndarray) and s.ndim == 1:
+    if isinstance(s, np.ndarray) and s.ndim:
+        if s.ndim > 1:
+            raise DomainError("varphi_zero takes one point or a 1-D array")
         return _varphi_zero_rows(s.astype(complex))
     z = complex(s)
     w = 1.0 - z

@@ -6,8 +6,6 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from zetawave import oracles
 from zetawave import (
@@ -65,119 +63,76 @@ def test_eta_naive_guards():
 
 
 CHECK_POINTS = (2.0 + 0.0j, 0.5 + 14.134725j, 0.75 + 30.0j, 1.5 + 7.0j)
-# the grid of test_eta_naive_matches_eta_within_own_estimate
-GRID_POINTS = tuple(complex(sigma, t) for sigma in (0.5, 1.0, 2.0) for t in (0.0, 7.5, 30.0))
 
 
-def _full_table_powers(z, terms):
-    # the full smallest-prime-factor table and its block gathers, as _powers
-    # was before the wheel: a[n] = a[p(n)] a[n/p(n)] for every n of a block
-    root = math.isqrt(terms)
-    small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if small[p]:
-            small[p * p :: p] = False
-    spf = np.zeros(terms + 1, dtype=np.int64)
-    for p in np.flatnonzero(small)[::-1].tolist():
-        spf[p * p :: p] = p
-    primes = np.flatnonzero(spf == 0)[2:]
-    spf[primes] = primes
-    spf[:2] = 1
-    cof = np.arange(terms + 1) // spf
-    a = np.empty(terms + 1, dtype=complex)
-    a[1] = 1.0
-    a[primes] = np.exp(-z * np.log(primes))
-    lo = 2
-    while lo <= terms:
-        hi = min(2 * lo, terms + 1)
-        a[lo:hi] = a[spf[lo:hi]] * a[cof[lo:hi]]
-        lo = hi
-    return a[1:]
-
-
-# even counts, as eta_naive takes: on the block edges 2, 4, 8 and 1,024 and
-# ending on each even residue mod 6; the drawn counts below take odd ones too
-@pytest.mark.parametrize("terms", [2, 4, 6, 8, 12, 30, 1_024, 2_000, 200_000])
-def test_wheel_powers_are_the_full_table_powers_bitwise(terms):
-    for s in CHECK_POINTS + GRID_POINTS:
-        wheel = oracles._powers(s, terms)
-        assert wheel.tobytes() == _full_table_powers(s, terms).tobytes(), (terms, s)
-
-
-@given(st.floats(0.01, 3.0), st.floats(-60.0, 60.0), st.integers(2, 700))
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
-def test_wheel_powers_bitwise_at_drawn_points(sigma, t, terms):
-    s = complex(sigma, t)
-    assert oracles._powers(s, terms).tobytes() == _full_table_powers(s, terms).tobytes()
-
-
-def _wheel_entries(terms):
-    # (n, p(n), n/p(n)) of the wheel tables, every n <= terms prime to 6
-    spf, cof, _ = oracles._factor_table(terms)
-    n = np.concatenate([np.arange(r, terms + 1, 6) for r in oracles._WHEEL])
-    p, c = np.concatenate(spf), np.concatenate(cof)
-    assert n.size == p.size == c.size
-    return n, p, c
-
-
-def test_factor_table_invariants():
-    terms = 200_000
-    spf, cof, primes = oracles._factor_table(terms)
+def _is_prime(terms):
+    # 0/1 flags of a plain Eratosthenes sieve on bytes, entry n for n <= terms
     flags = bytearray([1]) * (terms + 1)
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(terms) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, terms + 1, p)))
-    is_prime = np.frombuffer(bytes(flags), dtype=np.uint8)
+    return np.frombuffer(bytes(flags), dtype=np.uint8)
+
+
+def test_factor_table_invariants():
+    # the largest table eta_naive builds
+    terms = oracles.MAX_NAIVE_TERMS
+    spf, cof, primes = oracles._factor_table(terms)
+    is_prime = _is_prime(terms)
     reference = np.flatnonzero(is_prime)
-    # one exponential per prime: pi(200,000) = 17,984 per point of the check
-    assert primes.size == 17_984
+    # one exponential per prime: pi(50,000) = 5,133 per point
+    assert primes.size == 5_133
     assert np.array_equal(primes, reference)
-    n, p, c = _wheel_entries(terms)
-    # a third of the terms: n = 1, 5 (mod 6) only
-    assert n.size == 66_667
+    assert spf.size == cof.size == terms + 1
+    assert spf[1] == cof[1] == 1
+    n, p, c = np.arange(2, terms + 1), spf[2:], cof[2:]
     assert np.all(p * c == n)
-    n, p, c = n[1:], p[1:], c[1:]
     assert np.all(is_prime[p] == 1)
-    assert np.all(p >= 5)
     # the smallest prime factor: p divides n and no prime below p does
     for q in reference[reference < math.isqrt(terms) + 1].tolist():
         assert np.all((n % q != 0) | (p <= q))
     composite = c > 1
     assert np.all(p[composite] ** 2 <= n[composite])
-    assert spf[0][0] == cof[0][0] == 1
-    for table in (*spf, *cof, primes):
+    assert np.array_equal(n[~composite], primes)
+    for table in (spf, cof, primes):
         assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("terms", [2, 3, 4, 5, 6, 7, 9, 10, 25, 35, 49, 97, 1000])
 def test_factor_table_small_sizes_by_trial_division(terms):
-    # among them sizes whose small sieve holds no prime (2, 3), sizes whose
-    # last entry is a prime square (4, 9, 25, 49) and each residue mod 6
-    _, _, primes = oracles._factor_table(terms)
-    n, p, c = _wheel_entries(terms)
+    # among them sizes whose small sieve holds no prime (2, 3) and sizes
+    # whose last entry is a prime square (4, 9, 25, 49)
+    spf, cof, primes = oracles._factor_table(terms)
     k = range(2, terms + 1)
     smallest = [min(q for q in range(2, m + 1) if m % q == 0) for m in k]
-    assert p.tolist() == [1 if m == 1 else smallest[m - 2] for m in n.tolist()]
-    assert (p * c).tolist() == n.tolist()
+    assert spf[1:].tolist() == [1, *smallest]
+    assert (spf[1:] * cof[1:]).tolist() == list(range(1, terms + 1))
     assert primes.tolist() == [m for m, q in zip(k, smallest) if m == q]
 
 
 def test_first_eta_naive_working_set():
-    # from an empty table cache, the 2·3 wheel's working set at 200,000
-    # terms, inside MAX_NAIVE_TERMS (verify's 10,000-term call is guarded in
-    # test_verify); on the full smallest-prime-factor table it peaked at
-    # 8.35 MiB and kept 3.19 MiB
+    # from an empty table cache, the largest accepted call, MAX_NAIVE_TERMS
+    # (verify's 10,000-term call is guarded in test_verify): measured peak
+    # 2.09 MiB and kept 0.80 MiB at 50,000 terms; the bounds are those the
+    # same test held at 200,000 terms
     oracles._factor_table.cache_clear()
     tracemalloc.start()
     try:
-        eta_naive(0.5 + 14.134725j, 200_000)
+        eta_naive(0.5 + 14.134725j, oracles.MAX_NAIVE_TERMS)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * 2**20
     assert kept <= 1.3 * 2**20
+
+
+def test_eta_naive_refuses_past_the_cap():
+    # 200,000 terms ran before the cap came down to 50,000
+    assert oracles.MAX_NAIVE_TERMS == 50_000
+    with pytest.raises(DomainError, match="at most 50,000"):
+        eta_naive(2.0, 200_000)
+    eta_naive(2.0, oracles.MAX_NAIVE_TERMS)
 
 
 @pytest.mark.parametrize("s", CHECK_POINTS)
@@ -293,6 +248,24 @@ def test_number_operator_domain_guards():
     assert apply_number_operator(3.0, 2.8) == apply_number_operator(3, 2.8)
     with pytest.raises(DomainError):
         apply_number_operator(2, 1e-5, h=1e-4)
+    # nan raised a raw ValueError and inf a raw OverflowError in int(n)
+    for n in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="n must be a nonnegative integer"):
+            apply_number_operator(n, 1.0)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5])
+def test_level_sum_checks_its_level_as_psi_full_does(n):
+    # -1 ended in a raw IndexError, and 2.5 returned the n = 2 sum
+    with pytest.raises(DomainError, match="quantum number"):
+        oracles.psi_level_sum(1.0, 0.0, 0.5 + 3j, n, 8.0)
+
+
+def test_level_sum_takes_an_integral_level_as_given():
+    want = oracles.psi_level_sum(1.0, 0.0, 0.5 + 3j, 2, 8.0)
+    for n in (2.0, np.int64(2)):
+        got = oracles.psi_level_sum(1.0, 0.0, 0.5 + 3j, n, 8.0)
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
 
 def test_bk_operator_on_real_half():
@@ -340,6 +313,11 @@ def test_quad_naive_guards():
         quad_naive(lambda x: x, 1.0, 1.0)
     with pytest.raises(DomainError):
         quad_naive(lambda x: x, 0.0, 1.0, panels=0)
+    # each ended in a raw TypeError inside numpy.linspace
+    for panels in (2.5, math.nan):
+        with pytest.raises(DomainError, match="panels must be an integer"):
+            quad_naive(lambda x: x, 0.0, 1.0, panels=panels)
+    assert quad_naive(lambda x: x, 0.0, 1.0, panels=np.int64(8)) == quad_naive(lambda x: x, 0.0, 1.0, panels=8)
 
 
 def test_quad_naive_scalar_fallback():

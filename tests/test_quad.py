@@ -140,6 +140,12 @@ def test_singular_log_stalls_with_nonconvergence():
         # an integrand must map the array of nodes elementwise
         lambda: integrate_halfline(lambda u: 1.0, make_spec()),
         lambda: integrate_halfline(lambda u: np.exp(-u)[:-1], make_spec()),
+        # each accepted, then a raw TypeError inside integrate_halfline
+        lambda: QuadratureSpec(panels=2.5),
+        lambda: QuadratureSpec(panels=math.nan),
+        # a cutoff past the double range: tail_cutoff_for(1.0, 1e-320) was inf
+        lambda: tail_cutoff_for(1.0, 1e-320),
+        lambda: tail_cutoff_for(1e-320, 1e-10),
     ],
 )
 def test_bad_input_raises_domain_error(call):
@@ -174,6 +180,8 @@ def test_tail_bound_honest_for_known_tail():
 def test_tail_cutoff_for_sizing():
     cut = tail_cutoff_for(0.5, 1e-10)
     assert math.exp(-0.5 * cut) <= 1e-11
+    assert tail_cutoff_for(1.0, 1e-300) == math.log(10.0 / 1e-300)
+    assert QuadratureSpec(panels=np.int64(64)) == QuadratureSpec(panels=64)
 
 
 def test_budget_guard_on_spec():

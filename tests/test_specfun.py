@@ -231,6 +231,12 @@ def test_eta_grid_matches_scalar():
         assert abs(g - eta(z)) <= 5e-12 * max(1.0, abs(eta(z)))
 
 
+def test_eta_grid_refuses_an_array_of_two_dimensions():
+    # numpy's broadcast ValueError surfaced from the weighted sum
+    with pytest.raises(DomainError, match="1-D batch"):
+        eta_grid(np.full((2, 2), 0.5 + 3j))
+
+
 def test_eta_is_first_point_of_its_grid():
     for s in (-2.0 + 0.0j, -1.5 + 7.0j, 0.5 + 14.134725j, 0.5 + 50.0j, 3.0 + 60.0j):
         assert eta(s) == eta_grid([s])[0]

@@ -221,8 +221,8 @@ def test_oracle_checks_average_one_batch(monkeypatch, check, rows):
 
 
 def test_eta_naive_check_working_set():
-    # from an empty factor-table cache; measured peak 0.26 MiB and kept
-    # 0.06 MiB on 10,000 terms, where 200,000 peaked at 4.77 and kept 1.17
+    # from an empty factor-table cache; measured peak 0.44 MiB and kept
+    # 0.16 MiB on 10,000 terms (0.46 and 0.18 as a process's first check)
     oracles._factor_table.cache_clear()
     tracemalloc.start()
     try:

@@ -682,6 +682,14 @@ def test_varphi_zero_array_raises_the_scalar_loops_first_error(points):
     assert _outcome(lambda: varphi_zero(points)) == want
 
 
+def test_varphi_zero_refuses_an_array_of_two_dimensions():
+    # complex() raised a raw TypeError on it ("only 0-dimensional arrays can
+    # be converted to Python scalars"); a 0-d array is still one point
+    with pytest.raises(DomainError, match="1-D array"):
+        varphi_zero(np.full((2, 2), 0.5 + 3j))
+    assert varphi_zero(np.array(0.5 + 3j)) == varphi_zero(0.5 + 3j)
+
+
 @pytest.mark.parametrize("call", [
     lambda: varphi_zero(0.9 + 300j),
     lambda: varphi_zero(0.9 - 230j),
